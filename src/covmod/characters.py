@@ -49,11 +49,6 @@ class Character:
     phases: tuple[Fraction, ...]
 
     @cached_property
-    def phase_of(self) -> dict[int, Fraction]:
-        """Map a parent element index to its phase."""
-        return dict(zip(self.domain.members, self.phases))
-
-    @cached_property
     def complex_values(self) -> tuple[complex, ...]:
         """Phases converted to unit complex numbers, once, in member order."""
         return tuple(phase_to_complex(q) for q in self.phases)
@@ -63,7 +58,13 @@ class Character:
         return all(q == 0 for q in self.phases)
 
     def value(self, s: int) -> complex:
-        return self.complex_values[self.domain.position[s]]
+        """The character's value at a parent element index."""
+        try:
+            return self.complex_values[self.domain.position[s]]
+        except KeyError:
+            raise DomainMismatchError(
+                f"element {s} is not a member of the character's domain"
+            ) from None
 
 
 def make_character(
@@ -188,16 +189,6 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
 
     found.sort()
     return [Character(sub, qs) for qs in found]
-
-
-def char_eval(char: Character, s: int) -> complex:
-    """The character's value at a parent element index."""
-    q = char.phase_of.get(s)
-    if q is None:
-        raise DomainMismatchError(
-            f"element {s} is not a member of the character's domain"
-        )
-    return phase_to_complex(q)
 
 
 def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Character:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .characters import Character, trivial_character
+from .characters import Character
 from .errors import DomainMismatchError, ExponentError, IdentificationError
 from .groups import (
     FiniteGroup,
@@ -128,23 +128,6 @@ def t_xi(
     return CovariantFunction(quot, char, tuple(section))
 
 
-def is_covariant(psi: GroupFunction, char: Character, tol: float = 1e-9) -> bool:
-    """Check psi(x * s) = xi(s) * psi(x) for all x in the group and s in the domain."""
-    if char.domain.parent is not psi.group:
-        raise DomainMismatchError("character domain is not a subgroup of psi's group")
-    mul = psi.group.mul
-    vals = psi.values
-    members = char.domain.members
-    cvals = char.complex_values
-    for x in range(psi.group.order):
-        row = mul[x]
-        base = vals[x]
-        for j, s in enumerate(members):
-            if abs(vals[row[s]] - cvals[j] * base) > tol:
-                return False
-    return True
-
-
 def from_section(
     section: Sequence[complex], char: Character, quot: QuotientGroup
 ) -> CovariantFunction:
@@ -180,11 +163,3 @@ def project_trivial(psi: CovariantFunction) -> GroupFunction:
         )
     return GroupFunction(psi.quotient.table, psi.section)
 
-
-def average_over_subgroup(
-    f: GroupFunction,
-    quot: QuotientGroup,
-    measure: MeasureTriple | None = None,
-) -> CovariantFunction:
-    """Plain subgroup averaging: t_xi with the trivial character."""
-    return t_xi(f, trivial_character(quot.normal), measure, quot)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .characters import (
     Character,
@@ -25,13 +27,14 @@ from .convolution import (
     convolve,
     covariance_residual,
     full_module_action,
-    max_abs_diff,
     module_action,
     quotient_convolve,
     section_residual,
     verify_module_axioms,
+    worst_of,
 )
 from .covariant import CovariantFunction, cov_norm, from_section, project_trivial, t_xi
+from .errors import DomainMismatchError, ValidationError
 from .groups import (
     FiniteGroup,
     GroupFunction,
@@ -95,6 +98,11 @@ class CorpusEntry:
     quot: QuotientGroup
     sd: SemidirectGroup | None = None
     normal_in_k: Subgroup | None = None
+
+    @cached_property
+    def characters(self) -> tuple[Character, ...]:
+        """Every character of the normal subgroup, enumerated once per entry."""
+        return tuple(enumerate_characters(self.normal))
 
 
 def symmetric_3() -> FiniteGroup:
@@ -161,10 +169,6 @@ def builtin_corpus() -> list[CorpusEntry]:
     return entries
 
 
-def _rng(seed: int, check: str, config: str) -> random.Random:
-    return random.Random(f"{seed}:{check}:{config}")
-
-
 def _row(check: str, config: str, residual: float, tol: float | None) -> dict:
     t = DEFAULT_TOLS[check] if tol is None else tol
     return {
@@ -174,6 +178,28 @@ def _row(check: str, config: str, residual: float, tol: float | None) -> dict:
         "tol": t,
         "passed": residual <= t,
     }
+
+
+def _trial_row(
+    check: str,
+    config: str,
+    chars: Iterable[Character | None],
+    seed: int,
+    trials: int,
+    tol: float | None,
+    trial: Callable[[Character | None, random.Random], Iterable[float]],
+    worst: float = 0.0,
+) -> dict:
+    """Run `trial` `trials` times per character and report the worst residual.
+
+    One rng keyed by (seed, check, config) feeds every trial, character by
+    character, so each row is reproducible from the seed alone.  `trial`
+    yields the residuals of one draw; `worst` seeds the running maximum with
+    residuals a check found before its random trials.
+    """
+    rng = random.Random(f"{seed}:{check}:{config}")
+    residuals = (res for char in chars for _ in range(trials) for res in trial(char, rng))
+    return _row(check, config, worst_of(residuals, worst), tol)
 
 
 def _random_covariant(
@@ -186,14 +212,13 @@ def _random_covariant(
 
 
 def check_weil(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
-    rng = _rng(seed, "weil_formula", entry.name)
     measure = counting_measure(entry.quot)
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial(_: None, rng: random.Random) -> Iterator[float]:
         f = random_function(entry.group, rng)
-        res = weil_residual(f, entry.quot, measure) / max(lp_norm(f, 1), _TINY)
-        worst = max(worst, res)
-    return _row("weil_formula", entry.name, worst, tol)
+        yield weil_residual(f, entry.quot, measure) / max(lp_norm(f, 1), _TINY)
+
+    return _trial_row("weil_formula", entry.name, (None,), seed, trials, tol, trial)
 
 
 def _abelianization_order(sub: Subgroup) -> int:
@@ -219,19 +244,19 @@ def check_characters(entry: CorpusEntry, seed: int, trials: int, tol: float | No
     """Exact character theory: count, homomorphism law, orthogonality."""
     del seed, trials  # deterministic; kept for a uniform check signature
     mismatches = 0
-    chars = enumerate_characters(entry.normal)
+    chars = entry.characters
     if len(chars) != _abelianization_order(entry.normal):
         mismatches += 1
     order = entry.normal.order
     for i, a in enumerate(chars):
         try:
             make_character(entry.normal, a.phases)
-        except Exception:
+        except ValidationError:
             mismatches += 1
         for j, b in enumerate(chars):
             try:
                 got = char_inner(a, b)
-            except Exception:
+            except ValidationError:
                 mismatches += 1
                 continue
             if got != (order if i == j else 0):
@@ -240,115 +265,109 @@ def check_characters(entry: CorpusEntry, seed: int, trials: int, tol: float | No
 
 
 def check_txi_covariance(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
-    rng = _rng(seed, "txi_covariance", entry.name)
-    worst = 0.0
-    for char in enumerate_characters(entry.normal):
-        for _ in range(trials):
-            f = random_function(entry.group, rng)
-            psi = t_xi(f, char, quot=entry.quot)
-            worst = max(worst, covariance_residual(psi.full(), char))
-    return _row("txi_covariance", entry.name, worst, tol)
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        psi = t_xi(random_function(entry.group, rng), char, quot=entry.quot)
+        yield covariance_residual(psi.full(), char)
+
+    return _trial_row("txi_covariance", entry.name, entry.characters, seed, trials, tol, trial)
 
 
 def check_txi_averaging(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
     """Averaging a covariant function reproduces it scaled by the fiber size."""
-    rng = _rng(seed, "txi_averaging", entry.name)
     scale = float(entry.normal.order)
-    worst = 0.0
-    for char in enumerate_characters(entry.normal):
-        for _ in range(trials):
-            psi = _random_covariant(entry.quot, char, rng)
-            back = t_xi(psi.full(), char, quot=entry.quot)
-            worst = max(worst, section_residual(back, scale * psi))
-    return _row("txi_averaging", entry.name, worst, tol)
+
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        psi = _random_covariant(entry.quot, char, rng)
+        back = t_xi(psi.full(), char, quot=entry.quot)
+        yield section_residual(back, scale * psi)
+
+    return _trial_row("txi_averaging", entry.name, entry.characters, seed, trials, tol, trial)
 
 
 def check_norm_identity(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
     """Section norm vs full-group norm: they differ exactly by |N| ** (1/p)."""
-    rng = _rng(seed, "norm_identity", entry.name)
     n_order = entry.normal.order
-    worst = 0.0
-    for char in enumerate_characters(entry.normal):
-        for _ in range(trials):
-            psi = _random_covariant(entry.quot, char, rng)
-            full = psi.full()
-            for p in (1, 2, 3):
-                lhs = cov_norm(psi, p)
-                rhs = n_order ** (-1.0 / p) * lp_norm(full, p)
-                worst = max(worst, abs(lhs - rhs) / max(lhs, _TINY))
-    return _row("norm_identity", entry.name, worst, tol)
+
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        psi = _random_covariant(entry.quot, char, rng)
+        full = psi.full()
+        for p in (1, 2, 3):
+            lhs = cov_norm(psi, p)
+            rhs = n_order ** (-1.0 / p) * lp_norm(full, p)
+            yield abs(lhs - rhs) / max(lhs, _TINY)
+
+    return _trial_row("norm_identity", entry.name, entry.characters, seed, trials, tol, trial)
 
 
 def check_txi_homomorphism(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
     """Averaging intertwines convolution with the module action."""
-    rng = _rng(seed, "txi_homomorphism", entry.name)
-    worst = 0.0
-    for char in enumerate_characters(entry.normal):
-        for _ in range(trials):
-            f = random_function(entry.group, rng)
-            g = random_function(entry.group, rng)
-            left = t_xi(convolve(f, g), char, quot=entry.quot)
-            right = module_action(f, t_xi(g, char, quot=entry.quot))
-            scale = max(lp_norm(f, 1) * lp_norm(g, 1), _TINY)
-            worst = max(worst, section_residual(left, right) / scale)
-    return _row("txi_homomorphism", entry.name, worst, tol)
+
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        f = random_function(entry.group, rng)
+        g = random_function(entry.group, rng)
+        left = t_xi(convolve(f, g), char, quot=entry.quot)
+        right = module_action(f, t_xi(g, char, quot=entry.quot))
+        scale = max(lp_norm(f, 1) * lp_norm(g, 1), _TINY)
+        yield section_residual(left, right) / scale
+
+    return _trial_row("txi_homomorphism", entry.name, entry.characters, seed, trials, tol, trial)
 
 
 def check_norm_bound(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
-    rng = _rng(seed, "norm_bound", entry.name)
-    worst = 0.0
-    for char in enumerate_characters(entry.normal):
-        for _ in range(trials):
-            f = random_function(entry.group, rng)
-            psi = _random_covariant(entry.quot, char, rng)
-            acted = module_action(f, psi)
-            f_l1 = lp_norm(f, 1)
-            for p in (1, 2, 3):
-                excess = cov_norm(acted, p) - f_l1 * cov_norm(psi, p)
-                worst = max(worst, excess)
-    return _row("norm_bound", entry.name, worst, tol)
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        f = random_function(entry.group, rng)
+        psi = _random_covariant(entry.quot, char, rng)
+        acted = module_action(f, psi)
+        f_l1 = lp_norm(f, 1)
+        for p in (1, 2, 3):
+            yield cov_norm(acted, p) - f_l1 * cov_norm(psi, p)
+
+    return _trial_row("norm_bound", entry.name, entry.characters, seed, trials, tol, trial)
 
 
 def check_module_axioms(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
     t = DEFAULT_TOLS["module_axioms"] if tol is None else tol
-    worst = 0.0
-    for j, char in enumerate(enumerate_characters(entry.normal)):
-        report = verify_module_axioms(
+    worst = worst_of(
+        residual
+        for j, char in enumerate(entry.characters)
+        for residual in verify_module_axioms(
             entry.quot, char, trials, tol=t, seed=f"{seed}:{entry.name}:{j}"
-        )
-        worst = max(worst, max(report["laws"].values()))
+        )["laws"].values()
+    )
     return _row("module_axioms", entry.name, worst, tol)
 
 
 def check_trivial_identification(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
     """With the trivial character, the action descends to quotient convolution."""
-    rng = _rng(seed, "trivial_identification", entry.name)
-    triv = trivial_character(entry.normal)
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial(triv: Character, rng: random.Random) -> Iterator[float]:
         f = random_function(entry.group, rng)
         psi = _random_covariant(entry.quot, triv, rng)
         descended = project_trivial(module_action(f, psi))
         averaged = project_trivial(t_xi(f, triv, quot=entry.quot))
         via_quotient = quotient_convolve(averaged, project_trivial(psi))
-        worst = max(worst, max_abs_diff(descended, via_quotient))
-    return _row("trivial_identification", entry.name, worst, tol)
+        for a, b in zip(descended.values, via_quotient.values):
+            yield abs(a - b)
+
+    triv = (trivial_character(entry.normal),)
+    return _trial_row("trivial_identification", entry.name, triv, seed, trials, tol, trial)
 
 
 def check_full_agreement(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
     """The per-representative action equals the structure-blind convolution."""
-    rng = _rng(seed, "full_convolution_agreement", entry.name)
-    worst = 0.0
-    for char in enumerate_characters(entry.normal):
-        for _ in range(trials):
-            f = random_function(entry.group, rng)
-            psi = _random_covariant(entry.quot, char, rng)
-            blind = full_module_action(f, psi)
-            direct = module_action(f, psi)
-            for i, r in enumerate(entry.quot.reps):
-                worst = max(worst, abs(blind.values[r] - direct.section[i]))
-            worst = max(worst, covariance_residual(blind, char))
-    return _row("full_convolution_agreement", entry.name, worst, tol)
+
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        f = random_function(entry.group, rng)
+        psi = _random_covariant(entry.quot, char, rng)
+        blind = full_module_action(f, psi)
+        direct = module_action(f, psi)
+        for i, r in enumerate(entry.quot.reps):
+            yield abs(blind.values[r] - direct.section[i])
+        yield covariance_residual(blind, char)
+
+    return _trial_row(
+        "full_convolution_agreement", entry.name, entry.characters, seed, trials, tol, trial
+    )
 
 
 def check_covariance_shape(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict | None:
@@ -356,22 +375,21 @@ def check_covariance_shape(entry: CorpusEntry, seed: int, trials: int, tol: floa
     sd = entry.sd
     if sd is None or entry.normal_in_k is None:
         return None
-    rng = _rng(seed, "covariance_shape", entry.name)
     nk = sd.k.order
     base = sd.h.identity * nk
     e_k = sd.k.identity
-    worst = 0.0
-    for char in enumerate_characters(entry.normal):
-        for _ in range(trials):
-            psi = _random_covariant(entry.quot, char, rng)
-            for h in range(sd.h.order):
-                anchor = psi.value_at(h * nk + e_k)
-                row = sd.action[sd.h.inv[h]]
-                for s in entry.normal_in_k.members:
-                    got = psi.value_at(h * nk + s)
-                    want = char.value(base + row[s]) * anchor
-                    worst = max(worst, abs(got - want))
-    return _row("covariance_shape", entry.name, worst, tol)
+
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        psi = _random_covariant(entry.quot, char, rng)
+        for h in range(sd.h.order):
+            anchor = psi.value_at(h * nk + e_k)
+            row = sd.action[sd.h.inv[h]]
+            for s in entry.normal_in_k.members:
+                got = psi.value_at(h * nk + s)
+                want = char.value(base + row[s]) * anchor
+                yield abs(got - want)
+
+    return _trial_row("covariance_shape", entry.name, entry.characters, seed, trials, tol, trial)
 
 
 def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict | None:
@@ -385,8 +403,7 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
     sd = entry.sd
     if sd is None or entry.normal_in_k is None:
         return None
-    rng = _rng(seed, "semidirect_structure", entry.name)
-    worst = 0.0
+    structural = []
 
     k_full = make_subgroup(sd.k, range(sd.k.order))
     induced = induced_semidirect(sd, entry.normal_in_k)
@@ -394,20 +411,18 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
         d_k = delta_factor(sd, k_full, h)
         d_n = delta_factor(sd, entry.normal_in_k, h)
         d_q = induced.delta[h]
-        worst = max(worst, abs(d_k - d_n * d_q))
-        worst = max(worst, abs(d_k - 1.0))
+        structural += [abs(d_k - d_n * d_q), abs(d_k - 1.0)]
 
-    if entry.quot.table.mul != induced.product.mul:
-        count = sum(
-            1
-            for ra, rb in zip(entry.quot.table.mul, induced.product.mul)
-            for a, b in zip(ra, rb)
-            if a != b
-        )
-        worst = max(worst, float(count))
+    mismatched = sum(
+        a != b
+        for ra, rb in zip(entry.quot.table.mul, induced.product.mul)
+        for a, b in zip(ra, rb)
+    )
+    structural.append(float(mismatched))
 
     qk = quotient(sd.k, entry.normal_in_k)
-    for _ in range(trials):
+
+    def trial(_: None, rng: random.Random) -> Iterator[float]:
         phi = random_function(entry.quot.table, rng)
         direct = sum(phi.values, 0j)
         iterated = 0j
@@ -416,51 +431,52 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
                 x = sd.pair_index(h, qk.reps[j])
                 iterated += sd.delta[h] * phi.values[entry.quot.proj[x]]
         scale = max(lp_norm(phi, 1), _TINY)
-        worst = max(worst, abs(direct - iterated) / scale)
-    return _row("semidirect_structure", entry.name, worst, tol)
+        yield abs(direct - iterated) / scale
+
+    return _trial_row(
+        "semidirect_structure", entry.name, (None,), seed, trials, tol, trial,
+        worst=worst_of(structural),
+    )
 
 
-def _wh_char_indices(char: Character, m: int, r: int) -> tuple[int, int]:
-    """Read off (y, n) for a character of the Z_m x Z_r fiber, exactly."""
-    phases = char.phases
-    n = int(phases[1] * r) if r > 1 else 0
+# Closed-form kernels as (sd, f, psi) -> section, reading the shear-fiber
+# character indices (y, n) off the character's exact phases.
+
+def _wh_full(sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction) -> CovariantFunction:
+    m = sd.h.order
+    r = sd.k.order // m
+    phases = psi.character.phases
     y = int(phases[r] * m) if m > 1 else 0
-    return y, n
+    n = int(phases[1] * r) if r > 1 else 0
+    return conv_fast_wh_full(sd, f, psi, y, n)
+
+
+def _wh_center(sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction) -> CovariantFunction:
+    r = sd.k.order // sd.h.order
+    n = int(psi.character.phases[1] * r) if r > 1 else 0
+    return conv_fast_wh_center(sd, f, psi, n)
 
 
 def _fast_rows_for_sd(
     sd: SemidirectGroup,
     entry_name: str,
     quot: QuotientGroup,
-    normal: Subgroup,
-    kind: str,
+    chars: Sequence[Character],
+    kernels: Sequence[Callable[[SemidirectGroup, GroupFunction, CovariantFunction], CovariantFunction]],
     seed: int,
     trials: int,
     tol: float | None,
 ) -> dict:
-    rng = _rng(seed, "fast_kernels", entry_name)
-    worst = 0.0
-    m = sd.h.order
-    r = sd.k.order // m if m and sd.k.order % m == 0 else 0
-    for char in enumerate_characters(normal):
-        for _ in range(trials):
-            f = random_function(sd.product, rng)
-            psi = _random_covariant(quot, char, rng)
-            generic = module_action(f, psi)
-            if kind == "full_k":
-                fast = conv_fast_full_k(sd, f, psi)
-                worst = max(worst, section_residual(fast, generic))
-                y, n = _wh_char_indices(char, m, r)
-                wh_fast = conv_fast_wh_full(sd, f, psi, y, n)
-                worst = max(worst, section_residual(wh_fast, generic))
-            elif kind == "full_k_generic":
-                fast = conv_fast_full_k(sd, f, psi)
-                worst = max(worst, section_residual(fast, generic))
-            else:
-                n = int(char.phases[1] * r) if r > 1 else 0
-                fast = conv_fast_wh_center(sd, f, psi, n)
-                worst = max(worst, section_residual(fast, generic))
-    return _row("fast_kernels", entry_name, worst, tol)
+    """Compare each closed-form kernel against `module_action` on shared draws."""
+
+    def trial(char: Character, rng: random.Random) -> Iterator[float]:
+        f = random_function(sd.product, rng)
+        psi = _random_covariant(quot, char, rng)
+        generic = module_action(f, psi)
+        for kernel in kernels:
+            yield section_residual(kernel(sd, f, psi), generic)
+
+    return _trial_row("fast_kernels", entry_name, chars, seed, trials, tol, trial)
 
 
 def check_fast_kernels(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict | None:
@@ -468,22 +484,21 @@ def check_fast_kernels(entry: CorpusEntry, seed: int, trials: int, tol: float | 
     sd = entry.sd
     if sd is None or entry.normal_in_k is None:
         return None
-    full_k = entry.normal_in_k.order == sd.k.order
-    center_like = sd.k.order % sd.h.order == 0 and entry.normal_in_k.members == tuple(
-        range(sd.k.order // sd.h.order)
-    )
-    if full_k:
+    if entry.normal_in_k.order == sd.k.order:
         try:
             _wh_parameters(sd)
-            kind = "full_k"
-        except Exception:
-            kind = "full_k_generic"
-    elif center_like:
-        kind = "center"
+        except DomainMismatchError:  # not a shear group: only the generic closed form
+            kernels = [conv_fast_full_k]
+        else:
+            kernels = [conv_fast_full_k, _wh_full]
+    elif sd.k.order % sd.h.order == 0 and entry.normal_in_k.members == tuple(
+        range(sd.k.order // sd.h.order)
+    ):
+        kernels = [_wh_center]
     else:
         return None
     return _fast_rows_for_sd(
-        sd, entry.name, entry.quot, entry.normal, kind, seed, trials, tol
+        sd, entry.name, entry.quot, entry.characters, kernels, seed, trials, tol
     )
 
 
@@ -492,22 +507,16 @@ def fast_grid_rows(seed: int, trials: int, tol: float | None = None) -> list[dic
     rows = []
     for m, r in FAST_GRID:
         sd = weyl_heisenberg_finite(m, r)
-        center_in_k = make_subgroup(sd.k, range(r))
-        center = lift_subgroup(sd, center_in_k)
-        quot_c = quotient(sd.product, center)
-        rows.append(
-            _fast_rows_for_sd(
-                sd, f"WH({m},{r})/center", quot_c, center, "center", seed, trials, tol
-            )
-        )
-        k_in_k = make_subgroup(sd.k, range(sd.k.order))
-        lifted_k = lift_subgroup(sd, k_in_k)
-        quot_k = quotient(sd.product, lifted_k)
-        rows.append(
-            _fast_rows_for_sd(
-                sd, f"WH({m},{r})/K", quot_k, lifted_k, "full_k", seed, trials, tol
-            )
-        )
+        for label, fiber, kernels in (
+            ("center", r, [_wh_center]),
+            ("K", m * r, [conv_fast_full_k, _wh_full]),
+        ):
+            normal = lift_subgroup(sd, make_subgroup(sd.k, range(fiber)))
+            quot = quotient(sd.product, normal)
+            chars = enumerate_characters(normal)
+            rows.append(_fast_rows_for_sd(
+                sd, f"WH({m},{r})/{label}", quot, chars, kernels, seed, trials, tol
+            ))
     return rows
 
 
@@ -523,7 +532,7 @@ def check_pullback_shift(entry: CorpusEntry, seed: int, trials: int, tol: float 
         return None
     try:
         _, r, step = _wh_parameters(sd)
-    except Exception:
+    except DomainMismatchError:
         return None
     if r != m or step != 1:
         return None
@@ -589,7 +598,7 @@ def run_verification(
 
     worst: dict[str, float] = {}
     for row in rows:
-        worst[row["check"]] = max(worst.get(row["check"], 0.0), row["residual"])
+        worst[row["check"]] = worst_of([row["residual"]], worst.get(row["check"], 0.0))
     return {
         "seed": seed,
         "trials": trials,

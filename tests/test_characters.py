@@ -34,6 +34,13 @@ def test_z4_enumeration_oracle(z4):
     assert chars[2].value(1) == -1 + 0j
 
 
+def test_value_rejects_non_member(z4_evens):
+    char = enumerate_characters(z4_evens)[1]
+    assert char.value(2) == -1 + 0j
+    with pytest.raises(DomainMismatchError):
+        char.value(1)
+
+
 def test_enumeration_is_lexicographic(z4):
     chars = enumerate_characters(z4)
     vectors = [c.phases for c in chars]

@@ -7,12 +7,11 @@ from covmod import (
     DomainMismatchError,
     ExponentError,
     IdentificationError,
-    average_over_subgroup,
     cov_norm,
+    covariance_residual,
     delta_function,
     enumerate_characters,
     from_section,
-    is_covariant,
     lp_norm,
     GroupFunction,
     project_trivial,
@@ -51,7 +50,7 @@ def test_txi_output_is_covariant(s3, a3):
     for char in enumerate_characters(a3):
         for _ in range(10):
             psi = t_xi(random_function(s3, rng), char, quot=q)
-            assert is_covariant(psi.full(), char, tol=1e-12)
+            assert covariance_residual(psi.full(), char) <= 1e-12
 
 
 def test_txi_averaging_scale(z4_quot, sign_char):
@@ -75,13 +74,23 @@ def test_cov_norm_rejects_small_exponent(z4_quot, sign_char):
         cov_norm(psi, 0.9)
 
 
-def test_is_covariant_detects_perturbation(z4, z4_quot, sign_char):
+def test_covariance_residual_detects_perturbation(z4, z4_quot, sign_char):
     psi = from_section((1 + 0j, 2j), sign_char, z4_quot)
     good = psi.full()
-    assert is_covariant(good, sign_char)
+    assert covariance_residual(good, sign_char) <= 1e-9
     values = list(good.values)
     values[2] += 1e-6
-    assert not is_covariant(GroupFunction(z4, tuple(values)), sign_char)
+    assert covariance_residual(GroupFunction(z4, tuple(values)), sign_char) > 1e-9
+
+
+def test_covariance_residual_rejects_foreign_character(s3, sign_char):
+    with pytest.raises(DomainMismatchError):
+        covariance_residual(GroupFunction(s3, (0j,) * 6), sign_char)
+
+
+def test_covariance_residual_reports_nan(z4, sign_char):
+    values = (1 + 0j, 0j, complex("nan"), 0j)
+    assert not covariance_residual(GroupFunction(z4, values), sign_char) <= 1e-9
 
 
 def test_project_trivial_requires_trivial(z4_quot, z4_evens, sign_char):
@@ -92,13 +101,6 @@ def test_project_trivial_requires_trivial(z4_quot, z4_evens, sign_char):
     assert on_quot.values == (1 + 0j, 2j)
     with pytest.raises(IdentificationError):
         project_trivial(from_section((1 + 0j, 2j), sign_char, z4_quot))
-
-
-def test_average_over_subgroup_matches_trivial_txi(z4, z4_quot, z4_evens):
-    f = random_function(z4, random.Random("avg"))
-    a = average_over_subgroup(f, z4_quot)
-    b = t_xi(f, trivial_character(z4_evens), quot=z4_quot)
-    assert a.section == b.section
 
 
 def test_covariant_arithmetic_guards(z4_quot, z4_evens, sign_char):

@@ -1,0 +1,75 @@
+import math
+
+import pytest
+
+import covmod
+from covmod import CovariantFunction, verify
+from covmod.verify import (
+    builtin_corpus,
+    check_fast_kernels,
+    check_full_agreement,
+    check_norm_bound,
+    check_txi_homomorphism,
+    run_verification,
+)
+
+DELETED = (
+    "average_over_subgroup",
+    "char_eval",
+    "is_covariant",
+    "l1_norm",
+    "max_abs_diff",
+)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return {entry.name: entry for entry in builtin_corpus()}
+
+
+@pytest.mark.parametrize(
+    "check", [check_norm_bound, check_txi_homomorphism, check_full_agreement]
+)
+def test_nan_sections_fail_their_rows(corpus, monkeypatch, check):
+    original = verify.module_action
+
+    def nan_action(f, psi, measure=None):
+        out = original(f, psi, measure)
+        return CovariantFunction(out.quotient, out.character, (complex("nan"),) * len(out.section))
+
+    monkeypatch.setattr(verify, "module_action", nan_action)
+    row = check(corpus["S3/A3"], 42, 3)
+    assert math.isnan(row["residual"]), row
+    assert not row["passed"], row
+
+
+def test_fast_kernels_do_not_swallow_unexpected_errors(corpus, monkeypatch):
+    def broken(sd):
+        raise RuntimeError("shape probe failed")
+
+    monkeypatch.setattr(verify, "_wh_parameters", broken)
+    with pytest.raises(RuntimeError):
+        check_fast_kernels(corpus["WH(2,4)/K"], 42, 1)
+
+
+def test_characters_enumerated_once_per_subgroup(monkeypatch):
+    seen = []
+    original = verify.enumerate_characters
+
+    def counting(domain):
+        seen.append(domain)
+        return original(domain)
+
+    monkeypatch.setattr(verify, "enumerate_characters", counting)
+    report = run_verification(seed=42, trials=50)
+    assert report["passed"]
+    for sub in seen:
+        assert sum(1 for other in seen if other is sub) == 1, sub
+
+
+def test_public_names_resolve():
+    for name in covmod.__all__:
+        assert hasattr(covmod, name), name
+    for name in DELETED:
+        assert name not in covmod.__all__
+        assert not hasattr(covmod, name)
