@@ -17,7 +17,7 @@ from itertools import product as iter_product
 from typing import Mapping, Sequence
 
 from .errors import DomainMismatchError, ResourceError, ValidationError
-from .groups import FiniteGroup, Subgroup, full_subgroup
+from .groups import FiniteGroup, Subgroup, full_subgroup, generating_set
 
 # Enumeration walks every phase assignment on a greedy generating set; this
 # cap keeps that search comfortably below a few seconds.
@@ -107,28 +107,6 @@ def trivial_character(domain: FiniteGroup | Subgroup) -> Character:
     return Character(sub, (Fraction(0),) * sub.order)
 
 
-def _generating_set(sub: Subgroup) -> list[int]:
-    """Greedy generating set: repeatedly adjoin the smallest uncovered member."""
-    group = sub.parent
-    mul = group.mul
-    covered = {group.identity}
-    gens: list[int] = []
-    for x in sub.members:
-        if x in covered:
-            continue
-        gens.append(x)
-        covered.add(x)
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for z in list(covered):
-                for w in (mul[y][z], mul[z][y]):
-                    if w not in covered:
-                        covered.add(w)
-                        queue.append(w)
-    return gens
-
-
 def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     """All characters of the domain, ordered lexicographically by phase vector.
 
@@ -148,7 +126,7 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     mul = group.mul
     members = sub.members
     pos = sub.position
-    gens = _generating_set(sub)
+    gens = generating_set(mul, group.identity, members)
     orders = [group.element_order(g) for g in gens]
 
     found: list[tuple[Fraction, ...]] = []

@@ -9,9 +9,9 @@ of silently reinterpreting indices.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,48 +28,12 @@ from .groups import (
 )
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValidationError(f"cannot serialize non-finite value {x}")
-    return repr(x)
-
-
-def _emit(value, out: list[str]) -> None:
-    if isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_fmt_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
-
-
 def dumps(doc) -> str:
     """Serialize to a canonical single-line JSON string."""
-    out: list[str] = []
-    _emit(doc, out)
-    return "".join(out)
+    try:
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot serialize document: {exc}") from exc
 
 
 def group_id(group: FiniteGroup) -> str:
@@ -91,18 +55,29 @@ def subgroup_id(sub: Subgroup) -> str:
     return h.hexdigest()[:16]
 
 
-def _pairs(values: Sequence[complex]) -> list[list[float]]:
+def _finite(values, what: str):
     for v in values:
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValidationError(f"cannot serialize non-finite value {v}")
+        if not cmath.isfinite(v):
+            raise ValidationError(f"non-finite value {v} in {what}")
+    return values
+
+
+def _pairs(values: Sequence[complex]) -> list[list[float]]:
+    values = _finite(values, "a document to write")
     return [[float(v.real), float(v.imag)] for v in values]
 
 
 def _unpairs(doc, what: str) -> tuple[complex, ...]:
     try:
-        return tuple(complex(float(re), float(im)) for re, im in doc)
+        values = tuple(complex(float(re), float(im)) for re, im in doc)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a list of [re, im] pairs") from exc
+    return _finite(values, what)
+
+
+def _require_object(doc, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} document must be a JSON object")
 
 
 def group_to_json(group: FiniteGroup) -> dict:
@@ -114,18 +89,23 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 def group_from_json(doc: dict) -> FiniteGroup:
     """Rebuild a group from its table, re-running the full axiom validation."""
+    _require_object(doc, "group")
     try:
         order, table = doc["order"], doc["mul"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValidationError("group document needs 'order' and 'mul'") from exc
-    if len(table) != order:
+    if type(order) is not int:
+        raise ValidationError(f"group order must be an integer, got {order!r}")
+    group = make_from_table(table, doc.get("labels"))
+    if group.order != order:
         raise ValidationError(
-            f"group document claims order {order} but has {len(table)} table rows"
+            f"group document claims order {order} but has {group.order} table rows"
         )
-    return make_from_table(table, doc.get("labels"))
+    return group
 
 
 def _check_group_id(doc: dict, group: FiniteGroup, what: str) -> None:
+    _require_object(doc, what)
     gid = doc.get("group")
     if gid is not None and gid != group_id(group):
         raise DomainMismatchError(
@@ -170,6 +150,7 @@ def character_to_json(char: Character) -> dict:
 
 
 def character_from_json(doc: dict, domain: Subgroup) -> Character:
+    _require_object(doc, "character")
     did = doc.get("domain")
     if did is not None and did != subgroup_id(domain):
         raise DomainMismatchError(

@@ -48,6 +48,7 @@ from .groups import (
     make_subgroup,
     quotient,
     random_function,
+    right_closure,
     weil_residual,
 )
 from .semidirect import (
@@ -228,16 +229,7 @@ def _abelianization_order(sub: Subgroup) -> int:
     comms = {
         mul[mul[mul[s][t]][inv[s]]][inv[t]] for s in members for t in members
     }
-    closure = set(comms) | {group.identity}
-    queue = list(closure)
-    while queue:
-        a = queue.pop()
-        for b in list(closure):
-            for c in (mul[a][b], mul[b][a]):
-                if c not in closure:
-                    closure.add(c)
-                    queue.append(c)
-    return len(members) // len(closure)
+    return len(members) // len(right_closure(mul, group.identity, comms))
 
 
 def check_characters(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:

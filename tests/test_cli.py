@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from covmod.jsonio import group_id
+from covmod.cli import main
+from covmod.jsonio import group_id, group_to_json
 from covmod import make_cyclic
 
 
@@ -161,3 +162,24 @@ def test_missing_file_is_exit_two():
 def test_bad_usage_is_exit_two():
     res = run("group")
     assert res.returncode == 2
+
+
+MALFORMED = {
+    "mul-string": (["group", "show", "{doc}"], {"order": 4, "mul": "abcd"}),
+    "order-bool": (["group", "show", "{doc}"], {"order": True, "mul": [[0]]}),
+    "labels-int": (["group", "show", "{doc}"], {"order": 1, "mul": [[0]], "labels": 5}),
+    "table-flat": (["group", "make", "table", "{doc}"], [1, 2]),
+    "function-array": (["conv", "{z4}", "{doc}", "{doc}"], [[1, 0], [0, 0], [0, 0], [0, 0]]),
+    "nan-value": (["norm", "{z4}", "{doc}"], {"values": [["nan", 0], [0, 0], [0, 0], [0, 0]]}),
+}
+
+
+@pytest.mark.parametrize("command, doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_is_exit_two(tmp_path, capsys, command, doc):
+    paths = {"doc": tmp_path / "doc.json", "z4": tmp_path / "z4.json"}
+    paths["doc"].write_text(json.dumps(doc))
+    paths["z4"].write_text(json.dumps(group_to_json(make_cyclic(4))))
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

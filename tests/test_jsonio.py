@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,16 @@ def test_dumps_is_canonical():
 def test_dumps_rejects_non_finite():
     with pytest.raises(ValidationError):
         dumps({"x": math.inf})
+
+
+def test_dumps_edge_values():
+    assert dumps([5e-324, -0.0, 1e16, 1e22]) == "[5e-324,-0.0,1e+16,1e+22]"
+    assert dumps({"\u00e9": "\u4e2d"}) == '{"\\u00e9":"\\u4e2d"}'
+
+
+def test_dumps_rejects_unsupported_type():
+    with pytest.raises(ValidationError):
+        dumps({"x": Fraction(1, 3)})
 
 
 def test_group_round_trip(s3):
