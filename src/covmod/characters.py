@@ -53,6 +53,12 @@ class Character:
         """Phases converted to unit complex numbers, once, in member order."""
         return tuple(phase_to_complex(q) for q in self.phases)
 
+    @cached_property
+    def phase_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each phase as its reduced (numerator, denominator), for exact
+        comparison against an expected tuple in one step."""
+        return tuple((q.numerator, q.denominator) for q in self.phases)
+
     @property
     def is_trivial(self) -> bool:
         return all(q == 0 for q in self.phases)

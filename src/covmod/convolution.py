@@ -1,8 +1,9 @@
 """Convolution on a group and its action on covariant functions.
 
-The generic kernels are deliberately written as scalar loops with a fixed
-summation order, so results are bit-reproducible and wall time tracks the
-operation count.
+The generic kernels work on whole numpy arrays gathered from the group's
+int32 table: one contiguous row gather and one dot product per output
+point, so memory stays linear in the group order.  The summation order
+is numpy's, so results match a left-to-right scalar sum only to rounding.
 """
 
 from __future__ import annotations
@@ -10,21 +11,38 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .characters import Character
 from .covariant import CovariantFunction, t_xi
 from .errors import DomainMismatchError, MeasureError
-from .groups import GroupFunction, MeasureTriple, QuotientGroup, random_function
+from .groups import FiniteGroup, GroupFunction, MeasureTriple, QuotientGroup, random_function
 
 
-def _group_weights(
+def _weighted(
     f: GroupFunction, measure: MeasureTriple | Sequence[float] | None
-) -> Sequence[float]:
+) -> np.ndarray:
+    """The values w(y) * f(y) as an array, counting weights by default."""
+    wf = np.array(f.values, dtype=complex)
     if measure is None:
-        return (1.0,) * f.group.order
+        return wf
     w = measure.wG if isinstance(measure, MeasureTriple) else measure
     if len(w) != f.group.order:
         raise MeasureError(f"got {len(w)} weights for a group of order {f.group.order}")
-    return w
+    return np.asarray(w, dtype=float) * wf
+
+
+def _convolve_at(
+    group: FiniteGroup, wf: np.ndarray, v: np.ndarray, points: Iterable[int]
+) -> tuple[complex, ...]:
+    """sum over y of wf(y) * v(y^-1 x), at each x in `points`.
+
+    Since y^-1 x = (x^-1 y)^-1, the terms for one x read v at the inverses
+    of the entries of the contiguous table row of x^-1.
+    """
+    v_inv = v[group.inverse_index]
+    table, inv = group.table, group.inv
+    return tuple([complex(wf.dot(v_inv.take(table[inv[x]]))) for x in points])
 
 
 def convolve(
@@ -36,18 +54,9 @@ def convolve(
     if f.group is not g.group:
         raise DomainMismatchError("cannot convolve functions on different groups")
     group = f.group
-    w = _group_weights(f, measure)
-    wf = [wy * fy for wy, fy in zip(w, f.values)]
-    inv_rows = [group.mul[group.inv[y]] for y in range(group.order)]
-    gv = g.values
-
-    out = []
-    for x in range(group.order):
-        acc = 0j
-        for wfy, row in zip(wf, inv_rows):
-            acc += wfy * gv[row[x]]
-        out.append(acc)
-    return GroupFunction(group, tuple(out))
+    out = _convolve_at(group, _weighted(f, measure), np.array(g.values, dtype=complex),
+                       range(group.order))
+    return GroupFunction(group, out)
 
 
 def module_action(
@@ -62,19 +71,10 @@ def module_action(
     """
     if f.group is not psi.group:
         raise DomainMismatchError("function and covariant function live on different groups")
-    group = f.group
     quot = psi.quotient
-    w = _group_weights(f, measure)
-    wf = [wy * fy for wy, fy in zip(w, f.values)]
-    full = psi.full().values
-    mul, inv = group.mul, group.inv
-    section = []
-    for r in quot.reps:
-        acc = 0j
-        for y, wfy in enumerate(wf):
-            acc += wfy * full[mul[inv[y]][r]]
-        section.append(acc)
-    return CovariantFunction(quot, psi.character, tuple(section))
+    full = np.array(psi.full().values, dtype=complex)
+    out = _convolve_at(f.group, _weighted(f, measure), full, quot.reps)
+    return CovariantFunction(quot, psi.character, out)
 
 
 def full_module_action(
@@ -130,11 +130,11 @@ def covariance_residual(psi: GroupFunction, char: Character) -> float:
     """max |psi(x s) - xi(s) psi(x)| over the whole group and subgroup."""
     if char.domain.parent is not psi.group:
         raise DomainMismatchError("character domain is not a subgroup of psi's group")
-    vals = psi.values
-    pairs = tuple(zip(char.domain.members, char.complex_values))
-    return worst_of(
-        abs(vals[row[s]] - c * base) for row, base in zip(psi.group.mul, vals) for s, c in pairs
-    )
+    vals = np.array(psi.values, dtype=complex)
+    # moved[x, j] = psi(x s_j)
+    moved = vals[psi.group.table.take(char.domain.members, axis=1)]
+    gaps = np.abs(moved - vals[:, None] * np.array(char.complex_values))
+    return float(gaps.max())   # max propagates NaN, as worst_of does
 
 
 def verify_module_axioms(

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .characters import Character
 from .errors import DomainMismatchError, ExponentError, IdentificationError
 from .groups import (
@@ -19,7 +21,6 @@ from .groups import (
     GroupFunction,
     MeasureTriple,
     QuotientGroup,
-    counting_measure,
     quotient,
 )
 
@@ -57,15 +58,9 @@ class CovariantFunction:
     def full(self) -> GroupFunction:
         """Materialize the function on the whole group."""
         q = self.quotient
-        mul, inv = q.parent.mul, q.parent.inv
-        char = self.character
-        vals = [0j] * q.parent.order
-        for i, r in enumerate(q.reps):
-            base = self.section[i]
-            row = mul[r]
-            for s in char.domain.members:
-                vals[row[s]] = char.value(s) * base
-        return GroupFunction(q.parent, tuple(vals))
+        # psi(r_i s_j) = xi(s_j) * section[i], laid out like q.grid
+        on_grid = np.array(self.section)[:, None] * np.array(self.character.complex_values)
+        return GroupFunction(q.parent, tuple(on_grid.take(q.grid_order).tolist()))
 
     def __add__(self, other: "CovariantFunction") -> "CovariantFunction":
         if other.quotient is not self.quotient or other.character is not self.character:
@@ -111,21 +106,14 @@ def t_xi(
         quot = quotient(f.group, char.domain)
     elif not quot.normal.same_as(char.domain):
         raise DomainMismatchError("quotient was built for a different subgroup")
-    if measure is None:
-        measure = counting_measure(quot)
-    mul = f.group.mul
-    members = char.domain.members
-    conj_vals = tuple(v.conjugate() for v in char.complex_values)
-    wN = measure.wN
-    fvals = f.values
-    section = []
-    for r in quot.reps:
-        row = mul[r]
-        acc = 0j
-        for j, s in enumerate(members):
-            acc += wN[j] * fvals[row[s]] * conj_vals[j]
-        section.append(acc)
-    return CovariantFunction(quot, char, tuple(section))
+    weights = np.array(char.complex_values).conj()
+    if measure is not None:
+        weights *= measure.wN
+    # einsum, not a BLAS matrix-vector product: OpenBLAS splits a complex one
+    # of 4096 entries or more across threads, and waking a second thread
+    # costs more than the whole product.
+    section = np.einsum("ij,j->i", np.array(f.values, dtype=complex)[quot.grid], weights)
+    return CovariantFunction(quot, char, tuple(section.tolist()))
 
 
 def from_section(

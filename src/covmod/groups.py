@@ -1,8 +1,9 @@
 """Finite groups as dense index tables, with subgroups, quotients, and compatible weights.
 
 Elements of a group of order n are the integers 0..n-1.  All types are
-immutable once constructed; operation tables are plain nested tuples so that
-scalar indexing stays cheap inside the convolution kernels.
+immutable once constructed.  A group keeps its multiplication table as one
+read-only int32 array, which the kernels gather rows and blocks from; the
+nested-tuple `mul` is built from that array for scalar lookups and hashing.
 
 An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
@@ -13,8 +14,9 @@ two whole-table numpy gathers.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -43,13 +45,29 @@ def _check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group: order, multiplication table, inverse table, identity."""
+    """A finite group: order, multiplication table, inverse table, identity.
+
+    `table[x, y]` is the index of x*y.  `mul` holds the same table as nested
+    tuples; it is built from `table` and compared and hashed in its place.
+    """
 
     order: int
-    mul: tuple[tuple[int, ...], ...]
+    table: np.ndarray = field(compare=False, repr=False)
     inv: tuple[int, ...]
     identity: int
     labels: tuple[str, ...] | None = None
+    mul: tuple[tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        table = np.ascontiguousarray(self.table, dtype=np.int32)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        # Rows share one int object per element: 8 bytes a tuple entry,
+        # where a fresh int per entry would cost 36.
+        elements = np.arange(self.order).astype(object)
+        object.__setattr__(
+            self, "mul", tuple(tuple(elements[row].tolist()) for row in table)
+        )
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -62,13 +80,26 @@ class FiniteGroup:
         return k
 
     @cached_property
+    def inverse_index(self) -> np.ndarray:
+        """`inv` as a read-only index array, for whole-array gathers."""
+        index = np.array(self.inv, dtype=np.intp)
+        index.flags.writeable = False
+        return index
+
+    @cached_property
     def is_abelian(self) -> bool:
-        mul = self.mul
-        return all(
-            mul[a][b] == mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return bool(np.array_equal(self.table, self.table.T))
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """A short structural digest of the order and the table, computed once."""
+        h = hashlib.sha256()
+        h.update(b"covmod-group-v1:")
+        h.update(str(self.order).encode())
+        for row in self.mul:
+            h.update(b"|")
+            h.update(",".join(map(str, row)).encode())
+        return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -114,6 +145,21 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return len(self.reps)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """`grid[i, j]` is reps[i] * members[j]: row i lists coset i in member order."""
+        grid = self.parent.table[np.ix_(self.reps, self.normal.members)]
+        grid.flags.writeable = False
+        return grid
+
+    @cached_property
+    def grid_order(self) -> np.ndarray:
+        """Where each element sits in the flattened `grid`: a gather by this
+        index puts grid-shaped values back in element order."""
+        order = np.argsort(self.grid, axis=None)
+        order.flags.writeable = False
+        return order
 
 
 @dataclass(frozen=True)
@@ -161,9 +207,9 @@ class GroupFunction:
 def make_cyclic(order: int) -> FiniteGroup:
     """The additive group of integers modulo `order`."""
     _check_order(order)
-    mul = tuple(tuple((a + b) % order for b in range(order)) for a in range(order))
-    inv = tuple((-a) % order for a in range(order))
-    return FiniteGroup(order, mul, inv, 0)
+    a = np.arange(order, dtype=np.int32)
+    inv = tuple((-x) % order for x in range(order))
+    return FiniteGroup(order, (a[:, None] + a) % order, inv, 0)
 
 
 def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -171,15 +217,8 @@ def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     order = a.order * b.order
     _check_order(order)
     nb = b.order
-    mul = tuple(
-        tuple(
-            a.mul[xa][ya] * nb + b.mul[xb][yb]
-            for ya in range(a.order)
-            for yb in range(nb)
-        )
-        for xa in range(a.order)
-        for xb in range(nb)
-    )
+    # table[(xa, xb), (ya, yb)] = (xa*ya) * nb + xb*yb
+    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
     inv = tuple(
         a.inv[xa] * nb + b.inv[xb] for xa in range(a.order) for xb in range(nb)
     )
@@ -188,7 +227,7 @@ def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         labels = tuple(
             f"({la},{lb})" for la in a.labels for lb in b.labels
         )
-    return FiniteGroup(order, mul, inv, a.identity * nb + b.identity, labels)
+    return FiniteGroup(order, table, inv, a.identity * nb + b.identity, labels)
 
 
 def right_closure(
@@ -225,14 +264,14 @@ def generating_set(
     return gens
 
 
-def _check_associative(rows: tuple[tuple[int, ...], ...], identity: int) -> None:
+def _check_associative(group: FiniteGroup) -> None:
     """Light's test: check (x*y)*s == x*(y*s) for every x, y and each generator s.
 
     The elements s that pass for all x and y include the identity and are
     closed under multiplication, so passing on a generating set is exact.
     """
-    arr = np.asarray(rows, dtype=np.int32)  # MAX_GROUP_ORDER fits; half of intp's memory
-    for s in generating_set(rows, identity, range(len(rows))):
+    arr = group.table
+    for s in generating_set(group.mul, group.identity, range(group.order)):
         col = arr[:, s]
         left = col[arr]                      # left[x, y] = (x*y)*s
         right = np.take(arr, col, axis=1)    # right[x, y] = x*(y*s)
@@ -258,10 +297,9 @@ def make_from_table(
         isinstance(row, (list, tuple)) for row in table
     ):
         raise ValidationError("a multiplication table must be a list of rows")
-    rows = tuple(tuple(row) for row in table)
-    n = len(rows)
+    n = len(table)
     _check_order(n)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(table):
         if len(row) != n:
             raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
         if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
@@ -271,39 +309,41 @@ def make_from_table(
             raise ValidationError(
                 f"entry mul({i},{j}) = {v!r} is not an element of 0..{n-1}"
             )
+    arr = np.array(table, dtype=np.int32)
 
-    idrow = tuple(range(n))
-    identity = None
-    for e in range(n):
-        if rows[e] == idrow and all(rows[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    elements = np.arange(n)
+    two_sided = np.all(arr == elements, axis=1) & np.all(arr.T == elements, axis=1)
+    if not two_sided.any():
         raise ValidationError("table has no two-sided identity element")
+    identity = int(two_sided.argmax())
 
-    inv = []
-    for x in range(n):
-        y = next(
-            (y for y in range(n) if rows[x][y] == identity and rows[y][x] == identity),
-            None,
-        )
-        if y is None:
-            raise ValidationError(f"element {x} has no two-sided inverse")
-        inv.append(y)
-
-    _check_associative(rows, identity)
+    # inv[x] is the first y with x*y == y*x == identity, as in a scan over y
+    inverse = (arr == identity) & (arr.T == identity)
+    missing = ~inverse.any(axis=1)
+    if missing.any():
+        raise ValidationError(f"element {int(missing.argmax())} has no two-sided inverse")
+    inv = tuple(inverse.argmax(axis=1).tolist())
 
     packed_labels = None
     if labels is not None:
         if not isinstance(labels, (list, tuple)) or len(labels) != n:
             raise ValidationError(f"labels must be a list of {n} names")
         packed_labels = tuple(str(s) for s in labels)
-    return FiniteGroup(n, rows, tuple(inv), identity, packed_labels)
+    group = FiniteGroup(n, arr, inv, identity, packed_labels)
+    _check_associative(group)
+    return group
 
 
 def make_subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     """Validate closure, identity, and inverses, and return the subgroup."""
-    ms = tuple(sorted({int(m) for m in members}))
+    try:
+        given = tuple(members)
+    except TypeError:
+        raise ValidationError("subgroup members must be a list of element indices") from None
+    bad = next((m for m in given if type(m) is not int), None)
+    if bad is not None:
+        raise ValidationError(f"subgroup member {bad!r} is not an element index")
+    ms = tuple(sorted(set(given)))
     if not ms:
         raise ValidationError("a subgroup needs at least the identity element")
     for m in ms:
@@ -331,26 +371,21 @@ def full_subgroup(group: FiniteGroup) -> Subgroup:
 
 def group_center(group: FiniteGroup) -> Subgroup:
     """The subgroup of elements commuting with every group element."""
-    mul = group.mul
-    members = tuple(
-        z
-        for z in range(group.order)
-        if all(mul[z][x] == mul[x][z] for x in range(group.order))
-    )
-    return Subgroup(group, members)
+    table = group.table
+    central = np.all(table == table.T, axis=1)
+    return Subgroup(group, tuple(np.flatnonzero(central).tolist()))
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """Whether the subgroup is stable under conjugation by every group element."""
     if sub.parent is not group:
         raise DomainMismatchError("subgroup belongs to a different group")
-    mul, inv, mset = group.mul, group.inv, sub.member_set
-    for x in range(group.order):
-        xi = inv[x]
-        for s in sub.members:
-            if mul[mul[x][s]][xi] not in mset:
-                return False
-    return True
+    table = group.table
+    inside = np.zeros(group.order, dtype=bool)
+    inside[list(sub.members)] = True
+    # conjugates[x, j] = x * s_j * x^-1
+    conjugates = table[table.take(sub.members, axis=1), group.inverse_index[:, None]]
+    return bool(inside[conjugates].all())
 
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
@@ -363,28 +398,22 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
         raise NormalityError(
             "cannot form the quotient: subgroup is not normal in the group"
         )
-    n = group.order
-    proj = [-1] * n
-    cosets: list[tuple[int, ...]] = []
-    reps: list[int] = []
-    for x in range(n):
-        if proj[x] >= 0:
-            continue
-        row = group.mul[x]
-        coset = tuple(sorted(row[s] for s in normal.members))
-        idx = len(cosets)
-        for y in coset:
-            proj[y] = idx
-        cosets.append(coset)
-        reps.append(x)
-
-    k = len(cosets)
-    tmul = tuple(
-        tuple(proj[group.mul[reps[i]][reps[j]]] for j in range(k)) for i in range(k)
+    table = group.table
+    smallest = table.take(normal.members, axis=1).min(axis=1)   # smallest member of x N
+    reps = np.flatnonzero(smallest == np.arange(group.order))
+    proj = np.searchsorted(reps, smallest).astype(np.int32)
+    cosets = np.sort(table[np.ix_(reps, normal.members)], axis=1)
+    qtable = proj[table[np.ix_(reps, reps)]]
+    tinv = proj[group.inverse_index[reps]]
+    quot = FiniteGroup(len(reps), qtable, tuple(tinv.tolist()), int(proj[group.identity]))
+    return QuotientGroup(
+        group,
+        normal,
+        tuple(map(tuple, cosets.tolist())),
+        tuple(reps.tolist()),
+        tuple(proj.tolist()),
+        quot,
     )
-    tinv = tuple(proj[group.inv[reps[i]]] for i in range(k))
-    table = FiniteGroup(k, tmul, tinv, proj[group.identity])
-    return QuotientGroup(group, normal, tuple(cosets), tuple(reps), tuple(proj), table)
 
 
 def weil_measure(
@@ -421,20 +450,10 @@ def weil_residual(f: GroupFunction, quot: QuotientGroup, measure: MeasureTriple)
     """|iterated coset sum - plain group sum| for one function and weight family."""
     if f.group is not quot.parent:
         raise DomainMismatchError("function lives on a different group")
-    mul = quot.parent.mul
-    members = quot.normal.members
-    vals = f.values
-    outer = 0j
-    for i, r in enumerate(quot.reps):
-        row = mul[r]
-        inner = 0j
-        for j, s in enumerate(members):
-            inner += measure.wN[j] * vals[row[s]]
-        outer += measure.wQ[i] * inner
-    direct = 0j
-    for x in range(quot.parent.order):
-        direct += measure.wG[x] * vals[x]
-    return abs(outer - direct)
+    vals = np.array(f.values)
+    outer = np.asarray(measure.wQ) @ (vals[quot.grid] @ np.asarray(measure.wN))
+    direct = np.asarray(measure.wG) @ vals
+    return abs(complex(outer - direct))
 
 
 def lp_norm(

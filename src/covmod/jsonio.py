@@ -37,14 +37,11 @@ def dumps(doc) -> str:
 
 
 def group_id(group: FiniteGroup) -> str:
-    """A short structural fingerprint: order and multiplication table only."""
-    h = hashlib.sha256()
-    h.update(b"covmod-group-v1:")
-    h.update(str(group.order).encode())
-    for row in group.mul:
-        h.update(b"|")
-        h.update(",".join(map(str, row)).encode())
-    return h.hexdigest()[:16]
+    """A short structural fingerprint: order and multiplication table only.
+
+    Computed once per group object; see `FiniteGroup.fingerprint`.
+    """
+    return group.fingerprint
 
 
 def subgroup_id(sub: Subgroup) -> str:
@@ -135,14 +132,21 @@ def subgroup_from_json(doc: dict, group: FiniteGroup) -> Subgroup:
 
 
 def _phase_pairs(char: Character) -> list[list[int]]:
-    return [[q.numerator, q.denominator] for q in char.phases]
+    return [list(pair) for pair in char.phase_pairs]
 
 
 def _phases_from(doc, what: str) -> list[Fraction]:
     try:
-        return [Fraction(int(num), int(den)) for num, den in doc]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        pairs = [(num, den) for num, den in doc]
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be [numerator, denominator] pairs") from exc
+    for num, den in pairs:
+        if type(num) is not int or type(den) is not int or den == 0:
+            raise ValidationError(
+                f"{what} must be pairs of integers with a non-zero denominator, "
+                f"got [{num!r}, {den!r}]"
+            )
+    return [Fraction(num, den) for num, den in pairs]
 
 
 def character_to_json(char: Character) -> dict:

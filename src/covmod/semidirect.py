@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +65,20 @@ class SemidirectGroup:
     def split_index(self, x: int) -> tuple[int, int]:
         return divmod(x, self.k.order)
 
+    @cached_property
+    def shear_parameters(self) -> tuple[int, int, int]:
+        """`_wh_parameters` of this group, validated on first use only."""
+        return _wh_parameters(self)
+
+    @cached_property
+    def twisted_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index tables of `conv_fast_full_k`, built once per group.
+
+        `twisted[a, k]` is theta_{a^-1}(k) and `h_step[h, a]` is h^-1 * a.
+        """
+        hinv = list(self.h.inv)
+        return _frozen(np.asarray(self.action)[hinv], self.h.table[hinv])
+
 
 def semidirect(
     h_group: FiniteGroup,
@@ -94,8 +108,8 @@ def semidirect(
     if rows[h_group.identity] != tuple(range(nk)):
         raise ValidationError("the identity of H must act as the identity map on K")
 
-    arr = np.asarray(rows, dtype=np.int64)
-    kmul = np.asarray(k_group.mul, dtype=np.int64)
+    arr = np.asarray(rows, dtype=np.int32)
+    kmul = k_group.table
     for h in range(nh):
         row = arr[h]
         left = row[kmul]                 # theta_h(k * k')
@@ -105,7 +119,7 @@ def semidirect(
             raise ValidationError(
                 f"action row {h} is not multiplicative at pair ({k1}, {k2})"
             )
-    hmul = np.asarray(h_group.mul, dtype=np.int64)
+    hmul = h_group.table
     for h in range(nh):
         composed = arr[h][arr]           # composed[h'] = theta_h after theta_h'
         if not np.array_equal(arr[hmul[h]], composed):
@@ -115,13 +129,12 @@ def semidirect(
             )
 
     order = nh * nk
-    prod = np.empty((order, order), dtype=np.int64)
+    prod = np.empty((order, order), dtype=np.int32)
     for h in range(nh):
         block = kmul[:, arr[h]]          # block[k, k'] = k * theta_h(k')
         for h2 in range(nh):
             r0, c0 = h * nk, h2 * nk
             prod[r0 : r0 + nk, c0 : c0 + nk] = hmul[h, h2] * nk + block
-    mul = tuple(tuple(int(v) for v in row) for row in prod)
 
     hinv, kinv = h_group.inv, k_group.inv
     inv = tuple(
@@ -135,7 +148,7 @@ def semidirect(
         labels = tuple(
             f"({lh},{lk})" for lh in h_group.labels for lk in k_group.labels
         )
-    product = FiniteGroup(order, mul, inv, identity, labels)
+    product = FiniteGroup(order, prod, inv, identity, labels)
     return SemidirectGroup(h_group, k_group, rows, product, (1.0,) * nh)
 
 
@@ -275,9 +288,76 @@ def _std_rows(m: int, r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays read-only; the caches below hand the same ones to every call."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
-def _roots_of_unity(n: int) -> tuple[complex, ...]:
-    return tuple(phase_to_complex(Fraction(j, n)) for j in range(n))
+def _roots_of_unity(n: int) -> np.ndarray:
+    return _frozen(np.array([phase_to_complex(Fraction(j, n)) for j in range(n)]))[0]
+
+
+@lru_cache(maxsize=None)
+def _shift_index(m: int) -> np.ndarray:
+    """`index[a, b] = (a - b) mod m`, the cyclic difference table."""
+    a = np.arange(m)
+    return _frozen((a[:, None] - a) % m)[0]
+
+
+def _reduced(k: np.ndarray, r: int) -> tuple[tuple[int, int], ...]:
+    """The fractions k / r as reduced (numerator, denominator) pairs."""
+    return tuple((q.numerator, q.denominator) for q in (Fraction(int(j), r) for j in k))
+
+
+@lru_cache(maxsize=None)
+def _center_tables(m: int, r: int, n: int) -> tuple:
+    """Tables of `conv_fast_wh_center` for one (m, r, n): the central members,
+    the coset representatives (m', l', 0), the character's phases
+    (n t mod r) / r, the t-sum row conj(xi_n(t)), the phase
+    w[m', d] = e(-n m' d / m) flattened over (m', d), and the two gathers
+    shift[m, (m', d)] = (m - m', d) of the section and
+    fold[(m', d), l] = (m', l - d) of the t-summed f, as flat indices."""
+    t, a = np.arange(r), np.arange(m)
+    k = (n * t) % r
+    diff = _shift_index(m)
+    return (
+        tuple(range(r)),
+        tuple(mm * m * r + ll * r for mm in range(m) for ll in range(m)),
+        _reduced(k, r),
+        *_frozen(
+            _roots_of_unity(r)[-k % r],
+            _roots_of_unity(m)[(-n * np.outer(a, a)) % m].ravel(),
+            (diff[:, :, None] * m + a).reshape(m, m * m),
+            (a[:, None, None] * m + diff.T).reshape(m * m, m),
+        ),
+    )
+
+
+@lru_cache(maxsize=None)
+def _fiber_tables(m: int, r: int, y: int, n: int) -> tuple:
+    """Tables of `conv_fast_wh_full` for one (m, r, y, n): the fiber members,
+    the coset representatives (m', 0, 0), the character's phases
+    (y l / m + n t / r) mod 1 = ((y l r/m + n t) mod r) / r at index l r + t,
+    the t-sum row conj(xi_n(t)) and the l-sum phase e[m, l'] = e(-l' (y - n m) / m)."""
+    t, a = np.arange(r), np.arange(m)
+    return (
+        tuple(range(m * r)),
+        tuple(mm * m * r for mm in range(m)),
+        _reduced((y * (r // m) * a[:, None] + n * t).ravel() % r, r),
+        *_frozen(
+            _roots_of_unity(r)[(-n * t) % r],
+            _roots_of_unity(m)[(-np.outer(y - n * a, a)) % m],
+        ),
+    )
+
+
+def _require_phases(psi: CovariantFunction, expected: tuple, what: str) -> None:
+    # exact: both sides are reduced (numerator, denominator) pairs
+    if psi.character.phase_pairs != expected:
+        raise DomainMismatchError(f"character does not match the requested {what}")
 
 
 def _require_normal_members(psi: CovariantFunction, expected: tuple[int, ...], what: str) -> None:
@@ -298,33 +378,20 @@ def conv_fast_full_k(
         raise DomainMismatchError("function does not live on the product group")
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    nk = sd.k.order
+    nh, nk = sd.h.order, sd.k.order
     base = sd.h.identity * nk
     _require_normal_members(psi, tuple(range(base, base + nk)), "the full K fiber")
     char = psi.character
-    cvals = char.complex_values  # indexed by K index: members are base + k in order
-    hmul, hinv = sd.h.mul, sd.h.inv
-    action = sd.action
-    fv = f.values
+    cvals = np.array(char.complex_values)  # indexed by K index: members are base + k in order
+    twisted, h_step = sd.twisted_index
+    fv = np.array(f.values, dtype=complex).reshape(nh, nk)
 
-    psi_h = [psi.value_at(c * nk + sd.k.identity) for c in range(sd.h.order)]
-
-    section = []
-    for i in range(psi.quotient.order):
-        rep = psi.quotient.reps[i]
-        a, b = divmod(rep, nk)
-        tha = action[hinv[a]]
-        weights = [cvals[tha[k]].conjugate() for k in range(nk)]
-        acc = 0j
-        for h in range(sd.h.order):
-            off = h * nk
-            inner = 0j
-            for k in range(nk):
-                inner += fv[off + k] * weights[k]
-            acc += inner * psi_h[hmul[hinv[h]][a]]
-        prefactor = cvals[tha[b]]
-        section.append(prefactor * acc)
-    return CovariantFunction(psi.quotient, char, tuple(section))
+    psi_h = np.array([psi.value_at(c * nk + sd.k.identity) for c in range(nh)])
+    inner = fv @ np.conj(cvals)[twisted].T           # inner[h, a]
+    acc = (inner * psi_h[h_step]).sum(axis=0)        # acc[a]
+    a, b = np.divmod(np.array(psi.quotient.reps), nk)
+    section = cvals[twisted[a, b]] * acc[a]
+    return CovariantFunction(psi.quotient, char, tuple(section.tolist()))
 
 
 def conv_fast_wh_center(
@@ -337,66 +404,23 @@ def conv_fast_wh_center(
     the remaining double sum over (m', l') carries only an m'(l'-l) phase,
     so the cost is quadratic in the number of cosets rather than in |G|.
     """
-    m, r, _ = _wh_parameters(sd)
+    m, r, _ = sd.shear_parameters
     if f.group is not sd.product:
         raise DomainMismatchError("function does not live on the product group")
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    _require_normal_members(psi, tuple(range(r)), "the central fiber")
-    n %= r
-    for t, q in enumerate(psi.character.phases):
-        # exact comparison q == (n*t mod r)/r by integer cross-multiplication
-        if q.numerator * r != q.denominator * ((n * t) % r):
-            raise DomainMismatchError(
-                "character does not match the requested central character index"
-            )
-    root_r = _roots_of_unity(r)
-    root_m = _roots_of_unity(m)
-    fv = f.values
-    mr = m * r
+    members, reps, phases, crow, w, shift, fold = _center_tables(m, r, n % r)
+    _require_normal_members(psi, members, "the central fiber")
+    _require_phases(psi, phases, "central character index")
+    if psi.quotient.reps != reps:
+        raise DomainMismatchError("coset representatives are not aligned with t = 0")
+    f1 = np.array(f.values, dtype=complex).reshape(m, m, r) @ crow   # f1[m', l']
 
-    reps = psi.quotient.reps
-    psec = [[0j] * m for _ in range(m)]
-    for i, rep in enumerate(reps):
-        mm, ll = divmod(i, m)
-        if rep != mm * mr + ll * r:
-            raise DomainMismatchError("coset representatives are not aligned with t = 0")
-        psec[mm][ll] = psi.section[i]
-
-    crow = [root_r[(-n * t) % r] for t in range(r)]
-    f1 = []
-    for mp in range(m):
-        row = []
-        for lp in range(m):
-            off = mp * mr + lp * r
-            acc = 0j
-            for t in range(r):
-                acc += fv[off + t] * crow[t]
-            row.append(acc)
-        f1.append(row)
-
-    # The remaining phase depends only on m' and d = (l - l') mod m, so it is
-    # folded into shifted copies of the section once per output row of m'
-    # values, leaving a plain multiply-accumulate as the core double sum.
-    wtab = [[root_m[(-n * mp * d) % m] for d in range(m)] for mp in range(m)]
-    drow = [[(ll - lp) % m for lp in range(m)] for ll in range(m)]
-
-    section = []
-    for mm in range(m):
-        folded = [
-            [g * p for g, p in zip(wtab[mp], psec[(mm - mp) % m])]
-            for mp in range(m)
-        ]
-        for ll in range(m):
-            dl = drow[ll]
-            acc = 0j
-            for mp in range(m):
-                frow = f1[mp]
-                grow = folded[mp]
-                for lp in range(m):
-                    acc += frow[lp] * grow[dl[lp]]
-            section.append(acc)
-    return CovariantFunction(psi.quotient, psi.character, tuple(section))
+    # With d = (l - l') mod m and the section psec[m, l] at (m, l, 0), the sum is
+    # section[m, l] = sum over m', d of psec[m - m', d] * w[m', d] * f1[m', l - d],
+    # one (m x m^2) by (m^2 x m) matrix product.
+    section = (np.take(psi.section, shift) * w).dot(f1.take(fold))
+    return CovariantFunction(psi.quotient, psi.character, tuple(section.ravel().tolist()))
 
 
 def conv_fast_wh_full(
@@ -412,47 +436,17 @@ def conv_fast_wh_full(
     function to its values at (m, 0, 0), and the action reduces to a length-m
     correlation after one t-sum and one l-sum of f.
     """
-    m, r, step = _wh_parameters(sd)
+    m, r, _ = sd.shear_parameters
     if f.group is not sd.product:
         raise DomainMismatchError("function does not live on the product group")
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    _require_normal_members(psi, tuple(range(m * r)), "the full K fiber")
-    y %= m
-    n %= r
-    for idx, q in enumerate(psi.character.phases):
-        l, t = divmod(idx, r)
-        # q must equal (y*l/m + n*t/r) mod 1 = ((y*l*step + n*t) mod r)/r, exactly
-        if q.numerator * r != q.denominator * ((y * l * step + n * t) % r):
-            raise DomainMismatchError(
-                "character does not match the requested (y, n) character indices"
-            )
-    root_r = _roots_of_unity(r)
-    root_m = _roots_of_unity(m)
-    fv = f.values
-
-    psec = list(psi.section)
-    for i, rep in enumerate(psi.quotient.reps):
-        if rep != i * m * r:
-            raise DomainMismatchError("coset representatives are not aligned with (m, 0, 0)")
-
-    f1 = [[0j] * m for _ in range(m)]
-    for mp in range(m):
-        for lp in range(m):
-            off = mp * m * r + lp * r
-            acc = 0j
-            for t in range(r):
-                acc += fv[off + t] * root_r[(-n * t) % r]
-            f1[mp][lp] = acc
-
-    section = []
-    for mm in range(m):
-        acc = 0j
-        for mp in range(m):
-            row = f1[mp]
-            inner = 0j
-            for lp in range(m):
-                inner += row[lp] * root_m[(-lp * (y - n * mm)) % m]
-            acc += inner * psec[(mm - mp) % m]
-        section.append(acc)
-    return CovariantFunction(psi.quotient, psi.character, tuple(section))
+    members, reps, phases, crow, e = _fiber_tables(m, r, y % m, n % r)
+    _require_normal_members(psi, members, "the full K fiber")
+    _require_phases(psi, phases, "(y, n) character indices")
+    if psi.quotient.reps != reps:
+        raise DomainMismatchError("coset representatives are not aligned with (m, 0, 0)")
+    f1 = np.array(f.values, dtype=complex).reshape(m, m, r) @ crow   # f1[m', l']
+    inner = e.dot(f1.T)                                             # inner[m, m']
+    section = (inner * np.take(psi.section, _shift_index(m))).sum(axis=1)
+    return CovariantFunction(psi.quotient, psi.character, tuple(section.tolist()))

@@ -171,6 +171,12 @@ MALFORMED = {
     "table-flat": (["group", "make", "table", "{doc}"], [1, 2]),
     "function-array": (["conv", "{z4}", "{doc}", "{doc}"], [[1, 0], [0, 0], [0, 0], [0, 0]]),
     "nan-value": (["norm", "{z4}", "{doc}"], {"values": [["nan", 0], [0, 0], [0, 0], [0, 0]]}),
+    # one document serves as the function and as the character
+    "phase-float": (
+        ["txi", "{z4}", "{doc}", "--members", "0,2", "--char", "{doc}"],
+        {"values": [[1, 0], [0, 0], [0, 0], [0, 0]], "phases": [[0, 1], [1.9, 2]]},
+    ),
+    "normal-string": (["norm", "{z4}", "{doc}"], {"normal": "ab", "character": [], "section": []}),
 }
 
 

@@ -14,6 +14,7 @@ from covmod import (
     enumerate_characters,
     from_section,
     full_module_action,
+    group_center,
     make_cyclic,
     module_action,
     project_trivial,
@@ -24,6 +25,7 @@ from covmod import (
     t_xi,
     trivial_character,
     verify_module_axioms,
+    weyl_heisenberg_finite,
 )
 
 
@@ -143,3 +145,40 @@ def test_quotient_convolve_uses_measure(z4_quot):
     plain = quotient_convolve(phi, psi)
     weighted = quotient_convolve(phi, psi, measure=counting_measure(z4_quot))
     assert plain.values == weighted.values
+
+
+def _wh22_center():
+    g = weyl_heisenberg_finite(2, 2).product
+    return g, group_center(g)
+
+
+@pytest.mark.parametrize("name", ["S3/A3", "WH(2,2)/center"])
+def test_kernels_match_defining_sums(name, s3, a3):
+    g, normal = (s3, a3) if name == "S3/A3" else _wh22_center()
+    quot = quotient(g, normal)
+    mul, inv, n = g.mul, g.inv, g.order
+    rng = random.Random(name)
+    f, h = random_function(g, rng), random_function(g, rng)
+
+    # (f * h)(x) = sum over y of f(y) h(y^-1 x)
+    want = [sum(f.values[y] * h.values[mul[inv[y]][x]] for y in range(n)) for x in range(n)]
+    assert max(abs(a - b) for a, b in zip(convolve(f, h).values, want)) <= 1e-12
+
+    for char in enumerate_characters(normal):
+        # t_xi(h)(r) = sum over s in N of h(r s) conj(xi(s))
+        psi = t_xi(h, char, quot=quot)
+        want = [
+            sum(h.values[mul[r][s]] * char.value(s).conjugate() for s in normal.members)
+            for r in quot.reps
+        ]
+        assert max(abs(a - b) for a, b in zip(psi.section, want)) <= 1e-12
+        full = psi.full().values
+        assert max(abs(full[x] - psi.value_at(x)) for x in range(n)) <= 1e-12
+
+        # (f * psi)(r) = sum over y of f(y) psi(y^-1 r)
+        acted = module_action(f, psi)
+        want = [
+            sum(f.values[y] * psi.value_at(mul[inv[y]][r]) for y in range(n))
+            for r in quot.reps
+        ]
+        assert max(abs(a - b) for a, b in zip(acted.section, want)) <= 1e-12

@@ -2,6 +2,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from covmod import (
     DomainMismatchError,
     ExponentError,
+    FiniteGroup,
     GroupFunction,
     MeasureError,
     NormalityError,
@@ -16,6 +18,7 @@ from covmod import (
     counting_measure,
     delta_function,
     group_center,
+    heisenberg_finite,
     is_normal,
     lp_norm,
     make_cyclic,
@@ -193,3 +196,42 @@ def test_quotient_projection_is_homomorphism(n, d):
     for x in range(n):
         for y in range(n):
             assert q.proj[g.mul[x][y]] == q.table.mul[q.proj[x]][q.proj[y]]
+
+
+def _quotient_of_z6() -> FiniteGroup:
+    z6 = make_cyclic(6)
+    return quotient(z6, make_subgroup(z6, (0, 3))).table
+
+
+CONSTRUCTORS = {
+    "cyclic": lambda: make_cyclic(6),
+    "product": lambda: make_product(make_cyclic(2), make_cyclic(3)),
+    "table": lambda: make_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    "semidirect": lambda: heisenberg_finite(2).product,
+    "quotient": _quotient_of_z6,
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_table_is_read_only_int32_and_matches_mul(build):
+    g = build()
+    assert g.table.dtype == np.int32
+    assert g.table.shape == (g.order, g.order)
+    assert not g.table.flags.writeable
+    with pytest.raises(ValueError):
+        g.table[0, 0] = g.table[0, 1]
+    assert g.table.tolist() == [list(row) for row in g.mul]
+
+
+def test_equal_tables_hash_equal_across_routes():
+    z4 = make_cyclic(4)
+    pairs = [
+        (weyl_heisenberg_finite(2, 2).product, heisenberg_finite(2).product),
+        (make_from_table([list(row) for row in z4.mul]), z4),
+        (make_product(make_cyclic(2), make_cyclic(1)), make_cyclic(2)),
+        (quotient(z4, make_subgroup(z4, (0,))).table, z4),
+    ]
+    for a, b in pairs:
+        assert a.mul == b.mul
+        assert hash(a.mul) == hash(b.mul)
+        assert a == b and hash(a) == hash(b)

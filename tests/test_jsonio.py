@@ -12,6 +12,7 @@ from covmod import (
     enumerate_characters,
     random_function,
     t_xi,
+    weyl_heisenberg_finite,
 )
 from covmod.jsonio import (
     character_from_json,
@@ -60,8 +61,11 @@ def test_group_round_trip(s3):
     assert group_id(back) == group_id(s3)
 
 
-def test_group_id_is_stable(z4):
+def test_group_id_is_stable(z4, s3):
+    # Existing documents carry these fingerprints; they must not change.
     assert group_id(z4) == "4e53267e8f572239"
+    assert group_id(s3) == "ce2a909c88d6ef6a"
+    assert group_id(weyl_heisenberg_finite(8, 8).product) == "954ccf0a4adc971d"
 
 
 def test_group_from_json_rejects_order_mismatch(z4):
