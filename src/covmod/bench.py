@@ -12,7 +12,8 @@ starts, so a reported speedup cannot come from a wrong answer.
 from __future__ import annotations
 
 import random
-import time
+import statistics
+import timeit
 from fractions import Fraction
 
 from .characters import Character, make_character
@@ -48,11 +49,9 @@ def _fiber_character(sd: SemidirectGroup, m: int, r: int, y: int, n: int) -> Cha
 
 
 def _time_per_call(fn, repetitions: int) -> float:
+    """The median seconds of one call, so a single host stall cannot move it."""
     fn()  # warm up allocations and bytecode before the clock starts
-    t0 = time.perf_counter()
-    for _ in range(repetitions):
-        fn()
-    return (time.perf_counter() - t0) / repetitions
+    return statistics.median(timeit.repeat(fn, number=1, repeat=repetitions))
 
 
 def _run_variant(

@@ -13,15 +13,27 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
 from typing import Mapping, Sequence
 
-from .errors import DomainMismatchError, ResourceError, ValidationError
-from .groups import FiniteGroup, Subgroup, full_subgroup, generating_set
+import numpy as np
 
-# Enumeration walks every phase assignment on a greedy generating set; this
+from .errors import DomainMismatchError, ResourceError, ValidationError
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    element_orders,
+    full_subgroup,
+    generating_set,
+    right_closure,
+)
+
+# Enumeration tries every phase assignment on a greedy generating set; this
 # cap keeps that search comfortably below a few seconds.
 ENUMERATION_LIMIT = 1024
+
+# Entries per block of the whole-array checks and of enumeration, so their
+# memory stays linear in the subgroup order.
+_BLOCK = 1 << 18
 
 
 def _as_subgroup(domain: FiniteGroup | Subgroup) -> Subgroup:
@@ -80,7 +92,9 @@ def make_character(
 
     Input phases are reduced mod 1.  Beyond the homomorphism law the
     constructor also confirms that each phase's denominator divides the
-    element's order, so every stored value is an exact root of unity.
+    element's order, so every stored value is an exact root of unity.  The
+    law is then checked on integer numerators over the common denominator,
+    which divides the group order.
     """
     sub = _as_subgroup(domain)
     qs = tuple(Fraction(q) % 1 for q in phases)
@@ -89,22 +103,25 @@ def make_character(
             f"got {len(qs)} phases for a subgroup of order {sub.order}"
         )
     group = sub.parent
-    pos = sub.position
-    for s, q in zip(sub.members, qs):
-        d = group.element_order(s)
-        if (q * d).denominator != 1:
+    ms = np.array(sub.members)
+    for s, q, d in zip(sub.members, qs, element_orders(group, ms).tolist()):
+        if d % q.denominator:
             raise ValidationError(
                 f"phase {q} at element {s} is not compatible with its order {d}"
             )
-    mul = group.mul
-    for i, s in enumerate(sub.members):
-        row = mul[s]
-        for j, t in enumerate(sub.members):
-            if qs[pos[row[t]]] != (qs[i] + qs[j]) % 1:
-                raise ValidationError(
-                    f"homomorphism law fails at pair ({s}, {t}): "
-                    f"phase({s}*{t}) != phase({s}) + phase({t}) mod 1"
-                )
+    den = math.lcm(*(q.denominator for q in qs))
+    num = np.array([q.numerator * (den // q.denominator) for q in qs], dtype=np.int64)
+    table, step = group.table, max(1, _BLOCK // len(ms))
+    for start in range(0, len(ms), step):
+        rows = slice(start, start + step)
+        product = num[np.searchsorted(ms, table[np.ix_(ms[rows], ms)])]
+        failing = np.argwhere(product != (num[rows, None] + num) % den)
+        if failing.size:
+            s, t = ms[start + failing[0, 0]], ms[failing[0, 1]]
+            raise ValidationError(
+                f"homomorphism law fails at pair ({s}, {t}): "
+                f"phase({s}*{t}) != phase({s}) + phase({t}) mod 1"
+            )
     return Character(sub, qs)
 
 
@@ -117,10 +134,12 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     """All characters of the domain, ordered lexicographically by phase vector.
 
     A character is determined by its phases on a generating set, and each
-    generator's phase must be a multiple of 1/order(generator).  Every such
-    assignment is propagated through the multiplication table and kept only
-    if it extends to a consistent homomorphism, which yields each character
-    exactly once.
+    generator's phase must be a multiple of 1/order(generator).  Each member
+    is a word in the generators along one spanning tree, so every such
+    assignment gives all member phases at once, as an integer matrix product
+    over the common denominator of the generator orders.  An assignment is
+    kept only if it satisfies every (member, generator) edge, which makes it
+    a homomorphism, so each character comes out exactly once.
     """
     sub = _as_subgroup(domain)
     if sub.order > ENUMERATION_LIMIT:
@@ -129,50 +148,29 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
             f"{ENUMERATION_LIMIT}, got {sub.order}"
         )
     group = sub.parent
-    mul = group.mul
-    members = sub.members
-    pos = sub.position
-    gens = generating_set(mul, group.identity, members)
-    orders = [group.element_order(g) for g in gens]
+    ms = np.array(sub.members)
+    gens = generating_set(group, sub.members)
+    orders = element_orders(group, gens)
+    den = math.lcm(*orders.tolist())
+    exps = right_closure(group, gens)[1][ms]     # members[i] is a word with exps[i, j] gens[j]
+    steps = np.searchsorted(ms, group.table[np.ix_(ms, gens)])   # position of members[i] * gens[j]
+    gen_slots = np.searchsorted(ms, gens)
 
-    found: list[tuple[Fraction, ...]] = []
-    for assignment in iter_product(*(range(d) for d in orders)):
-        gen_phase = {
-            g: Fraction(a, d) for g, a, d in zip(gens, assignment, orders)
-        }
-        phase: dict[int, Fraction] = {group.identity: Fraction(0)}
-        queue = [group.identity]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            qx = phase[x]
-            for g, qg in gen_phase.items():
-                y = mul[x][g]
-                qy = (qx + qg) % 1
-                seen = phase.get(y)
-                if seen is None:
-                    phase[y] = qy
-                    queue.append(y)
-                elif seen != qy:
-                    ok = False
-                    break
-        if not ok or len(phase) != sub.order:
-            continue
-        # The walk above spans the subgroup; re-check every (element, generator)
-        # edge so the assignment is a homomorphism, not just consistent on a tree.
-        for x in members:
-            qx = phase[x]
-            for g, qg in gen_phase.items():
-                if phase[mul[x][g]] != (qx + qg) % 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(phase[m] for m in members))
+    count = math.prod(orders.tolist())
+    radix = count // np.cumprod(orders)     # assignment a has digit a // radix[j] % orders[j]
+    block = max(1, _BLOCK // (sub.order * max(len(gens), 1)))
+    found = []
+    for start in range(0, count, block):
+        digits = np.arange(start, min(start + block, count))[:, None] // radix % orders
+        phases = digits * (den // orders) @ exps.T % den        # phases[a, i]
+        edges = phases[:, steps] == (phases[:, :, None] + phases[:, None, gen_slots]) % den
+        found.append(phases[edges.all(axis=(1, 2))])
 
-    found.sort()
-    return [Character(sub, qs) for qs in found]
+    fractions = [Fraction(j, den) for j in range(den)]
+    return [
+        Character(sub, tuple(fractions[j] for j in row))
+        for row in sorted(map(tuple, np.concatenate(found).tolist()))
+    ]
 
 
 def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Character:
@@ -186,20 +184,19 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
     sub = char.domain
     members = sub.members
     try:
-        image = {s: int(theta[s]) for s in members}
+        image = np.array([int(theta[s]) for s in members])
     except (KeyError, IndexError) as exc:
         raise ValidationError(f"map is not defined on member {exc.args[0]}") from exc
-    if set(image.values()) != set(members):
+    ms = np.array(members)
+    if not np.array_equal(np.sort(image), ms):
         raise ValidationError("map is not a bijection of the subgroup onto itself")
-    mul = sub.parent.mul
-    for s in members:
-        for t in members:
-            if image[mul[s][t]] != mul[image[s]][image[t]]:
-                raise ValidationError(
-                    f"map is not multiplicative at pair ({s}, {t})"
-                )
-    pos = sub.position
-    qs = tuple(char.phases[pos[image[s]]] for s in members)
+    table = sub.parent.table
+    mapped_product = image[np.searchsorted(ms, table[np.ix_(ms, ms)])]
+    failing = np.argwhere(mapped_product != table[np.ix_(image, image)])
+    if failing.size:
+        s, t = ms[failing[0]]
+        raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")
+    qs = tuple(char.phases[i] for i in np.searchsorted(ms, image).tolist())
     return Character(sub, qs)
 
 

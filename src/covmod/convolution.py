@@ -40,7 +40,7 @@ def _convolve_at(
     Since y^-1 x = (x^-1 y)^-1, the terms for one x read v at the inverses
     of the entries of the contiguous table row of x^-1.
     """
-    v_inv = v[group.inverse_index]
+    v_inv = v[group.inv]
     table, inv = group.table, group.inv
     return tuple([complex(wf.dot(v_inv.take(table[inv[x]]))) for x in points])
 

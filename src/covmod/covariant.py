@@ -52,7 +52,7 @@ class CovariantFunction:
         """The function's value at any group element, extended by covariance."""
         q = self.quotient
         i = q.proj[x]
-        s = q.parent.mul[q.parent.inv[q.reps[i]]][x]
+        s = int(q.parent.table[q.parent.inv[q.reps[i]], x])
         return self.character.value(s) * self.section[i]
 
     def full(self) -> GroupFunction:

@@ -2,8 +2,8 @@
 
 Elements of a group of order n are the integers 0..n-1.  All types are
 immutable once constructed.  A group keeps its multiplication table as one
-read-only int32 array, which the kernels gather rows and blocks from; the
-nested-tuple `mul` is built from that array for scalar lookups and hashing.
+read-only int32 array and its inverses as one read-only index array; subgroup
+checks, closures and the kernels all gather rows and blocks from them.
 
 An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
@@ -18,6 +18,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,48 +44,52 @@ def _check_order(order: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group: order, multiplication table, inverse table, identity.
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark arrays read-only, so every reader can share them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
-    `table[x, y]` is the index of x*y.  `mul` holds the same table as nested
-    tuples; it is built from `table` and compared and hashed in its place.
+
+@dataclass(frozen=True, eq=False)
+class FiniteGroup:
+    """A finite group: order, multiplication table, inverses, identity.
+
+    `table[x, y]` is the index of x*y and `inv[x]` the index of x^-1, both
+    read-only arrays.  Groups compare equal when their orders, identities,
+    labels and tables agree, and hash by `fingerprint`.
     """
 
     order: int
-    table: np.ndarray = field(compare=False, repr=False)
-    inv: tuple[int, ...]
+    table: np.ndarray = field(repr=False)
+    inv: np.ndarray = field(repr=False)
     identity: int
     labels: tuple[str, ...] | None = None
-    mul: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        table = np.ascontiguousarray(self.table, dtype=np.int32)
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
-        # Rows share one int object per element: 8 bytes a tuple entry,
-        # where a fresh int per entry would cost 36.
-        elements = np.arange(self.order).astype(object)
-        object.__setattr__(
-            self, "mul", tuple(tuple(elements[row].tolist()) for row in table)
+        object.__setattr__(self, "table", *_frozen(np.ascontiguousarray(self.table, np.int32)))
+        object.__setattr__(self, "inv", *_frozen(np.ascontiguousarray(self.inv, np.intp)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FiniteGroup) and (
+            (self.order, self.identity, self.labels) == (other.order, other.identity, other.labels)
+            and np.array_equal(self.table, other.table)
         )
+
+    def __hash__(self) -> int:
+        return hash(self.fingerprint)
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
 
     def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != self.identity:
-            y = self.mul[y][x]
-            k += 1
-        return k
+        return int(element_orders(self, [x])[0])
 
     @cached_property
-    def inverse_index(self) -> np.ndarray:
-        """`inv` as a read-only index array, for whole-array gathers."""
-        index = np.array(self.inv, dtype=np.intp)
-        index.flags.writeable = False
-        return index
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The table as nested tuples, built on first read; nothing in covmod reads it."""
+        elements = np.arange(self.order).astype(object)
+        return tuple(tuple(elements[row].tolist()) for row in self.table)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -96,9 +101,10 @@ class FiniteGroup:
         h = hashlib.sha256()
         h.update(b"covmod-group-v1:")
         h.update(str(self.order).encode())
-        for row in self.mul:
+        names = np.array([str(x) for x in range(self.order)], dtype=object)
+        for row in self.table:
             h.update(b"|")
-            h.update(",".join(map(str, row)).encode())
+            h.update(",".join(names[row].tolist()).encode())
         return h.hexdigest()[:16]
 
 
@@ -108,10 +114,6 @@ class Subgroup:
 
     parent: FiniteGroup
     members: tuple[int, ...]
-
-    @cached_property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
 
     @cached_property
     def position(self) -> dict[int, int]:
@@ -137,7 +139,6 @@ class QuotientGroup:
 
     parent: FiniteGroup
     normal: Subgroup
-    cosets: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
     proj: tuple[int, ...]
     table: FiniteGroup
@@ -149,17 +150,13 @@ class QuotientGroup:
     @cached_property
     def grid(self) -> np.ndarray:
         """`grid[i, j]` is reps[i] * members[j]: row i lists coset i in member order."""
-        grid = self.parent.table[np.ix_(self.reps, self.normal.members)]
-        grid.flags.writeable = False
-        return grid
+        return _frozen(self.parent.table[np.ix_(self.reps, self.normal.members)])[0]
 
     @cached_property
     def grid_order(self) -> np.ndarray:
         """Where each element sits in the flattened `grid`: a gather by this
         index puts grid-shaped values back in element order."""
-        order = np.argsort(self.grid, axis=None)
-        order.flags.writeable = False
-        return order
+        return _frozen(np.argsort(self.grid, axis=None))[0]
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,7 @@ def make_cyclic(order: int) -> FiniteGroup:
     """The additive group of integers modulo `order`."""
     _check_order(order)
     a = np.arange(order, dtype=np.int32)
-    inv = tuple((-x) % order for x in range(order))
-    return FiniteGroup(order, (a[:, None] + a) % order, inv, 0)
+    return FiniteGroup(order, (a[:, None] + a) % order, -a % order, 0)
 
 
 def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -219,9 +215,7 @@ def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     nb = b.order
     # table[(xa, xb), (ya, yb)] = (xa*ya) * nb + xb*yb
     table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
-    inv = tuple(
-        a.inv[xa] * nb + b.inv[xb] for xa in range(a.order) for xb in range(nb)
-    )
+    inv = (a.inv[:, None] * nb + b.inv).ravel()
     labels = None
     if a.labels is not None and b.labels is not None:
         labels = tuple(
@@ -231,37 +225,51 @@ def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def right_closure(
-    mul: Sequence[Sequence[int]], identity: int, gens: Iterable[int]
-) -> set[int]:
+    group: FiniteGroup, gens: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Everything reached from the identity by right multiplication by `gens`.
 
-    Reads one table entry `mul[y][g]` per reached element y and generator g.
-    In a finite group the result is the subgroup that `gens` generate.
+    Walks one breadth-first level at a time.  Returns the mask of reached
+    elements, in a finite group the subgroup `gens` generate, and the walk's
+    spanning tree as exponents: x is a product in which gens[j] occurs
+    exps[x, j] times.
     """
-    gens = tuple(gens)
-    reached = {identity}
-    queue = [identity]
-    while queue:
-        row = mul[queue.pop()]
-        for g in gens:
-            z = row[g]
-            if z not in reached:
-                reached.add(z)
-                queue.append(z)
-    return reached
+    gens = np.asarray(gens, dtype=np.intp)
+    reached = np.zeros(group.order, dtype=bool)
+    exps = np.zeros((group.order, gens.size), dtype=np.int64)
+    reached[group.identity] = True
+    frontier = np.array([group.identity])
+    while frontier.size:
+        step = group.table[np.ix_(frontier, gens)].ravel()
+        fresh = np.flatnonzero(~reached[step])
+        targets, first = np.unique(step[fresh], return_index=True)
+        source, j = np.divmod(fresh[first], gens.size)
+        exps[targets] = exps[frontier[source]]
+        exps[targets, j] += 1
+        reached[targets] = True
+        frontier = targets
+    return reached, exps
 
 
-def generating_set(
-    mul: Sequence[Sequence[int]], identity: int, members: Iterable[int]
-) -> list[int]:
+def generating_set(group: FiniteGroup, members: Iterable[int]) -> list[int]:
     """Greedy generators of `members`: each is the smallest member not yet generated."""
+    ms = np.unique(np.fromiter(members, dtype=np.intp))
     gens: list[int] = []
-    reached = {identity}
-    for x in sorted(members):
-        if x not in reached:
-            gens.append(x)
-            reached = right_closure(mul, identity, gens)
+    reached, _ = right_closure(group, gens)
+    while not reached[ms].all():
+        gens.append(int(ms[reached[ms].argmin()]))
+        reached, _ = right_closure(group, gens)
     return gens
+
+
+def element_orders(group: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
+    """The order of each element of `xs`: the least k >= 1 with x^k the identity."""
+    xs = np.asarray(xs, dtype=np.intp)
+    power, orders = xs.copy(), np.ones(xs.shape, dtype=np.int64)
+    while (live := power != group.identity).any():
+        power[live] = group.table[power[live], xs[live]]
+        orders[live] += 1
+    return orders
 
 
 def _check_associative(group: FiniteGroup) -> None:
@@ -271,7 +279,7 @@ def _check_associative(group: FiniteGroup) -> None:
     closed under multiplication, so passing on a generating set is exact.
     """
     arr = group.table
-    for s in generating_set(group.mul, group.identity, range(group.order)):
+    for s in generating_set(group, range(group.order)):
         col = arr[:, s]
         left = col[arr]                      # left[x, y] = (x*y)*s
         right = np.take(arr, col, axis=1)    # right[x, y] = x*(y*s)
@@ -282,6 +290,19 @@ def _check_associative(group: FiniteGroup) -> None:
                 f"({x}*{y})*{s} = {int(left[x, y])} but "
                 f"{x}*({y}*{s}) = {int(right[x, y])}"
             )
+
+
+def _table_error(table: Sequence[Sequence[int]], n: int) -> ValidationError:
+    """The first short row or bad entry, in the order a row-by-row scan meets it."""
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return ValidationError(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < n:
+                return ValidationError(
+                    f"entry mul({i},{j}) = {v!r} is not an element of 0..{n-1}"
+                )
+    raise AssertionError("no malformed row or entry to report")
 
 
 def make_from_table(
@@ -299,17 +320,18 @@ def make_from_table(
         raise ValidationError("a multiplication table must be a list of rows")
     n = len(table)
     _check_order(n)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
-            j, v = next(
-                (j, v) for j, v in enumerate(row) if type(v) is not int or not 0 <= v < n
-            )
-            raise ValidationError(
-                f"entry mul({i},{j}) = {v!r} is not an element of 0..{n-1}"
-            )
-    arr = np.array(table, dtype=np.int32)
+    if any(len(row) != n for row in table) or set(
+        map(type, chain.from_iterable(table))
+    ) != {int}:
+        raise _table_error(table, n)
+    # Range-check on int64, where no entry wraps; larger ints fail to convert.
+    try:
+        arr = np.array(table, dtype=np.int64)
+    except OverflowError:
+        raise _table_error(table, n) from None
+    if arr.min() < 0 or arr.max() >= n:
+        raise _table_error(table, n)
+    arr = arr.astype(np.int32)
 
     elements = np.arange(n)
     two_sided = np.all(arr == elements, axis=1) & np.all(arr.T == elements, axis=1)
@@ -322,14 +344,13 @@ def make_from_table(
     missing = ~inverse.any(axis=1)
     if missing.any():
         raise ValidationError(f"element {int(missing.argmax())} has no two-sided inverse")
-    inv = tuple(inverse.argmax(axis=1).tolist())
 
     packed_labels = None
     if labels is not None:
         if not isinstance(labels, (list, tuple)) or len(labels) != n:
             raise ValidationError(f"labels must be a list of {n} names")
         packed_labels = tuple(str(s) for s in labels)
-    group = FiniteGroup(n, arr, inv, identity, packed_labels)
+    group = FiniteGroup(n, arr, inverse.argmax(axis=1), identity, packed_labels)
     _check_associative(group)
     return group
 
@@ -349,18 +370,21 @@ def make_subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     for m in ms:
         if not 0 <= m < group.order:
             raise ValidationError(f"member {m} is outside the group 0..{group.order-1}")
-    mset = frozenset(ms)
-    if group.identity not in mset:
+    index = np.array(ms)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[index] = True
+    if not inside[group.identity]:
         raise ValidationError("subgroup does not contain the identity")
-    for s in ms:
-        if group.inv[s] not in mset:
-            raise ValidationError(f"subgroup is missing the inverse of element {s}")
-        row = group.mul[s]
-        for t in ms:
-            if row[t] not in mset:
-                raise ValidationError(
-                    f"subgroup is not closed: {s}*{t} = {row[t]} is not a member"
-                )
+    missing = index[~inside[group.inv[index]]]
+    if missing.size:
+        raise ValidationError(f"subgroup is missing the inverse of element {missing[0]}")
+    products = group.table[np.ix_(index, index)]
+    outside = np.argwhere(~inside[products])
+    if outside.size:
+        i, j = outside[0]
+        raise ValidationError(
+            f"subgroup is not closed: {ms[i]}*{ms[j]} = {products[i, j]} is not a member"
+        )
     return Subgroup(group, ms)
 
 
@@ -384,7 +408,7 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     inside = np.zeros(group.order, dtype=bool)
     inside[list(sub.members)] = True
     # conjugates[x, j] = x * s_j * x^-1
-    conjugates = table[table.take(sub.members, axis=1), group.inverse_index[:, None]]
+    conjugates = table[table.take(sub.members, axis=1), group.inv[:, None]]
     return bool(inside[conjugates].all())
 
 
@@ -402,18 +426,9 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
     smallest = table.take(normal.members, axis=1).min(axis=1)   # smallest member of x N
     reps = np.flatnonzero(smallest == np.arange(group.order))
     proj = np.searchsorted(reps, smallest).astype(np.int32)
-    cosets = np.sort(table[np.ix_(reps, normal.members)], axis=1)
     qtable = proj[table[np.ix_(reps, reps)]]
-    tinv = proj[group.inverse_index[reps]]
-    quot = FiniteGroup(len(reps), qtable, tuple(tinv.tolist()), int(proj[group.identity]))
-    return QuotientGroup(
-        group,
-        normal,
-        tuple(map(tuple, cosets.tolist())),
-        tuple(reps.tolist()),
-        tuple(proj.tolist()),
-        quot,
-    )
+    quot = FiniteGroup(len(reps), qtable, proj[group.inv[reps]], int(proj[group.identity]))
+    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()), quot)
 
 
 def weil_measure(

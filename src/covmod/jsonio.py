@@ -15,6 +15,8 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .covariant import CovariantFunction, from_section
 from .characters import Character, make_character
 from .errors import DomainMismatchError, ValidationError
@@ -78,7 +80,9 @@ def _require_object(doc, what: str) -> None:
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    doc = {"order": group.order, "mul": [list(row) for row in group.mul]}
+    # Rows share one int object per element, not a fresh int per entry.
+    elements = np.arange(group.order).astype(object)
+    doc = {"order": group.order, "mul": [elements[row].tolist() for row in group.table]}
     if group.labels is not None:
         doc["labels"] = list(group.labels)
     return doc

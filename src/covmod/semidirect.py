@@ -46,6 +46,7 @@ from .groups import (
     make_subgroup,
     quotient,
     _check_order,
+    _frozen,
 )
 
 
@@ -76,7 +77,7 @@ class SemidirectGroup:
 
         `twisted[a, k]` is theta_{a^-1}(k) and `h_step[h, a]` is h^-1 * a.
         """
-        hinv = list(self.h.inv)
+        hinv = self.h.inv
         return _frozen(np.asarray(self.action)[hinv], self.h.table[hinv])
 
 
@@ -136,12 +137,9 @@ def semidirect(
             r0, c0 = h * nk, h2 * nk
             prod[r0 : r0 + nk, c0 : c0 + nk] = hmul[h, h2] * nk + block
 
-    hinv, kinv = h_group.inv, k_group.inv
-    inv = tuple(
-        hinv[h] * nk + rows[hinv[h]][kinv[k]]
-        for h in range(nh)
-        for k in range(nk)
-    )
+    # (h, k)^-1 = (h^-1, theta_{h^-1}(k^-1))
+    hinv = h_group.inv
+    inv = (hinv[:, None] * nk + arr[hinv][:, k_group.inv]).ravel()
     identity = h_group.identity * nk + k_group.identity
     labels = None
     if h_group.labels is not None and k_group.labels is not None:
@@ -164,7 +162,7 @@ def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:
         raise DomainMismatchError("subgroup does not live in the K factor")
     if not 0 <= h < sd.h.order:
         raise DomainMismatchError(f"element {h} is outside H")
-    mset = sub.member_set
+    mset = set(sub.members)
     for hh, row in enumerate(sd.action):
         for s in sub.members:
             if row[s] not in mset:
@@ -264,11 +262,11 @@ def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int, int]:
     step = r // m
     if sd.h.identity != 0 or sd.k.identity != 0:
         raise DomainMismatchError("factors are not in standard form (identity at 0)")
-    if m > 1 and sd.h.mul[1] != _std_rows(m, r)[0]:
+    if m > 1 and not np.array_equal(sd.h.table[1], _std_rows(m, r)[0]):
         raise DomainMismatchError("H is not the standard cyclic table")
-    if m > 1 and sd.k.mul[r] != _std_rows(m, r)[1]:
+    if m > 1 and not np.array_equal(sd.k.table[r], _std_rows(m, r)[1]):
         raise DomainMismatchError("K is not the standard Z_m x Z_r table")
-    if r > 1 and sd.k.mul[1] != _std_rows(m, r)[2]:
+    if r > 1 and not np.array_equal(sd.k.table[1], _std_rows(m, r)[2]):
         raise DomainMismatchError("K is not the standard Z_m x Z_r table")
     if m > 1 and sd.action[1] != _std_rows(m, r)[3]:
         raise DomainMismatchError("action is not the shear of step r/m")
@@ -286,13 +284,6 @@ def _std_rows(m: int, r: int) -> tuple[tuple[int, ...], ...]:
         tuple(l * r + (1 + t) % r for l in range(m) for t in range(r)),
         tuple(l * r + (t + step * l) % r for l in range(m) for t in range(r)),
     )
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mark arrays read-only; the caches below hand the same ones to every call."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 @lru_cache(maxsize=None)

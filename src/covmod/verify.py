@@ -15,6 +15,8 @@ from functools import cached_property
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .characters import (
     Character,
     char_inner,
@@ -223,13 +225,9 @@ def check_weil(entry: CorpusEntry, seed: int, trials: int, tol: float | None = N
 
 
 def _abelianization_order(sub: Subgroup) -> int:
-    group = sub.parent
-    mul, inv = group.mul, group.inv
-    members = sub.members
-    comms = {
-        mul[mul[mul[s][t]][inv[s]]][inv[t]] for s in members for t in members
-    }
-    return len(members) // len(right_closure(mul, group.identity, comms))
+    table, inv, ms = sub.parent.table, sub.parent.inv, np.array(sub.members)
+    comms = table[table[table[np.ix_(ms, ms)], inv[ms][:, None]], inv[ms]]   # s t s^-1 t^-1
+    return sub.order // int(right_closure(sub.parent, np.unique(comms))[0].sum())
 
 
 def check_characters(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
@@ -405,11 +403,7 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
         d_q = induced.delta[h]
         structural += [abs(d_k - d_n * d_q), abs(d_k - 1.0)]
 
-    mismatched = sum(
-        a != b
-        for ra, rb in zip(entry.quot.table.mul, induced.product.mul)
-        for a, b in zip(ra, rb)
-    )
+    mismatched = np.count_nonzero(entry.quot.table.table != induced.product.table)
     structural.append(float(mismatched))
 
     qk = quotient(sd.k, entry.normal_in_k)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covmod import characters
 from covmod import (
     DomainMismatchError,
     ResourceError,
@@ -132,6 +133,28 @@ def test_heisenberg_action_shifts_fiber_characters():
                     for s in range(m)
                 ]
                 assert list(moved.phases) == want
+
+
+def test_homomorphism_witness_does_not_depend_on_block_size(monkeypatch):
+    # phase(1) + phase(4) = 5/6, but 1 + 4 = 5 carries phase 1/6
+    z6 = make_cyclic(6)
+    phases = [0, F(1, 6), F(1, 3), F(1, 2), F(2, 3), F(1, 6)]
+    for block in (1, 6, 1 << 18):
+        monkeypatch.setattr(characters, "_BLOCK", block)
+        with pytest.raises(ValidationError, match=r"pair \(1, 4\)"):
+            make_character(z6, phases)
+
+
+def test_enumeration_rejects_assignments_on_a_nonabelian_group():
+    # Three generators of order 3 give 27 assignments; only the 9 that factor
+    # through the abelianization Z3 x Z3 are homomorphisms.
+    g = heisenberg_finite(3).product
+    chars = enumerate_characters(g)
+    assert len(chars) == 9
+    phases = [c.phases for c in chars]
+    assert all(a < b for a, b in zip(phases, phases[1:]))
+    for c in chars:
+        assert make_character(g, c.phases) == c
 
 
 def test_enumeration_limit_guard():

@@ -168,6 +168,8 @@ MALFORMED = {
     "mul-string": (["group", "show", "{doc}"], {"order": 4, "mul": "abcd"}),
     "order-bool": (["group", "show", "{doc}"], {"order": True, "mul": [[0]]}),
     "labels-int": (["group", "show", "{doc}"], {"order": 1, "mul": [[0]], "labels": 5}),
+    "entry-huge": (["group", "show", "{doc}"], {"order": 2, "mul": [[0, 1], [1, 2**70]]}),
+    "entry-huge-negative": (["group", "show", "{doc}"], {"order": 2, "mul": [[0, 1], [1, -2**70]]}),
     "table-flat": (["group", "make", "table", "{doc}"], [1, 2]),
     "function-array": (["conv", "{z4}", "{doc}", "{doc}"], [[1, 0], [0, 0], [0, 0], [0, 0]]),
     "nan-value": (["norm", "{z4}", "{doc}"], {"values": [["nan", 0], [0, 0], [0, 0], [0, 0]]}),

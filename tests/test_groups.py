@@ -9,6 +9,14 @@ from hypothesis import strategies as st
 
 from covmod import (
     DomainMismatchError,
+    conv_fast_full_k,
+    conv_fast_wh_center,
+    conv_fast_wh_full,
+    enumerate_characters,
+    make_character,
+    module_action,
+    pullback,
+    t_xi,
     ExponentError,
     FiniteGroup,
     GroupFunction,
@@ -32,6 +40,7 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod.groups import generating_set
+from covmod.jsonio import group_id, group_to_json
 
 
 def test_cyclic_table_oracle(z4):
@@ -103,7 +112,7 @@ def test_make_from_table_rejects_one_corrupted_entry_at_order_1024():
 
 def test_generating_set_is_greedy():
     g = weyl_heisenberg_finite(8, 8).product
-    assert generating_set(g.mul, g.identity, range(g.order)) == [1, 8, 64]
+    assert generating_set(g, range(g.order)) == [1, 8, 64]
 
 
 def test_subgroup_requires_closure(z4):
@@ -235,3 +244,27 @@ def test_equal_tables_hash_equal_across_routes():
         assert a.mul == b.mul
         assert hash(a.mul) == hash(b.mul)
         assert a == b and hash(a) == hash(b)
+
+
+def test_no_route_builds_the_tuple_table():
+    sd = weyl_heisenberg_finite(4, 4)
+    g = sd.product
+    center = make_subgroup(g, range(4))
+    fiber = make_subgroup(g, range(16))
+    q_center, q_fiber = quotient(g, center), quotient(g, fiber)
+    xc = make_character(center, enumerate_characters(center)[1].phases)
+    xk = make_character(fiber, enumerate_characters(fiber)[5].phases)
+    assert pullback(xk, sd.action[1]).domain is fiber
+    rng = random.Random(0)
+    f, h = random_function(g, rng), random_function(g, rng)
+    pc, pk = t_xi(h, xc, quot=q_center), t_xi(h, xk, quot=q_fiber)
+    module_action(f, pc)
+    module_action(f, pk)
+    conv_fast_wh_center(sd, f, pc, int(xc.phases[1] * 4))
+    conv_fast_wh_full(sd, f, pk, int(xk.phases[4] * 4), int(xk.phases[1] * 4))
+    conv_fast_full_k(sd, f, pk)
+    group_id(g)
+    group_to_json(g)
+    small = make_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    for group in (g, sd.h, sd.k, q_center.table, q_fiber.table, small):
+        assert "mul" not in group.__dict__
