@@ -64,10 +64,7 @@ def _run_variant(
 ) -> dict:
     quot = quotient(sd.product, char.domain)
     f = random_function(sd.product, rng)
-    section = [
-        complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(quot.order)
-    ]
-    psi = from_section(section, char, quot)
+    psi = from_section(random_function(quot.table, rng).values, char, quot)
 
     generic = module_action(f, psi)
     closed = fast(sd, f, psi)

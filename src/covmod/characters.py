@@ -182,12 +182,16 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
     character, with phases simply permuted.
     """
     sub = char.domain
-    members = sub.members
-    try:
-        image = np.array([int(theta[s]) for s in members])
-    except (KeyError, IndexError) as exc:
-        raise ValidationError(f"map is not defined on member {exc.args[0]}") from exc
-    ms = np.array(members)
+    image = []
+    for s in sub.members:
+        try:
+            t = theta[s]
+        except (KeyError, IndexError, TypeError):
+            raise ValidationError(f"map is not defined on member {s}") from None
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValidationError(f"map sends member {s} to {t!r}, not an element index")
+        image.append(int(t))
+    image, ms = np.array(image), np.array(sub.members)
     if not np.array_equal(np.sort(image), ms):
         raise ValidationError("map is not a bijection of the subgroup onto itself")
     table = sub.parent.table

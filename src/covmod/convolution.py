@@ -1,9 +1,9 @@
 """Convolution on a group and its action on covariant functions.
 
-The generic kernels work on whole numpy arrays gathered from the group's
-int32 table: one contiguous row gather and one dot product per output
-point, so memory stays linear in the group order.  The summation order
-is numpy's, so results match a left-to-right scalar sum only to rounding.
+The generic kernels read the read-only value and section arrays as they are
+and gather from the group's int32 table: one contiguous row gather and one
+dot product per output point, so memory stays linear in the group order.
+Sums run in numpy's order: they match a left-to-right scalar sum to rounding.
 """
 
 from __future__ import annotations
@@ -15,26 +15,29 @@ import numpy as np
 
 from .characters import Character
 from .covariant import CovariantFunction, t_xi
-from .errors import DomainMismatchError, MeasureError
-from .groups import FiniteGroup, GroupFunction, MeasureTriple, QuotientGroup, random_function
+from .errors import DomainMismatchError
+from .groups import (
+    FiniteGroup,
+    GroupFunction,
+    MeasureTriple,
+    QuotientGroup,
+    _group_weights,
+    random_function,
+)
 
 
 def _weighted(
     f: GroupFunction, measure: MeasureTriple | Sequence[float] | None
 ) -> np.ndarray:
     """The values w(y) * f(y) as an array, counting weights by default."""
-    wf = np.array(f.values, dtype=complex)
     if measure is None:
-        return wf
-    w = measure.wG if isinstance(measure, MeasureTriple) else measure
-    if len(w) != f.group.order:
-        raise MeasureError(f"got {len(w)} weights for a group of order {f.group.order}")
-    return np.asarray(w, dtype=float) * wf
+        return f.values
+    return _group_weights(measure, f.group.order) * f.values
 
 
 def _convolve_at(
     group: FiniteGroup, wf: np.ndarray, v: np.ndarray, points: Iterable[int]
-) -> tuple[complex, ...]:
+) -> np.ndarray:
     """sum over y of wf(y) * v(y^-1 x), at each x in `points`.
 
     Since y^-1 x = (x^-1 y)^-1, the terms for one x read v at the inverses
@@ -42,7 +45,7 @@ def _convolve_at(
     """
     v_inv = v[group.inv]
     table, inv = group.table, group.inv
-    return tuple([complex(wf.dot(v_inv.take(table[inv[x]]))) for x in points])
+    return np.array([wf.dot(v_inv.take(table[inv[x]])) for x in points], dtype=complex)
 
 
 def convolve(
@@ -54,8 +57,7 @@ def convolve(
     if f.group is not g.group:
         raise DomainMismatchError("cannot convolve functions on different groups")
     group = f.group
-    out = _convolve_at(group, _weighted(f, measure), np.array(g.values, dtype=complex),
-                       range(group.order))
+    out = _convolve_at(group, _weighted(f, measure), g.values, range(group.order))
     return GroupFunction(group, out)
 
 
@@ -72,8 +74,7 @@ def module_action(
     if f.group is not psi.group:
         raise DomainMismatchError("function and covariant function live on different groups")
     quot = psi.quotient
-    full = np.array(psi.full().values, dtype=complex)
-    out = _convolve_at(f.group, _weighted(f, measure), full, quot.reps)
+    out = _convolve_at(f.group, _weighted(f, measure), psi.full().values, quot.reps)
     return CovariantFunction(quot, psi.character, out)
 
 
@@ -123,17 +124,17 @@ def section_residual(a: CovariantFunction, b: CovariantFunction) -> float:
         raise DomainMismatchError("sections live over different quotients")
     if a.character.phases != b.character.phases:
         raise DomainMismatchError("sections are covariant for different characters")
-    return worst_of(abs(x - y) for x, y in zip(a.section, b.section))
+    # Python's complex abs, not numpy's, which rounds some moduli differently
+    return worst_of(abs(x - y) for x, y in zip(a.section.tolist(), b.section.tolist()))
 
 
 def covariance_residual(psi: GroupFunction, char: Character) -> float:
     """max |psi(x s) - xi(s) psi(x)| over the whole group and subgroup."""
     if char.domain.parent is not psi.group:
         raise DomainMismatchError("character domain is not a subgroup of psi's group")
-    vals = np.array(psi.values, dtype=complex)
     # moved[x, j] = psi(x s_j)
-    moved = vals[psi.group.table.take(char.domain.members, axis=1)]
-    gaps = np.abs(moved - vals[:, None] * np.array(char.complex_values))
+    moved = psi.values[psi.group.table.take(char.domain.members, axis=1)]
+    gaps = np.abs(moved - psi.values[:, None] * np.array(char.complex_values))
     return float(gaps.max())   # max propagates NaN, as worst_of does
 
 

@@ -3,7 +3,8 @@
 A function psi on G is covariant for a character xi of a normal subgroup N
 when psi(x * s) = xi(s) * psi(x) for every x in G and s in N.  Such a psi is
 determined by its values on one transversal of the cosets, so it is stored as
-that section, indexed like the quotient's representatives.
+that section: a read-only complex128 array indexed like the quotient's
+representatives.
 """
 
 from __future__ import annotations
@@ -21,28 +22,27 @@ from .groups import (
     GroupFunction,
     MeasureTriple,
     QuotientGroup,
+    _scaled,
+    _vector,
     quotient,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariantFunction:
     """A covariant function stored as its section over coset representatives."""
 
     quotient: QuotientGroup
     character: Character
-    section: tuple[complex, ...]
+    section: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.character.domain.same_as(self.quotient.normal):
             raise DomainMismatchError(
                 "character domain differs from the quotient's normal subgroup"
             )
-        if len(self.section) != self.quotient.order:
-            raise DomainMismatchError(
-                f"section has {len(self.section)} values for "
-                f"{self.quotient.order} cosets"
-            )
+        section = _vector(self.section, complex, "section", self.quotient.order)
+        object.__setattr__(self, "section", section)
 
     @property
     def group(self) -> FiniteGroup:
@@ -53,14 +53,14 @@ class CovariantFunction:
         q = self.quotient
         i = q.proj[x]
         s = int(q.parent.table[q.parent.inv[q.reps[i]], x])
-        return self.character.value(s) * self.section[i]
+        return self.character.value(s) * complex(self.section[i])
 
     def full(self) -> GroupFunction:
         """Materialize the function on the whole group."""
         q = self.quotient
         # psi(r_i s_j) = xi(s_j) * section[i], laid out like q.grid
-        on_grid = np.array(self.section)[:, None] * np.array(self.character.complex_values)
-        return GroupFunction(q.parent, tuple(on_grid.take(q.grid_order).tolist()))
+        on_grid = self.section[:, None] * np.array(self.character.complex_values)
+        return GroupFunction(q.parent, on_grid.take(q.grid_order))
 
     def __add__(self, other: "CovariantFunction") -> "CovariantFunction":
         if other.quotient is not self.quotient or other.character is not self.character:
@@ -72,19 +72,13 @@ class CovariantFunction:
                 raise DomainMismatchError(
                     "cannot add covariant functions with different covariance data"
                 )
-        return CovariantFunction(
-            self.quotient,
-            self.character,
-            tuple(a + b for a, b in zip(self.section, other.section)),
-        )
+        return CovariantFunction(self.quotient, self.character, self.section + other.section)
 
     def __sub__(self, other: "CovariantFunction") -> "CovariantFunction":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "CovariantFunction":
-        return CovariantFunction(
-            self.quotient, self.character, tuple(scalar * v for v in self.section)
-        )
+        return CovariantFunction(self.quotient, self.character, _scaled(scalar, self.section))
 
 
 def t_xi(
@@ -112,15 +106,15 @@ def t_xi(
     # einsum, not a BLAS matrix-vector product: OpenBLAS splits a complex one
     # of 4096 entries or more across threads, and waking a second thread
     # costs more than the whole product.
-    section = np.einsum("ij,j->i", np.array(f.values, dtype=complex)[quot.grid], weights)
-    return CovariantFunction(quot, char, tuple(section.tolist()))
+    section = np.einsum("ij,j->i", f.values[quot.grid], weights)
+    return CovariantFunction(quot, char, section)
 
 
 def from_section(
     section: Sequence[complex], char: Character, quot: QuotientGroup
 ) -> CovariantFunction:
     """Extend values on the coset representatives to a covariant function."""
-    return CovariantFunction(quot, char, tuple(complex(v) for v in section))
+    return CovariantFunction(quot, char, section)
 
 
 def cov_norm(
@@ -134,12 +128,13 @@ def cov_norm(
     """
     if p < 1:
         raise ExponentError(f"norm exponent must be at least 1, got {p}")
-    wQ = measure.wQ if measure is not None else (1.0,) * psi.quotient.order
+    wQ = measure.wQ.tolist() if measure is not None else [1.0] * psi.quotient.order
     if len(wQ) != psi.quotient.order:
         raise DomainMismatchError(
             f"got {len(wQ)} quotient weights for {psi.quotient.order} cosets"
         )
-    total = math.fsum(w * abs(v) ** p for w, v in zip(wQ, psi.section))
+    # Python's complex abs, not numpy's, which rounds some moduli differently
+    total = math.fsum(w * abs(v) ** p for w, v in zip(wQ, psi.section.tolist()))
     return total ** (1.0 / p)
 
 

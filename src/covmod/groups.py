@@ -4,6 +4,8 @@ Elements of a group of order n are the integers 0..n-1.  All types are
 immutable once constructed.  A group keeps its multiplication table as one
 read-only int32 array and its inverses as one read-only index array; subgroup
 checks, closures and the kernels all gather rows and blocks from them.
+Function values and weights are read-only complex128 and float64 arrays,
+converted once from any sequence of numbers.
 
 An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
@@ -47,8 +49,23 @@ def _check_order(order: int) -> None:
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mark arrays read-only, so every reader can share them."""
     for arr in arrays:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return arrays
+
+
+def _vector(values, dtype: type, what: str, length: int | None = None) -> np.ndarray:
+    """A read-only 1-D copy of `values` as `dtype`; bools, strings and, for
+    float, complex entries are refused, not converted."""
+    try:
+        arr = np.array(values)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = np.array(None)
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise ValidationError(f"{what} must be a list of numbers")
+    expected = arr.size if length is None else length
+    if arr.shape != (expected,):
+        raise DomainMismatchError(f"{what} has shape {arr.shape}, expected ({expected},)")
+    return _frozen(arr if arr.dtype == dtype else arr.astype(dtype))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,46 +176,53 @@ class QuotientGroup:
         return _frozen(np.argsort(self.grid, axis=None))[0]
 
 
-@dataclass(frozen=True)
+def _scaled(scalar: complex, values: np.ndarray) -> np.ndarray:
+    """scalar * values, rounded as Python's complex product: numpy's may fuse a
+    multiply and an add, moving the last bit, but against a purely real or
+    imaginary factor the fused product is exact (zero signs aside)."""
+    s = complex(scalar)
+    return values * s.real + values * complex(0.0, s.imag)
+
+
+@dataclass(frozen=True, eq=False)
 class MeasureTriple:
     """Per-element weights on a group, a subgroup, and the quotient.
 
     The three families satisfy the compatibility wQ * wN = wG elementwise
     (uniform scales), so that summing over cosets and then over the subgroup
-    reproduces the full-group sum.
+    reproduces the full-group sum.  Each is a read-only float64 array.
     """
 
-    wG: tuple[float, ...]
-    wN: tuple[float, ...]
-    wQ: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class GroupFunction:
-    """A complex-valued function on a group, stored densely by element index."""
-
-    group: FiniteGroup
-    values: tuple[complex, ...]
+    wG: np.ndarray
+    wN: np.ndarray
+    wQ: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.group.order:
-            raise DomainMismatchError(
-                f"function has {len(self.values)} values on a group of order "
-                f"{self.group.order}"
-            )
+        for name in ("wG", "wN", "wQ"):
+            object.__setattr__(self, name, _vector(getattr(self, name), float, name))
+
+
+@dataclass(frozen=True, eq=False)
+class GroupFunction:
+    """A complex-valued function on a group, a read-only array by element index."""
+
+    group: FiniteGroup
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = _vector(self.values, complex, "function values", self.group.order)
+        object.__setattr__(self, "values", values)
 
     def __add__(self, other: "GroupFunction") -> "GroupFunction":
         if other.group is not self.group:
             raise DomainMismatchError("cannot add functions on different groups")
-        return GroupFunction(
-            self.group, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        return GroupFunction(self.group, self.values + other.values)
 
     def __sub__(self, other: "GroupFunction") -> "GroupFunction":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "GroupFunction":
-        return GroupFunction(self.group, tuple(scalar * v for v in self.values))
+        return GroupFunction(self.group, _scaled(scalar, self.values))
 
 
 def make_cyclic(order: int) -> FiniteGroup:
@@ -449,11 +473,10 @@ def weil_measure(
         raise MeasureError(
             f"weight scales must be positive, got wG={wG_scale}, wN={wN_scale}"
         )
-    wq = wG_scale / wN_scale
     return MeasureTriple(
-        (float(wG_scale),) * group.order,
-        (float(wN_scale),) * normal.order,
-        (float(wq),) * quot.order,
+        np.full(group.order, float(wG_scale)),
+        np.full(normal.order, float(wN_scale)),
+        np.full(quot.order, float(wG_scale / wN_scale)),
     )
 
 
@@ -461,13 +484,20 @@ def counting_measure(quot: QuotientGroup) -> MeasureTriple:
     return weil_measure(quot.parent, quot.normal, quot)
 
 
+def _group_weights(weights: MeasureTriple | Sequence[float], order: int) -> np.ndarray:
+    """The wG family of a triple, or explicit per-element weights, of length `order`."""
+    w = weights.wG if isinstance(weights, MeasureTriple) else _vector(weights, float, "weights")
+    if w.size != order:
+        raise MeasureError(f"got {w.size} weights for a group of order {order}")
+    return w
+
+
 def weil_residual(f: GroupFunction, quot: QuotientGroup, measure: MeasureTriple) -> float:
     """|iterated coset sum - plain group sum| for one function and weight family."""
     if f.group is not quot.parent:
         raise DomainMismatchError("function lives on a different group")
-    vals = np.array(f.values)
-    outer = np.asarray(measure.wQ) @ (vals[quot.grid] @ np.asarray(measure.wN))
-    direct = np.asarray(measure.wG) @ vals
+    outer = measure.wQ @ (f.values[quot.grid] @ measure.wN)
+    direct = measure.wG @ f.values
     return abs(complex(outer - direct))
 
 
@@ -479,17 +509,10 @@ def lp_norm(
     """Weighted p-norm (sum of w * |f|^p) ** (1/p) over the group."""
     if p < 1:
         raise ExponentError(f"norm exponent must be at least 1, got {p}")
-    if isinstance(weights, MeasureTriple):
-        w: Sequence[float] = weights.wG
-    elif weights is None:
-        w = (1.0,) * f.group.order
-    else:
-        w = tuple(float(x) for x in weights)
-    if len(w) != f.group.order:
-        raise MeasureError(
-            f"got {len(w)} weights for a group of order {f.group.order}"
-        )
-    total = math.fsum(wx * abs(v) ** p for wx, v in zip(w, f.values))
+    order = f.group.order
+    w = [1.0] * order if weights is None else _group_weights(weights, order).tolist()
+    # Python's complex abs, not numpy's, which rounds some moduli differently
+    total = math.fsum(wx * abs(v) ** p for wx, v in zip(w, f.values.tolist()))
     return total ** (1.0 / p)
 
 
@@ -497,14 +520,12 @@ def delta_function(group: FiniteGroup, at: int) -> GroupFunction:
     """The indicator of a single element."""
     if not 0 <= at < group.order:
         raise DomainMismatchError(f"element {at} is outside the group")
-    return GroupFunction(
-        group, tuple(1.0 + 0j if x == at else 0j for x in range(group.order))
-    )
+    values = np.zeros(group.order, dtype=complex)
+    values[at] = 1.0
+    return GroupFunction(group, values)
 
 
 def random_function(group: FiniteGroup, rng) -> GroupFunction:
-    """Standard complex Gaussian values drawn from the supplied PRNG."""
-    return GroupFunction(
-        group,
-        tuple(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(group.order)),
-    )
+    """Standard complex Gaussian values drawn from the supplied PRNG, real part first."""
+    draws = [rng.gauss(0.0, 1.0) for _ in range(2 * group.order)]
+    return GroupFunction(group, np.array(draws).view(complex))

@@ -4,7 +4,7 @@ Serialization is canonical: keys appear in a fixed order, floats use the
 shortest representation that round-trips the double bit-exactly, and
 integers are written verbatim.  Objects that depend on a group carry a short
 structural fingerprint of that group so mismatched files fail loudly instead
-of silently reinterpreting indices.
+of silently reinterpreting indices.  Values and sections become lists only here.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import cmath
 import hashlib
 import json
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -61,9 +60,8 @@ def _finite(values, what: str):
     return values
 
 
-def _pairs(values: Sequence[complex]) -> list[list[float]]:
-    values = _finite(values, "a document to write")
-    return [[float(v.real), float(v.imag)] for v in values]
+def _pairs(values: np.ndarray) -> list[list[float]]:
+    return [[v.real, v.imag] for v in _finite(values.tolist(), "a document to write")]
 
 
 def _unpairs(doc, what: str) -> tuple[complex, ...]:

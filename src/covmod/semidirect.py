@@ -375,14 +375,14 @@ def conv_fast_full_k(
     char = psi.character
     cvals = np.array(char.complex_values)  # indexed by K index: members are base + k in order
     twisted, h_step = sd.twisted_index
-    fv = np.array(f.values, dtype=complex).reshape(nh, nk)
+    fv = f.values.reshape(nh, nk)
 
     psi_h = np.array([psi.value_at(c * nk + sd.k.identity) for c in range(nh)])
     inner = fv @ np.conj(cvals)[twisted].T           # inner[h, a]
     acc = (inner * psi_h[h_step]).sum(axis=0)        # acc[a]
     a, b = np.divmod(np.array(psi.quotient.reps), nk)
     section = cvals[twisted[a, b]] * acc[a]
-    return CovariantFunction(psi.quotient, char, tuple(section.tolist()))
+    return CovariantFunction(psi.quotient, char, section)
 
 
 def conv_fast_wh_center(
@@ -405,13 +405,13 @@ def conv_fast_wh_center(
     _require_phases(psi, phases, "central character index")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with t = 0")
-    f1 = np.array(f.values, dtype=complex).reshape(m, m, r) @ crow   # f1[m', l']
+    f1 = f.values.reshape(m, m, r) @ crow   # f1[m', l']
 
     # With d = (l - l') mod m and the section psec[m, l] at (m, l, 0), the sum is
     # section[m, l] = sum over m', d of psec[m - m', d] * w[m', d] * f1[m', l - d],
     # one (m x m^2) by (m^2 x m) matrix product.
-    section = (np.take(psi.section, shift) * w).dot(f1.take(fold))
-    return CovariantFunction(psi.quotient, psi.character, tuple(section.ravel().tolist()))
+    section = (psi.section.take(shift) * w).dot(f1.take(fold))
+    return CovariantFunction(psi.quotient, psi.character, section.ravel())
 
 
 def conv_fast_wh_full(
@@ -437,7 +437,7 @@ def conv_fast_wh_full(
     _require_phases(psi, phases, "(y, n) character indices")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with (m, 0, 0)")
-    f1 = np.array(f.values, dtype=complex).reshape(m, m, r) @ crow   # f1[m', l']
-    inner = e.dot(f1.T)                                             # inner[m, m']
-    section = (inner * np.take(psi.section, _shift_index(m))).sum(axis=1)
-    return CovariantFunction(psi.quotient, psi.character, tuple(section.tolist()))
+    f1 = f.values.reshape(m, m, r) @ crow   # f1[m', l']
+    inner = e.dot(f1.T)                     # inner[m, m']
+    section = (inner * psi.section.take(_shift_index(m))).sum(axis=1)
+    return CovariantFunction(psi.quotient, psi.character, section)

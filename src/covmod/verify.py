@@ -208,10 +208,7 @@ def _trial_row(
 def _random_covariant(
     quot: QuotientGroup, char: Character, rng: random.Random
 ) -> CovariantFunction:
-    section = [
-        complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(quot.order)
-    ]
-    return from_section(section, char, quot)
+    return from_section(random_function(quot.table, rng).values, char, quot)
 
 
 def check_weil(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
@@ -336,7 +333,7 @@ def check_trivial_identification(entry: CorpusEntry, seed: int, trials: int, tol
         descended = project_trivial(module_action(f, psi))
         averaged = project_trivial(t_xi(f, triv, quot=entry.quot))
         via_quotient = quotient_convolve(averaged, project_trivial(psi))
-        for a, b in zip(descended.values, via_quotient.values):
+        for a, b in zip(descended.values.tolist(), via_quotient.values.tolist()):
             yield abs(a - b)
 
     triv = (trivial_character(entry.normal),)
@@ -351,8 +348,8 @@ def check_full_agreement(entry: CorpusEntry, seed: int, trials: int, tol: float 
         psi = _random_covariant(entry.quot, char, rng)
         blind = full_module_action(f, psi)
         direct = module_action(f, psi)
-        for i, r in enumerate(entry.quot.reps):
-            yield abs(blind.values[r] - direct.section[i])
+        for a, b in zip(blind.values.take(entry.quot.reps).tolist(), direct.section.tolist()):
+            yield abs(a - b)
         yield covariance_residual(blind, char)
 
     return _trial_row(
@@ -410,12 +407,13 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
 
     def trial(_: None, rng: random.Random) -> Iterator[float]:
         phi = random_function(entry.quot.table, rng)
-        direct = sum(phi.values, 0j)
+        values = phi.values.tolist()
+        direct = sum(values, 0j)
         iterated = 0j
         for h in range(sd.h.order):
             for j in range(qk.order):
                 x = sd.pair_index(h, qk.reps[j])
-                iterated += sd.delta[h] * phi.values[entry.quot.proj[x]]
+                iterated += sd.delta[h] * values[entry.quot.proj[x]]
         scale = max(lp_norm(phi, 1), _TINY)
         yield abs(direct - iterated) / scale
 

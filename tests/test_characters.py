@@ -117,6 +117,16 @@ def test_pullback_rejects_non_bijection(z4):
         pullback(enumerate_characters(z4)[1], [0, 0, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "theta, member",
+    [([0, 1], 2), ([0, 1.9, 2, 3], 1), ([0, True, 2, 3], 1), ([0, "a", 2, 3], 1)],
+    ids=["short", "float", "bool", "string"],
+)
+def test_pullback_names_the_member_without_an_index_image(z4, theta, member):
+    with pytest.raises(ValidationError, match=rf"member {member}\b"):
+        pullback(enumerate_characters(z4)[1], theta)
+
+
 def test_heisenberg_action_shifts_fiber_characters():
     sd = heisenberg_finite(3)
     m = 3

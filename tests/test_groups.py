@@ -38,9 +38,24 @@ from covmod import (
     weil_measure,
     weil_residual,
     weyl_heisenberg_finite,
+    CovariantFunction,
+    CovmodError,
+    MeasureTriple,
+    convolve,
+    from_section,
+    full_module_action,
+    project_trivial,
+    trivial_character,
 )
 from covmod.groups import generating_set
-from covmod.jsonio import group_id, group_to_json
+from covmod.jsonio import (
+    covariant_from_json,
+    covariant_to_json,
+    function_from_json,
+    function_to_json,
+    group_id,
+    group_to_json,
+)
 
 
 def test_cyclic_table_oracle(z4):
@@ -160,7 +175,7 @@ def test_weil_counting_exact(z4, z4_evens, z4_quot):
 
 def test_weil_scaled_measure(z4, z4_evens, z4_quot):
     m = weil_measure(z4, z4_evens, z4_quot, wG_scale=2.0, wN_scale=0.5)
-    assert m.wQ == (4.0, 4.0)
+    assert m.wQ.tolist() == [4.0, 4.0]
     f = random_function(z4, random.Random("scaled"))
     assert weil_residual(f, z4_quot, m) <= 1e-12 * lp_norm(f, 1)
 
@@ -188,7 +203,7 @@ def test_lp_norm_weight_length_mismatch(z4):
 def test_delta_function_bounds(z4):
     with pytest.raises(DomainMismatchError):
         delta_function(z4, 4)
-    assert delta_function(z4, 2).values == (0j, 0j, 1 + 0j, 0j)
+    assert delta_function(z4, 2).values.tolist() == [0j, 0j, 1 + 0j, 0j]
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,3 +283,82 @@ def test_no_route_builds_the_tuple_table():
     small = make_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     for group in (g, sd.h, sd.k, q_center.table, q_fiber.table, small):
         assert "mul" not in group.__dict__
+
+
+def _assert_frozen_vector(arr, dtype, length):
+    assert type(arr) is np.ndarray and arr.dtype == dtype and arr.shape == (length,)
+    assert not arr.flags.writeable
+
+
+def test_every_route_stores_read_only_arrays():
+    sd = weyl_heisenberg_finite(4, 4)
+    g = sd.product
+    center, fiber = make_subgroup(g, range(4)), make_subgroup(g, range(16))
+    q_center, q_fiber = quotient(g, center), quotient(g, fiber)
+    xc, xk = enumerate_characters(center)[1], enumerate_characters(fiber)[5]
+    rng = random.Random("routes")
+    f, h = random_function(g, rng), random_function(g, rng)
+    pc, pk = t_xi(h, xc, quot=q_center), t_xi(h, xk, quot=q_fiber)
+    triv = t_xi(h, trivial_character(center), quot=q_center)
+    functions = [
+        f,
+        delta_function(g, 3),
+        convolve(f, h),
+        full_module_action(f, pc),
+        pc.full(),
+        f + h,
+        f - h,
+        (2 - 1j) * f,
+        project_trivial(triv),
+        function_from_json(function_to_json(f), g),
+    ]
+    for fn in functions:
+        _assert_frozen_vector(fn.values, np.complex128, fn.group.order)
+    sections = [
+        pc,
+        pk,
+        module_action(f, pc),
+        from_section((1, 2.5, 3j) + (0,) * 13, xc, q_center),
+        pc + pc,
+        pc - pc,
+        0.5j * pc,
+        conv_fast_wh_center(sd, f, pc, int(xc.phases[1] * 4)),
+        conv_fast_wh_full(sd, f, pk, int(xk.phases[4] * 4), int(xk.phases[1] * 4)),
+        conv_fast_full_k(sd, f, pk),
+        covariant_from_json(covariant_to_json(pc), g),
+    ]
+    for psi in sections:
+        _assert_frozen_vector(psi.section, np.complex128, psi.quotient.order)
+    m = weil_measure(g, center, q_center, wG_scale=2.0)
+    for w, n in ((m.wG, 64), (m.wN, 4), (m.wQ, 16)):
+        _assert_frozen_vector(w, np.float64, n)
+
+
+MALFORMED = {
+    "2-D": lambda n: np.ones((n, 2)),
+    "wrong length": lambda n: [1.0] * (n + 1),
+    "strings": lambda n: ["1"] * n,
+    "bools": lambda n: [True] * n,
+    "None": lambda n: [None] * n,
+    "ragged": lambda n: [[1.0]] * (n - 1) + [[1.0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("kind, bad", MALFORMED.items(), ids=MALFORMED.keys())
+def test_malformed_values_raise_package_errors(z4, z4_evens, z4_quot, kind, bad):
+    char = enumerate_characters(z4_evens)[1]
+    delta = delta_function(z4, 0)
+    builders = [
+        lambda: GroupFunction(z4, bad(4)),
+        lambda: CovariantFunction(z4_quot, char, bad(2)),
+        lambda: from_section(bad(2), char, z4_quot),
+        lambda: lp_norm(delta, 2, weights=bad(4)),
+        lambda: convolve(delta, delta, measure=bad(4)),
+    ]
+    if kind != "wrong length":  # a triple's families have no length to check on their own
+        builders.append(lambda: MeasureTriple(bad(4), (1.0,) * 2, (1.0,) * 2))
+    for build in builders:
+        with pytest.raises(CovmodError):
+            build()
+    with pytest.raises(CovmodError):
+        MeasureTriple((1.0,) * 4, (1j,) * 2, (1.0,) * 2)  # complex weights

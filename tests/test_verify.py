@@ -65,6 +65,12 @@ def test_characters_enumerated_once_per_subgroup(monkeypatch):
     assert report["passed"]
     for sub in seen:
         assert sum(1 for other in seen if other is sub) == 1, sub
+    # the report's shape: the row count the benchmark gates on, and plain
+    # Python scalars, which json.dumps can write
+    assert len(report["checks"]) == 105
+    for row in report["checks"]:
+        assert type(row["residual"]) is float, row
+        assert type(row["passed"]) is bool, row
 
 
 def test_public_names_resolve():
