@@ -21,6 +21,7 @@ from .errors import DomainMismatchError, ResourceError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _frozen,
     element_orders,
     full_subgroup,
     generating_set,
@@ -61,9 +62,11 @@ class Character:
     phases: tuple[Fraction, ...]
 
     @cached_property
-    def complex_values(self) -> tuple[complex, ...]:
-        """Phases converted to unit complex numbers, once, in member order."""
-        return tuple(phase_to_complex(q) for q in self.phases)
+    def complex_values(self) -> np.ndarray:
+        """Phases converted to unit complex numbers, once, in member order,
+        as a read-only complex128 array."""
+        values = np.array([phase_to_complex(q) for q in self.phases], dtype=complex)
+        return _frozen(values)[0]
 
     @cached_property
     def phase_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -78,7 +81,7 @@ class Character:
     def value(self, s: int) -> complex:
         """The character's value at a parent element index."""
         try:
-            return self.complex_values[self.domain.position[s]]
+            return complex(self.complex_values[self.domain.position[s]])
         except KeyError:
             raise DomainMismatchError(
                 f"element {s} is not a member of the character's domain"

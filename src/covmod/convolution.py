@@ -134,7 +134,7 @@ def covariance_residual(psi: GroupFunction, char: Character) -> float:
         raise DomainMismatchError("character domain is not a subgroup of psi's group")
     # moved[x, j] = psi(x s_j)
     moved = psi.values[psi.group.table.take(char.domain.members, axis=1)]
-    gaps = np.abs(moved - psi.values[:, None] * np.array(char.complex_values))
+    gaps = np.abs(moved - psi.values[:, None] * char.complex_values)
     return float(gaps.max())   # max propagates NaN, as worst_of does
 
 

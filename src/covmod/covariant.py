@@ -59,7 +59,7 @@ class CovariantFunction:
         """Materialize the function on the whole group."""
         q = self.quotient
         # psi(r_i s_j) = xi(s_j) * section[i], laid out like q.grid
-        on_grid = self.section[:, None] * np.array(self.character.complex_values)
+        on_grid = self.section[:, None] * self.character.complex_values
         return GroupFunction(q.parent, on_grid.take(q.grid_order))
 
     def __add__(self, other: "CovariantFunction") -> "CovariantFunction":
@@ -100,7 +100,7 @@ def t_xi(
         quot = quotient(f.group, char.domain)
     elif not quot.normal.same_as(char.domain):
         raise DomainMismatchError("quotient was built for a different subgroup")
-    weights = np.array(char.complex_values).conj()
+    weights = char.complex_values.conj()
     if measure is not None:
         weights *= measure.wN
     # einsum, not a BLAS matrix-vector product: OpenBLAS splits a complex one

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -525,7 +526,22 @@ def delta_function(group: FiniteGroup, at: int) -> GroupFunction:
     return GroupFunction(group, values)
 
 
-def random_function(group: FiniteGroup, rng) -> GroupFunction:
-    """Standard complex Gaussian values drawn from the supplied PRNG, real part first."""
-    draws = [rng.gauss(0.0, 1.0) for _ in range(2 * group.order)]
+def random_function(group: FiniteGroup, rng: random.Random) -> GroupFunction:
+    """Standard complex Gaussian values drawn from the supplied PRNG, real part first.
+
+    The values are exactly those of `rng.gauss(0.0, 1.0)` called twice per
+    element, and the rng ends in the same state: each Box-Muller pair that
+    `gauss` computes from two `rng.random()` draws is taken here in one step.
+    A `gauss` value already cached in the rng is not consumed, so the stream
+    matches only where the caller has drawn `gauss` values in pairs.
+    """
+    uniform, tau = rng.random, math.tau
+    cos, sin, log, sqrt = math.cos, math.sin, math.log, math.sqrt
+    draws = []
+    for _ in range(group.order):
+        # as random.gauss: mu + z * sigma with mu = 0.0, sigma = 1.0
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        draws.append(0.0 + cos(x2pi) * g2rad)
+        draws.append(0.0 + sin(x2pi) * g2rad)
     return GroupFunction(group, np.array(draws).view(complex))

@@ -64,12 +64,24 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
     return [[v.real, v.imag] for v in _finite(values.tolist(), "a document to write")]
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _unpairs(doc, what: str) -> tuple[complex, ...]:
     try:
-        values = tuple(complex(float(re), float(im)) for re, im in doc)
+        pairs = [(re, im) for re, im in doc]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a list of [re, im] pairs") from exc
-    return _finite(values, what)
+    values = []
+    for i, (re, im) in enumerate(pairs):
+        if not (_is_real(re) and _is_real(im)):
+            raise ValidationError(f"{what} entry {i} is [{re!r}, {im!r}], not a pair of numbers")
+        try:
+            values.append(complex(float(re), float(im)))
+        except OverflowError:
+            raise ValidationError(f"{what} entry {i} is outside the float range") from None
+    return _finite(tuple(values), what)
 
 
 def _require_object(doc, what: str) -> None:

@@ -373,7 +373,7 @@ def conv_fast_full_k(
     base = sd.h.identity * nk
     _require_normal_members(psi, tuple(range(base, base + nk)), "the full K fiber")
     char = psi.character
-    cvals = np.array(char.complex_values)  # indexed by K index: members are base + k in order
+    cvals = char.complex_values  # indexed by K index: members are base + k in order
     twisted, h_step = sd.twisted_index
     fv = f.values.reshape(nh, nk)
 

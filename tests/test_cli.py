@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -173,6 +174,11 @@ MALFORMED = {
     "table-flat": (["group", "make", "table", "{doc}"], [1, 2]),
     "function-array": (["conv", "{z4}", "{doc}", "{doc}"], [[1, 0], [0, 0], [0, 0], [0, 0]]),
     "nan-value": (["norm", "{z4}", "{doc}"], {"values": [["nan", 0], [0, 0], [0, 0], [0, 0]]}),
+    # json.dumps writes these as the NaN and Infinity literals, which json.loads reads back
+    "nan-literal": (["norm", "{z4}", "{doc}"], {"values": [[math.nan, 0], [0, 0], [0, 0], [0, 0]]}),
+    "inf-literal": (["norm", "{z4}", "{doc}"], {"values": [[0, -math.inf], [0, 0], [0, 0], [0, 0]]}),
+    "value-string-bool": (["norm", "{z4}", "{doc}"], {"values": [["1.5", True], [0, 0], [0, 0], [0, 0]]}),
+    "value-huge": (["norm", "{z4}", "{doc}"], {"values": [[1, 10**400], [0, 0], [0, 0], [0, 0]]}),
     # one document serves as the function and as the character
     "phase-float": (
         ["txi", "{z4}", "{doc}", "--members", "0,2", "--char", "{doc}"],

@@ -285,6 +285,16 @@ def test_no_route_builds_the_tuple_table():
         assert "mul" not in group.__dict__
 
 
+@pytest.mark.parametrize("order", [1, 2, 7, 64])
+@pytest.mark.parametrize("seed", [0, 1, 42, "routes"])
+def test_random_function_is_the_gauss_stream(order, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    f = random_function(make_cyclic(order), ours)
+    draws = [theirs.gauss(0.0, 1.0) for _ in range(2 * order)]
+    assert f.values.view(np.float64).tobytes() == np.array(draws).tobytes()
+    assert ours.getstate() == theirs.getstate()
+
+
 def _assert_frozen_vector(arr, dtype, length):
     assert type(arr) is np.ndarray and arr.dtype == dtype and arr.shape == (length,)
     assert not arr.flags.writeable
@@ -332,11 +342,20 @@ def test_every_route_stores_read_only_arrays():
     m = weil_measure(g, center, q_center, wG_scale=2.0)
     for w, n in ((m.wG, 64), (m.wN, 4), (m.wQ, 16)):
         _assert_frozen_vector(w, np.float64, n)
+    for char in (xc, xk):
+        _assert_frozen_vector(char.complex_values, np.complex128, char.domain.order)
+        assert type(char.value(char.domain.members[1])) is complex
+    # a construction copies the caller's array, which stays writable and its own
+    source = f.values.copy()
+    made, psi = GroupFunction(g, source), CovariantFunction(q_center, xc, source[:16])
+    source[:] = 7.0
+    assert np.array_equal(made.values, f.values) and np.array_equal(psi.section, f.values[:16])
 
 
 MALFORMED = {
     "2-D": lambda n: np.ones((n, 2)),
     "wrong length": lambda n: [1.0] * (n + 1),
+    "wrong length array": lambda n: np.ones(n + 1, dtype=complex),
     "strings": lambda n: ["1"] * n,
     "bools": lambda n: [True] * n,
     "None": lambda n: [None] * n,
@@ -355,7 +374,12 @@ def test_malformed_values_raise_package_errors(z4, z4_evens, z4_quot, kind, bad)
         lambda: lp_norm(delta, 2, weights=bad(4)),
         lambda: convolve(delta, delta, measure=bad(4)),
     ]
-    if kind != "wrong length":  # a triple's families have no length to check on their own
+    # a length error is a domain mismatch, also for an array of the target dtype
+    expected = DomainMismatchError if kind.startswith("wrong length") else CovmodError
+    for build in builders[:3]:
+        with pytest.raises(expected):
+            build()
+    if not kind.startswith("wrong length"):  # a triple's families have no length of their own
         builders.append(lambda: MeasureTriple(bad(4), (1.0,) * 2, (1.0,) * 2))
     for build in builders:
         with pytest.raises(CovmodError):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,24 @@ def test_function_rejects_non_finite(z4):
     f = GroupFunction(z4, (complex(math.nan, 0),) + (0j,) * 3)
     with pytest.raises(ValidationError):
         function_to_json(f)
+
+
+@pytest.mark.parametrize(
+    "pair, named",
+    [
+        (["1.5", True], "entry 1 is ['1.5', True], not a pair of numbers"),
+        ([1, None], "entry 1 is [1, None], not a pair of numbers"),
+        ([True, 0], "entry 1 is [True, 0], not a pair of numbers"),
+        ([1, 10**400], "entry 1 is outside the float range"),
+        ([math.inf, 0], "non-finite value (inf+0j)"),
+        ([0, math.nan], "non-finite value nanj"),
+    ],
+)
+def test_function_values_must_be_number_pairs(z4, pair, named):
+    doc = {"values": [[0, 0], pair, [0, 0], [0, 0]]}
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        function_from_json(doc, z4)
+    assert function_from_json({"values": [[0, 0], [1, 2.5]] + [[0, 0]] * 2}, z4).values[1] == 1 + 2.5j
 
 
 def test_subgroup_round_trip(s3, a3):
