@@ -126,8 +126,8 @@ def cov_norm(
     covariant function itself; with counting weights it differs from the
     full-group p-norm exactly by the factor |N| ** (1/p).
     """
-    if p < 1:
-        raise ExponentError(f"norm exponent must be at least 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ExponentError(f"norm exponent must be finite and at least 1, got {p}")
     wQ = measure.wQ.tolist() if measure is not None else [1.0] * psi.quotient.order
     if len(wQ) != psi.quotient.order:
         raise DomainMismatchError(

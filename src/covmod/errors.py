@@ -24,7 +24,7 @@ class MeasureError(CovmodError):
 
 
 class ExponentError(CovmodError):
-    """A norm exponent below 1 was requested."""
+    """A norm exponent outside 1 <= p < infinity was requested."""
 
 
 class ResourceError(CovmodError):

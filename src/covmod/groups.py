@@ -508,8 +508,8 @@ def lp_norm(
     weights: MeasureTriple | Sequence[float] | None = None,
 ) -> float:
     """Weighted p-norm (sum of w * |f|^p) ** (1/p) over the group."""
-    if p < 1:
-        raise ExponentError(f"norm exponent must be at least 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ExponentError(f"norm exponent must be finite and at least 1, got {p}")
     order = f.group.order
     w = [1.0] * order if weights is None else _group_weights(weights, order).tolist()
     # Python's complex abs, not numpy's, which rounds some moduli differently

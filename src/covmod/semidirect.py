@@ -7,12 +7,14 @@ unimodular, the modulus of each theta[h] is identically 1; it is still kept
 explicit so the measure bookkeeping on products and their quotients stays
 visible.
 
-Two families get dedicated constructors: the discrete step groups on
-Z_M x (Z_M x Z_M) where h shears the second coordinate by h times the first,
-and their circle-extension analogues on Z_M x (Z_M x Z_R) with shear step
-R / M.  For those, the convolution action against a covariant function
-collapses to small closed-form sums, implemented here and checked against
-the generic kernels by the verification suite.
+One family gets a dedicated constructor: the shear groups on
+Z_M x (Z_M x Z_R), where h shears the circle coordinate by (R / M) h times
+the first; R = M gives the discrete step (Heisenberg) groups.  Two closed
+forms of the convolution action against a covariant function live here,
+each checked against the generic kernels by the verification suite: one
+over the whole K fiber of any semidirect product, and one over the center
+of a shear group.  The shear-group K-fiber kernel is the first behind a
+check of the group's shape and of the character's indices.
 
 The closed-form kernels assume unit counting weights.  Under any other
 uniform weight w the convolution scales linearly, so multiply the output
@@ -72,13 +74,28 @@ class SemidirectGroup:
         return _wh_parameters(self)
 
     @cached_property
-    def twisted_index(self) -> tuple[np.ndarray, np.ndarray]:
+    def fiber_index(self) -> tuple:
         """Index tables of `conv_fast_full_k`, built once per group.
 
-        `twisted[a, k]` is theta_{a^-1}(k) and `h_step[h, a]` is h^-1 * a.
+        With the K fiber as normal subgroup, coset h is {h} x K and its
+        representative is (h, 0).  The tables are the fiber's members and
+        those representatives, then `twisted[a, k]` = theta_{a^-1}(k),
+        `h_step[h, a]` = h^-1 * a, `anchor[h]`, the K index of
+        (h, 0)^-1 * (h, e_K), so that psi(h, e_K) = xi(anchor[h]) * section[h],
+        and `out[a]` = theta_{a^-1}(0).
         """
+        nh, nk = self.h.order, self.k.order
+        base = self.h.identity * nk
         hinv = self.h.inv
-        return _frozen(np.asarray(self.action)[hinv], self.h.table[hinv])
+        twisted = np.asarray(self.action)[hinv]
+        reps = np.arange(nh) * nk
+        g = self.product
+        anchor = g.table[g.inv[reps], reps + self.k.identity] - base
+        return (
+            tuple(range(base, base + nk)),
+            tuple(reps.tolist()),
+            *_frozen(twisted, self.h.table[hinv], anchor, twisted[:, 0]),
+        )
 
 
 def semidirect(
@@ -94,17 +111,23 @@ def semidirect(
     """
     nh, nk = h_group.order, k_group.order
     _check_order(nh * nk)
-    rows = tuple(tuple(int(v) for v in row) for row in action)
-    if len(rows) != nh:
-        raise ValidationError(f"action has {len(rows)} rows for |H| = {nh}")
-    for h, row in enumerate(rows):
+    if not isinstance(action, (list, tuple)):
+        raise ValidationError("the action must be a list of rows")
+    if len(action) != nh:
+        raise ValidationError(f"action has {len(action)} rows for |H| = {nh}")
+    for h, row in enumerate(action):
+        if not isinstance(row, (list, tuple)):
+            raise ValidationError(f"action row {h} is not a list of K indices")
         if len(row) != nk:
             raise ValidationError(f"action row {h} has length {len(row)}, expected {nk}")
-        for v in row:
-            if not 0 <= v < nk:
-                raise ValidationError(f"action row {h} maps into {v}, outside 0..{nk-1}")
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < nk:
+                raise ValidationError(
+                    f"action entry ({h},{j}) = {v!r} is not an element of 0..{nk-1}"
+                )
         if sorted(row) != list(range(nk)):
             raise ValidationError(f"action row {h} is not a bijection of K")
+    rows = tuple(map(tuple, action))
 
     if rows[h_group.identity] != tuple(range(nk)):
         raise ValidationError("the identity of H must act as the identity map on K")
@@ -212,14 +235,7 @@ def heisenberg_finite(m: int) -> SemidirectGroup:
     The packed triple (x, y, s) multiplies as
     (x, y, s) * (x', y', s') = (x + x', y + y', s + s' + x*y'), all mod m.
     """
-    _check_order(m)
-    h = make_cyclic(m)
-    k = make_product(make_cyclic(m), make_cyclic(m))
-    action = tuple(
-        tuple(y * m + (s + x * y) % m for y in range(m) for s in range(m))
-        for x in range(m)
-    )
-    return semidirect(h, k, action)
+    return weyl_heisenberg_finite(m, m)
 
 
 def weyl_heisenberg_finite(m: int, r: int) -> SemidirectGroup:
@@ -328,21 +344,11 @@ def _center_tables(m: int, r: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _fiber_tables(m: int, r: int, y: int, n: int) -> tuple:
-    """Tables of `conv_fast_wh_full` for one (m, r, y, n): the fiber members,
-    the coset representatives (m', 0, 0), the character's phases
-    (y l / m + n t / r) mod 1 = ((y l r/m + n t) mod r) / r at index l r + t,
-    the t-sum row conj(xi_n(t)) and the l-sum phase e[m, l'] = e(-l' (y - n m) / m)."""
+def _fiber_phases(m: int, r: int, y: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Phases of the (y, n) character of the Z_m x Z_r fiber as reduced pairs:
+    (y l / m + n t / r) mod 1 = ((y l r/m + n t) mod r) / r at index l r + t."""
     t, a = np.arange(r), np.arange(m)
-    return (
-        tuple(range(m * r)),
-        tuple(mm * m * r for mm in range(m)),
-        _reduced((y * (r // m) * a[:, None] + n * t).ravel() % r, r),
-        *_frozen(
-            _roots_of_unity(r)[(-n * t) % r],
-            _roots_of_unity(m)[(-np.outer(y - n * a, a)) % m],
-        ),
-    )
+    return _reduced((y * (r // m) * a[:, None] + n * t).ravel() % r, r)
 
 
 def _require_phases(psi: CovariantFunction, expected: tuple, what: str) -> None:
@@ -369,20 +375,17 @@ def conv_fast_full_k(
         raise DomainMismatchError("function does not live on the product group")
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    nh, nk = sd.h.order, sd.k.order
-    base = sd.h.identity * nk
-    _require_normal_members(psi, tuple(range(base, base + nk)), "the full K fiber")
-    char = psi.character
-    cvals = char.complex_values  # indexed by K index: members are base + k in order
-    twisted, h_step = sd.twisted_index
-    fv = f.values.reshape(nh, nk)
+    members, reps, twisted, h_step, anchor, out = sd.fiber_index
+    _require_normal_members(psi, members, "the full K fiber")
+    if psi.quotient.reps != reps:
+        raise DomainMismatchError("coset representatives are not aligned with (h, 0)")
+    cvals = psi.character.complex_values  # indexed by K index: members are base + k in order
+    fv = f.values.reshape(sd.h.order, sd.k.order)
 
-    psi_h = np.array([psi.value_at(c * nk + sd.k.identity) for c in range(nh)])
+    psi_h = cvals[anchor] * psi.section              # psi(h, e_K)
     inner = fv @ np.conj(cvals)[twisted].T           # inner[h, a]
     acc = (inner * psi_h[h_step]).sum(axis=0)        # acc[a]
-    a, b = np.divmod(np.array(psi.quotient.reps), nk)
-    section = cvals[twisted[a, b]] * acc[a]
-    return CovariantFunction(psi.quotient, char, section)
+    return CovariantFunction(psi.quotient, psi.character, cvals[out] * acc)
 
 
 def conv_fast_wh_center(
@@ -423,21 +426,10 @@ def conv_fast_wh_full(
 ) -> CovariantFunction:
     """Closed-form module action over the whole Z_m x Z_r fiber of a shear group.
 
-    The covariance character is indexed by (y, n); covariance pins the whole
-    function to its values at (m, 0, 0), and the action reduces to a length-m
-    correlation after one t-sum and one l-sum of f.
+    The covariance character must be the (y, n) character of the fiber,
+    (l, t) -> e(y l / m + n t / r).  Past the shape and phase checks this is
+    `conv_fast_full_k`.
     """
     m, r, _ = sd.shear_parameters
-    if f.group is not sd.product:
-        raise DomainMismatchError("function does not live on the product group")
-    if psi.group is not sd.product:
-        raise DomainMismatchError("covariant function does not live on the product group")
-    members, reps, phases, crow, e = _fiber_tables(m, r, y % m, n % r)
-    _require_normal_members(psi, members, "the full K fiber")
-    _require_phases(psi, phases, "(y, n) character indices")
-    if psi.quotient.reps != reps:
-        raise DomainMismatchError("coset representatives are not aligned with (m, 0, 0)")
-    f1 = f.values.reshape(m, m, r) @ crow   # f1[m', l']
-    inner = e.dot(f1.T)                     # inner[m, m']
-    section = (inner * psi.section.take(_shift_index(m))).sum(axis=1)
-    return CovariantFunction(psi.quotient, psi.character, section)
+    _require_phases(psi, _fiber_phases(m, r, y % m, n % r), "(y, n) character indices")
+    return conv_fast_full_k(sd, f, psi)

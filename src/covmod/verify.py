@@ -58,7 +58,6 @@ from .semidirect import (
     _wh_parameters,
     conv_fast_full_k,
     conv_fast_wh_center,
-    conv_fast_wh_full,
     delta_factor,
     heisenberg_finite,
     induced_semidirect,
@@ -423,17 +422,8 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
     )
 
 
-# Closed-form kernels as (sd, f, psi) -> section, reading the shear-fiber
-# character indices (y, n) off the character's exact phases.
-
-def _wh_full(sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction) -> CovariantFunction:
-    m = sd.h.order
-    r = sd.k.order // m
-    phases = psi.character.phases
-    y = int(phases[r] * m) if m > 1 else 0
-    n = int(phases[1] * r) if r > 1 else 0
-    return conv_fast_wh_full(sd, f, psi, y, n)
-
+# The center closed form as (sd, f, psi) -> section, reading the character
+# index n off the character's exact phases.
 
 def _wh_center(sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction) -> CovariantFunction:
     r = sd.k.order // sd.h.order
@@ -469,12 +459,7 @@ def check_fast_kernels(entry: CorpusEntry, seed: int, trials: int, tol: float | 
     if sd is None or entry.normal_in_k is None:
         return None
     if entry.normal_in_k.order == sd.k.order:
-        try:
-            _wh_parameters(sd)
-        except DomainMismatchError:  # not a shear group: only the generic closed form
-            kernels = [conv_fast_full_k]
-        else:
-            kernels = [conv_fast_full_k, _wh_full]
+        kernels = [conv_fast_full_k]
     elif sd.k.order % sd.h.order == 0 and entry.normal_in_k.members == tuple(
         range(sd.k.order // sd.h.order)
     ):
@@ -493,7 +478,7 @@ def fast_grid_rows(seed: int, trials: int, tol: float | None = None) -> list[dic
         sd = weyl_heisenberg_finite(m, r)
         for label, fiber, kernels in (
             ("center", r, [_wh_center]),
-            ("K", m * r, [conv_fast_full_k, _wh_full]),
+            ("K", m * r, [conv_fast_full_k]),
         ):
             normal = lift_subgroup(sd, make_subgroup(sd.k, range(fiber)))
             quot = quotient(sd.product, normal)
@@ -570,6 +555,8 @@ def run_verification(
     Checks that do not apply to an entry (semidirect-only checks on a plain
     group) are skipped; the shear-group size grid is always exercised.
     """
+    if trials < 0:
+        raise ValidationError(f"the trial count must be at least 0, got {trials}")
     if entries is None:
         entries = builtin_corpus()
     rows: list[dict] = []

@@ -121,6 +121,14 @@ def test_norm_prints_seventeen_digits(tmp_path, z4_file):
     assert res.stdout.strip() == "5"
 
 
+def test_norm_exponent_must_be_finite(tmp_path, capsys, z4_file):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"values": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    for p in ("inf", "nan"):
+        assert main(["norm", str(z4_file), str(f), "--p", p]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_verify_subset_passes(tmp_path):
     out = tmp_path / "report.json"
     res = run(
@@ -137,6 +145,12 @@ def test_verify_zero_tolerance_fails():
     res = run("verify", "--trials", "1", "--tol", "0", "--corpus", "Z4/evens")
     assert res.returncode == 1
     assert json.loads(res.stdout)["passed"] is False
+
+
+def test_verify_trial_count_must_not_be_negative(capsys):
+    assert main(["verify", "--trials", "-3", "--corpus", "Z4/evens"]) == 2
+    assert "trial count" in capsys.readouterr().err
+    assert main(["verify", "--trials", "0", "--corpus", "Z4/evens"]) == 0
 
 
 def test_verify_unknown_corpus_is_usage_error():
@@ -185,14 +199,19 @@ MALFORMED = {
         {"values": [[1, 0], [0, 0], [0, 0], [0, 0]], "phases": [[0, 1], [1.9, 2]]},
     ),
     "normal-string": (["norm", "{z4}", "{doc}"], {"normal": "ab", "character": [], "section": []}),
+    # int() would read 2.9 as 2 and "2" as 2, and a bare 5 is not a row at all
+    "action-float": (["group", "make", "semidirect", "{z2}", "{z3}", "{doc}"], [[0, 1, 2], [0, 2.9, 1]]),
+    "action-string": (["group", "make", "semidirect", "{z2}", "{z3}", "{doc}"], [[0, 1, 2], [0, "2", 1]]),
+    "action-row-int": (["group", "make", "semidirect", "{z2}", "{z3}", "{doc}"], [[0, 1, 2], 5]),
 }
 
 
 @pytest.mark.parametrize("command, doc", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_document_is_exit_two(tmp_path, capsys, command, doc):
-    paths = {"doc": tmp_path / "doc.json", "z4": tmp_path / "z4.json"}
+    paths = {name: tmp_path / f"{name}.json" for name in ("doc", "z2", "z3", "z4")}
     paths["doc"].write_text(json.dumps(doc))
-    paths["z4"].write_text(json.dumps(group_to_json(make_cyclic(4))))
+    for n in (2, 3, 4):
+        paths[f"z{n}"].write_text(json.dumps(group_to_json(make_cyclic(n))))
     assert main([arg.format(**paths) for arg in command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

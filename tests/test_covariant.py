@@ -70,8 +70,9 @@ def test_cov_norm_oracle(z4_quot, sign_char):
 
 def test_cov_norm_rejects_small_exponent(z4_quot, sign_char):
     psi = from_section((1 + 0j, 0j), sign_char, z4_quot)
-    with pytest.raises(ExponentError):
-        cov_norm(psi, 0.9)
+    for p in (0.9, math.inf, math.nan):
+        with pytest.raises(ExponentError):
+            cov_norm(psi, p)
 
 
 def test_covariance_residual_detects_perturbation(z4, z4_quot, sign_char):

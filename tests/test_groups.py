@@ -190,8 +190,9 @@ def test_lp_norm_oracle(z4):
     assert lp_norm(f, 1) == 7.0
     assert lp_norm(f, 2) == 5.0
     assert math.isclose(lp_norm(f, 3), 91.0 ** (1.0 / 3.0), rel_tol=1e-15)
-    with pytest.raises(ExponentError):
-        lp_norm(f, 0.5)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ExponentError):
+            lp_norm(f, p)
 
 
 def test_lp_norm_weight_length_mismatch(z4):

@@ -11,6 +11,7 @@ from covmod import (
     NormalityError,
     ValidationError,
     enumerate_characters,
+    heisenberg_finite,
     random_function,
     t_xi,
     weyl_heisenberg_finite,
@@ -67,6 +68,7 @@ def test_group_id_is_stable(z4, s3):
     assert group_id(z4) == "4e53267e8f572239"
     assert group_id(s3) == "ce2a909c88d6ef6a"
     assert group_id(weyl_heisenberg_finite(8, 8).product) == "954ccf0a4adc971d"
+    assert group_id(heisenberg_finite(3).product) == "aefd8c6b75b4b33a"
 
 
 def test_group_from_json_rejects_order_mismatch(z4):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from covmod import (
     lift_subgroup,
     make_character,
     make_cyclic,
+    make_from_table,
     make_subgroup,
     module_action,
     quotient,
@@ -87,6 +89,20 @@ def test_central_quotient_of_heis2_is_klein_four():
 def test_semidirect_rejects_non_bijective_row():
     with pytest.raises(ValidationError):
         semidirect(make_cyclic(2), make_cyclic(3), ((0, 1, 2), (0, 0, 2)))
+
+
+@pytest.mark.parametrize(
+    "action, where",
+    [
+        (((0, 1, 2), (0, 2.9, 1)), "entry (1,1)"),
+        (((0, 1, 2), (0, "2", 1)), "entry (1,1)"),
+        (((0, 1, 2), (True, 2, 1)), "entry (1,0)"),
+        (((0, 1, 2), 5), "row 1"),
+    ],
+)
+def test_semidirect_names_malformed_action_entries(action, where):
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        semidirect(make_cyclic(2), make_cyclic(3), action)
 
 
 def test_semidirect_rejects_non_multiplicative_row():
@@ -188,6 +204,22 @@ def test_fast_full_fiber_on_flip_group(flip):
             fast = conv_fast_full_k(flip, f, psi)
             slow = module_action(f, psi)
             assert section_residual(fast, slow) <= 1e-12
+
+
+def test_fast_full_fiber_with_identities_off_zero():
+    # the flip group again, with both identities at index 1, so that the
+    # anchor and output tables of conv_fast_full_k are not all zero
+    h = make_from_table([[1, 0], [0, 1]])
+    k = make_from_table([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    sd = semidirect(h, k, ((2, 1, 0), (0, 1, 2)))
+    lifted = lift_subgroup(sd, full_subgroup(sd.k))
+    q = quotient(sd.product, lifted)
+    rng = random.Random("moved")
+    for char in enumerate_characters(lifted):
+        for _ in range(10):
+            f = random_function(sd.product, rng)
+            psi = from_section(random_function(q.table, rng).values, char, q)
+            assert section_residual(conv_fast_full_k(sd, f, psi), module_action(f, psi)) <= 1e-12
 
 
 def test_fast_wh_full_fiber_kernel():

@@ -9,6 +9,7 @@ from covmod.verify import (
     check_fast_kernels,
     check_full_agreement,
     check_norm_bound,
+    check_pullback_shift,
     check_txi_homomorphism,
     run_verification,
 )
@@ -44,12 +45,21 @@ def test_nan_sections_fail_their_rows(corpus, monkeypatch, check):
 
 
 def test_fast_kernels_do_not_swallow_unexpected_errors(corpus, monkeypatch):
+    def broken(sd, f, psi):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(verify, "conv_fast_full_k", broken)
+    with pytest.raises(RuntimeError):
+        check_fast_kernels(corpus["WH(2,4)/K"], 42, 1)
+
+
+def test_pullback_shift_does_not_swallow_unexpected_errors(corpus, monkeypatch):
     def broken(sd):
         raise RuntimeError("shape probe failed")
 
     monkeypatch.setattr(verify, "_wh_parameters", broken)
     with pytest.raises(RuntimeError):
-        check_fast_kernels(corpus["WH(2,4)/K"], 42, 1)
+        check_pullback_shift(corpus["Heis2/center"], 42, 1)
 
 
 def test_characters_enumerated_once_per_subgroup(monkeypatch):
