@@ -134,7 +134,24 @@ def trivial_character(domain: FiniteGroup | Subgroup) -> Character:
 
 
 def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
-    """All characters of the domain, ordered lexicographically by phase vector.
+    """All characters of the domain, ordered lexicographically by phase vector."""
+    sub = _as_subgroup(domain)
+    if sub.order > ENUMERATION_LIMIT:
+        raise ResourceError(
+            f"character enumeration supports subgroups of order up to "
+            f"{ENUMERATION_LIMIT}, got {sub.order}"
+        )
+    den, phases = _character_phases(sub)
+    fractions = [Fraction(j, den) for j in range(den)]
+    return [
+        Character(sub, tuple(fractions[j] for j in row))
+        for row in sorted(map(tuple, phases.tolist()))
+    ]
+
+
+def _character_phases(sub: Subgroup) -> tuple[int, np.ndarray]:
+    """Every character of the subgroup in integer form: a common denominator
+    den and phases[c, i], the phase of character c at members[i] times den.
 
     A character is determined by its phases on a generating set, and each
     generator's phase must be a multiple of 1/order(generator).  Each member
@@ -142,14 +159,10 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     assignment gives all member phases at once, as an integer matrix product
     over the common denominator of the generator orders.  An assignment is
     kept only if it satisfies every (member, generator) edge, which makes it
-    a homomorphism, so each character comes out exactly once.
+    a homomorphism, so each character comes out exactly once.  The search
+    tries every assignment, so its cost is the product of the generator
+    orders; `enumerate_characters` caps the subgroup order for that reason.
     """
-    sub = _as_subgroup(domain)
-    if sub.order > ENUMERATION_LIMIT:
-        raise ResourceError(
-            f"character enumeration supports subgroups of order up to "
-            f"{ENUMERATION_LIMIT}, got {sub.order}"
-        )
     group = sub.parent
     ms = np.array(sub.members)
     gens = generating_set(group, sub.members)
@@ -168,12 +181,7 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
         phases = digits * (den // orders) @ exps.T % den        # phases[a, i]
         edges = phases[:, steps] == (phases[:, :, None] + phases[:, None, gen_slots]) % den
         found.append(phases[edges.all(axis=(1, 2))])
-
-    fractions = [Fraction(j, den) for j in range(den)]
-    return [
-        Character(sub, tuple(fractions[j] for j in row))
-        for row in sorted(map(tuple, np.concatenate(found).tolist()))
-    ]
+    return den, np.concatenate(found)
 
 
 def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Character:

@@ -1,13 +1,26 @@
 """Convolution on a group and its action on covariant functions.
 
-The generic kernels read the read-only value and section arrays as they are
-and gather from the group's int32 table: one contiguous row gather and one
-dot product per output point, so memory stays linear in the group order.
+`convolve` takes one of two routes, chosen from the group's structure alone.
+
+- The fiber-Fourier route serves a product H x| K built by `semidirect` whose
+  K is abelian.  It transforms both functions along K against K's character
+  table, takes one sum over H per character, and transforms back: |H|^2 |K|
+  work for the sum plus 3 |H| |K|^2 for the transforms, plus a table build
+  on the group's first convolution (`SemidirectSplit.fiber_tables`).
+- The table route serves every other group: groups read from a table
+  document, which carry no split, products with a non-abelian K, and plain
+  groups.  It reads the read-only value arrays as they are and gathers from
+  the group's int32 table: one contiguous row gather and one dot product per
+  output point, so memory stays linear in the group order.
+
+`module_action` and `full_module_action` always take the table route;
+`full_module_action` is the structure-blind |G|^2 reference by definition.
 Sums run in numpy's order: they match a left-to-right scalar sum to rounding.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -15,7 +28,7 @@ import numpy as np
 
 from .characters import Character
 from .covariant import CovariantFunction, t_xi
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, ValidationError
 from .groups import (
     FiniteGroup,
     GroupFunction,
@@ -53,11 +66,19 @@ def convolve(
     g: GroupFunction,
     measure: MeasureTriple | Sequence[float] | None = None,
 ) -> GroupFunction:
-    """(f * g)(x) = sum over y of w(y) * f(y) * g(y^-1 x), counting weights by default."""
+    """(f * g)(x) = sum over y of w(y) * f(y) * g(y^-1 x), counting weights by default.
+
+    A semidirect product with an abelian K takes the fiber-Fourier route;
+    every other group the table route.
+    """
     if f.group is not g.group:
         raise DomainMismatchError("cannot convolve functions on different groups")
-    group = f.group
-    out = _convolve_at(group, _weighted(f, measure), g.values, range(group.order))
+    group, wf = f.group, _weighted(f, measure)
+    split = group.split
+    if split is not None and split.k.is_abelian:
+        out = split.fiber_convolve(wf, g.values)
+    else:
+        out = _convolve_at(group, wf, g.values, range(group.order))
     return GroupFunction(group, out)
 
 
@@ -85,10 +106,15 @@ def full_module_action(
 ) -> GroupFunction:
     """The same action computed the structure-blind way: materialize and convolve.
 
-    This is the |G| squared reference path; `module_action` must agree with
-    it on every coset representative.
+    This is the |G| squared reference path, the table route on every group,
+    whatever its structure; `module_action` must agree with it on every
+    coset representative.
     """
-    return convolve(f, psi.full(), measure)
+    if f.group is not psi.group:
+        raise DomainMismatchError("function and covariant function live on different groups")
+    group = f.group
+    out = _convolve_at(group, _weighted(f, measure), psi.full().values, range(group.order))
+    return GroupFunction(group, out)
 
 
 def quotient_convolve(
@@ -113,6 +139,14 @@ def worst_of(residuals: Iterable[float], worst: float = 0.0) -> float:
         elif r != r:
             return r
     return worst
+
+
+def _require_tolerance(tol: float) -> None:
+    """Refuse a tolerance no residual can be judged against: a NaN one fails
+    every check, an infinite one passes every check, and a negative one fails
+    even an exact check.  Zero stays valid; exact checks use it."""
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and at least 0, got {tol!r}")
 
 
 def section_residual(a: CovariantFunction, b: CovariantFunction) -> float:
@@ -151,8 +185,9 @@ def verify_module_axioms(
     bilinearity in both arguments, and covariance of outputs.  The norm
     bound and the intertwining identity t_xi(f * g) = f acted on t_xi(g)
     have checks of their own in `covmod.verify`.  Zero trials yields an
-    empty, passing report.
+    empty, passing report; a NaN, infinite or negative `tol` is refused.
     """
+    _require_tolerance(tol)
     group = quot.parent
     rng = random.Random(f"{seed}:module-axioms")
     residuals: dict[str, list[float]] = {

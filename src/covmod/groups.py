@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from .semidirect import SemidirectSplit
 
 MAX_GROUP_ORDER = 1 << 20
 
@@ -75,7 +78,10 @@ class FiniteGroup:
 
     `table[x, y]` is the index of x*y and `inv[x]` the index of x^-1, both
     read-only arrays.  Groups compare equal when their orders, identities,
-    labels and tables agree, and hash by `fingerprint`.
+    labels and tables agree, and hash by `fingerprint`.  A product built by
+    `semidirect` also keeps its factors in `split`, which convolution reads;
+    it takes no part in equality, hashing or serialization, so a group read
+    back from its table is the same group without it.
     """
 
     order: int
@@ -83,6 +89,7 @@ class FiniteGroup:
     inv: np.ndarray = field(repr=False)
     identity: int
     labels: tuple[str, ...] | None = None
+    split: SemidirectSplit | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", *_frozen(np.ascontiguousarray(self.table, np.int32)))

@@ -34,6 +34,7 @@ from .convolution import (
     section_residual,
     verify_module_axioms,
     worst_of,
+    _require_tolerance,
 )
 from .covariant import CovariantFunction, cov_norm, from_section, project_trivial, t_xi
 from .errors import DomainMismatchError, ValidationError
@@ -553,10 +554,13 @@ def run_verification(
     """Run every check over the corpus and aggregate a pass/fail report.
 
     Checks that do not apply to an entry (semidirect-only checks on a plain
-    group) are skipped; the shear-group size grid is always exercised.
+    group) are skipped; the shear-group size grid is always exercised.  A
+    `tol` given in place of the defaults must be finite and at least 0.
     """
     if trials < 0:
         raise ValidationError(f"the trial count must be at least 0, got {trials}")
+    if tol is not None:
+        _require_tolerance(tol)
     if entries is None:
         entries = builtin_corpus()
     rows: list[dict] = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -43,6 +44,14 @@ def test_group_make_weyl_heisenberg(tmp_path):
     res = run("group", "make", "weyl-heisenberg", "2", "3")
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+def test_group_make_document_is_pinned(tmp_path):
+    # the semidirect split is not serialized: the bytes are the table's alone
+    out = tmp_path / "wh.json"
+    assert main(["group", "make", "weyl-heisenberg", "4", "4", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c953c7708447998386738622b2054669990f0940e6283ad2acaa73265de62dc4"
 
 
 def test_group_make_table_from_bare_array(tmp_path):
@@ -151,6 +160,14 @@ def test_verify_trial_count_must_not_be_negative(capsys):
     assert main(["verify", "--trials", "-3", "--corpus", "Z4/evens"]) == 2
     assert "trial count" in capsys.readouterr().err
     assert main(["verify", "--trials", "0", "--corpus", "Z4/evens"]) == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_refuses_a_tolerance_that_judges_nothing(capsys, tol):
+    assert main(["verify", "--tol", tol, "--trials", "1", "--corpus", "Z4/evens"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"got {float(tol)!r}" in out.err
 
 
 def test_verify_unknown_corpus_is_usage_error():

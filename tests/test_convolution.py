@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,17 +17,23 @@ from covmod import (
     full_module_action,
     group_center,
     make_cyclic,
+    make_from_table,
     module_action,
     project_trivial,
     quotient,
     quotient_convolve,
     random_function,
     section_residual,
+    semidirect,
+    symmetric_3,
     t_xi,
     trivial_character,
     verify_module_axioms,
     weyl_heisenberg_finite,
 )
+from covmod.convolution import _convolve_at
+from covmod.jsonio import group_from_json, group_to_json
+from covmod.verify import builtin_corpus
 
 
 def _max_gap(a: GroupFunction, b: GroupFunction) -> float:
@@ -182,3 +189,40 @@ def test_kernels_match_defining_sums(name, s3, a3):
             for r in quot.reps
         ]
         assert max(abs(a - b) for a, b in zip(acted.section, want)) <= 1e-12
+
+
+def _fiber_route_groups():
+    """Every semidirect product of the corpus, two larger shear groups, and
+    the flip group with both identities at index 1."""
+    groups = {e.name.split("/")[0]: e.group for e in builtin_corpus() if e.sd is not None}
+    for m in (4, 8):
+        groups[f"WH({m},{m})"] = weyl_heisenberg_finite(m, m).product
+    h = make_from_table([[1, 0], [0, 1]])
+    k = make_from_table([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    groups["flip, identities at 1"] = semidirect(h, k, ((2, 1, 0), (0, 1, 2))).product
+    return groups
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fiber_route_matches_the_table_route(weighted):
+    rng = random.Random(f"fiber-route:{weighted}")
+    for name, g in _fiber_route_groups().items():
+        f, h = random_function(g, rng), random_function(g, rng)
+        w = [rng.uniform(0.25, 4.0) for _ in range(g.order)] if weighted else None
+        wf = f.values if w is None else np.array(w) * f.values
+        want = _convolve_at(g, wf, h.values, range(g.order))
+        got = convolve(f, h, measure=w).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert "fiber_tables" in g.split.__dict__, name   # the route ran
+
+
+def test_groups_without_an_abelian_fiber_keep_the_table_route():
+    non_abelian = semidirect(make_cyclic(2), symmetric_3(), [list(range(6))] * 2).product
+    from_document = group_from_json(group_to_json(weyl_heisenberg_finite(4, 4).product))
+    rng = random.Random("table-route")
+    for g in (non_abelian, from_document):
+        f, h = random_function(g, rng), random_function(g, rng)
+        want = _convolve_at(g, f.values, h.values, range(g.order))
+        assert convolve(f, h).values.tobytes() == want.tobytes()
+    assert "fiber_tables" not in non_abelian.split.__dict__
+    assert from_document.split is None

@@ -71,6 +71,18 @@ def test_group_id_is_stable(z4, s3):
     assert group_id(heisenberg_finite(3).product) == "aefd8c6b75b4b33a"
 
 
+def test_semidirect_split_is_invisible_to_identity():
+    # the product keeps its factors for convolution; a group read back from
+    # its table has none, and is still the same group with the same document
+    g = heisenberg_finite(3).product
+    doc = group_to_json(g)
+    back = group_from_json(doc)
+    assert g.split is not None and back.split is None
+    assert back == g and hash(back) == hash(g)
+    assert back.fingerprint == g.fingerprint == "aefd8c6b75b4b33a"
+    assert group_to_json(back) == doc
+
+
 def test_group_from_json_rejects_order_mismatch(z4):
     doc = group_to_json(z4)
     doc["order"] = 5

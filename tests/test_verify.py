@@ -1,9 +1,10 @@
 import math
+import re
 
 import pytest
 
 import covmod
-from covmod import CovariantFunction, verify
+from covmod import CovariantFunction, ValidationError, verify_module_axioms, verify
 from covmod.verify import (
     builtin_corpus,
     check_fast_kernels,
@@ -60,6 +61,24 @@ def test_pullback_shift_does_not_swallow_unexpected_errors(corpus, monkeypatch):
     monkeypatch.setattr(verify, "_wh_parameters", broken)
     with pytest.raises(RuntimeError):
         check_pullback_shift(corpus["Heis2/center"], 42, 1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_a_tolerance_that_judges_nothing_is_refused(corpus, tol):
+    entry = corpus["Z4/evens"]
+    with pytest.raises(ValidationError, match=re.escape(repr(tol))):
+        run_verification([entry], trials=1, tol=tol)
+    with pytest.raises(ValidationError, match=re.escape(repr(tol))):
+        verify_module_axioms(entry.quot, entry.characters[0], trials=1, tol=tol)
+
+
+def test_zero_tolerance_stays_valid(corpus):
+    # the exact checks run at zero tolerance by default
+    entry = corpus["Z4/evens"]
+    assert verify_module_axioms(entry.quot, entry.characters[0], trials=1, tol=0.0)["tol"] == 0.0
+    report = run_verification([entry], trials=0, tol=0.0)
+    assert report["passed"]
+    assert {row["tol"] for row in report["checks"]} == {0.0}
 
 
 def test_characters_enumerated_once_per_subgroup(monkeypatch):
