@@ -21,6 +21,7 @@ from .errors import DomainMismatchError, ResourceError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _BLOCK,
     _frozen,
     element_orders,
     full_subgroup,
@@ -31,10 +32,6 @@ from .groups import (
 # Enumeration tries every phase assignment on a greedy generating set; this
 # cap keeps that search comfortably below a few seconds.
 ENUMERATION_LIMIT = 1024
-
-# Entries per block of the whole-array checks and of enumeration, so their
-# memory stays linear in the subgroup order.
-_BLOCK = 1 << 18
 
 
 def _as_subgroup(domain: FiniteGroup | Subgroup) -> Subgroup:
@@ -134,24 +131,7 @@ def trivial_character(domain: FiniteGroup | Subgroup) -> Character:
 
 
 def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
-    """All characters of the domain, ordered lexicographically by phase vector."""
-    sub = _as_subgroup(domain)
-    if sub.order > ENUMERATION_LIMIT:
-        raise ResourceError(
-            f"character enumeration supports subgroups of order up to "
-            f"{ENUMERATION_LIMIT}, got {sub.order}"
-        )
-    den, phases = _character_phases(sub)
-    fractions = [Fraction(j, den) for j in range(den)]
-    return [
-        Character(sub, tuple(fractions[j] for j in row))
-        for row in sorted(map(tuple, phases.tolist()))
-    ]
-
-
-def _character_phases(sub: Subgroup) -> tuple[int, np.ndarray]:
-    """Every character of the subgroup in integer form: a common denominator
-    den and phases[c, i], the phase of character c at members[i] times den.
+    """All characters of the domain, ordered lexicographically by phase vector.
 
     A character is determined by its phases on a generating set, and each
     generator's phase must be a multiple of 1/order(generator).  Each member
@@ -161,8 +141,14 @@ def _character_phases(sub: Subgroup) -> tuple[int, np.ndarray]:
     kept only if it satisfies every (member, generator) edge, which makes it
     a homomorphism, so each character comes out exactly once.  The search
     tries every assignment, so its cost is the product of the generator
-    orders; `enumerate_characters` caps the subgroup order for that reason.
+    orders; the subgroup order is capped for that reason.
     """
+    sub = _as_subgroup(domain)
+    if sub.order > ENUMERATION_LIMIT:
+        raise ResourceError(
+            f"character enumeration supports subgroups of order up to "
+            f"{ENUMERATION_LIMIT}, got {sub.order}"
+        )
     group = sub.parent
     ms = np.array(sub.members)
     gens = generating_set(group, sub.members)
@@ -180,8 +166,9 @@ def _character_phases(sub: Subgroup) -> tuple[int, np.ndarray]:
         digits = np.arange(start, min(start + block, count))[:, None] // radix % orders
         phases = digits * (den // orders) @ exps.T % den        # phases[a, i]
         edges = phases[:, steps] == (phases[:, :, None] + phases[:, None, gen_slots]) % den
-        found.append(phases[edges.all(axis=(1, 2))])
-    return den, np.concatenate(found)
+        found.extend(map(tuple, phases[edges.all(axis=(1, 2))].tolist()))
+    fractions = [Fraction(j, den) for j in range(den)]
+    return [Character(sub, tuple(fractions[j] for j in row)) for row in sorted(found)]
 
 
 def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Character:
@@ -205,12 +192,14 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
     image, ms = np.array(image), np.array(sub.members)
     if not np.array_equal(np.sort(image), ms):
         raise ValidationError("map is not a bijection of the subgroup onto itself")
-    table = sub.parent.table
-    mapped_product = image[np.searchsorted(ms, table[np.ix_(ms, ms)])]
-    failing = np.argwhere(mapped_product != table[np.ix_(image, image)])
-    if failing.size:
-        s, t = ms[failing[0]]
-        raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")
+    table, step = sub.parent.table, max(1, _BLOCK // len(ms))
+    for start in range(0, len(ms), step):
+        rows = slice(start, start + step)
+        mapped_product = image[np.searchsorted(ms, table[np.ix_(ms[rows], ms)])]
+        failing = np.argwhere(mapped_product != table[np.ix_(image[rows], image)])
+        if failing.size:
+            s, t = ms[start + failing[0, 0]], ms[failing[0, 1]]
+            raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")
     qs = tuple(char.phases[i] for i in np.searchsorted(ms, image).tolist())
     return Character(sub, qs)
 

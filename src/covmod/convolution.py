@@ -3,10 +3,11 @@
 `convolve` takes one of two routes, chosen from the group's structure alone.
 
 - The fiber-Fourier route serves a product H x| K built by `semidirect` whose
-  K is abelian.  It transforms both functions along K against K's character
-  table, takes one sum over H per character, and transforms back: |H|^2 |K|
-  work for the sum plus 3 |H| |K|^2 for the transforms, plus a table build
-  on the group's first convolution (`SemidirectSplit.fiber_tables`).
+  K is abelian.  It lays K out as a product of cyclic groups, transforms both
+  functions along K with `numpy.fft`, one cyclic axis at a time, takes one
+  sum over H per character, and transforms back: |H|^2 |K| work for the sum
+  plus O(|H| |K| log |K|) for the transforms, plus an integer table build on
+  the group's first convolution (`SemidirectSplit.fiber_tables`).
 - The table route serves every other group: groups read from a table
   document, which carry no split, products with a non-abelian K, and plain
   groups.  It reads the read-only value arrays as they are and gathers from

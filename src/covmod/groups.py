@@ -40,6 +40,10 @@ if TYPE_CHECKING:
 
 MAX_GROUP_ORDER = 1 << 20
 
+# Entries per block of the whole-array law checks and of character
+# enumeration, so their memory stays linear in the subgroup order.
+_BLOCK = 1 << 18
+
 
 def _check_order(order: int) -> None:
     if order < 1:
@@ -304,6 +308,56 @@ def element_orders(group: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
     return orders
 
 
+def cyclic_coordinates(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """An abelian group as a product of cyclic groups Z_d1 x ... x Z_dr.
+
+    Returns the orders d, each above 1, and coords[x, i], the coordinate of
+    x along factor i; x -> coords[x] is an isomorphism onto the product.
+    Greedy generators g_j need not be independent, so the first power
+    g_j^m_j inside the span of the earlier generators is written as a word
+    in them.  These relations span all relations among the g_j, and
+    unimodular column operations V that diagonalize their matrix (Smith's
+    reduction) send each exponent vector e of the spanning tree to
+    coordinates e V mod d.  The arithmetic is exact integer arithmetic.
+    """
+    gens = generating_set(group, range(group.order))
+    rel = np.zeros((len(gens), len(gens)), dtype=object)
+    for j, g in enumerate(gens):
+        spanned, exps = right_closure(group, gens[:j])
+        power, m = g, 1
+        while not spanned[power]:
+            power, m = group.table[power, g], m + 1
+        rel[j, :j], rel[j, j] = (-exps[power]).tolist(), m
+    d, cols = _diagonal_form(rel)
+    keep = d > 1
+    d, cols = d[keep], (cols[:, keep] % d[keep]).astype(np.int64)
+    return d, right_closure(group, gens)[1] @ cols % d
+
+
+def _diagonal_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|diagonal| of a nonsingular square integer matrix (object dtype) after
+    row and column operations, and the column operations as one unimodular
+    matrix.  Each pass moves the smallest nonzero entry left in the block to
+    the pivot and reduces its row and column by it; a nonzero remainder is
+    smaller, so the passes end."""
+    a, n = a.copy(), len(a)
+    cols = np.eye(n, dtype=object)
+    for t in range(n):
+        while True:
+            _, i, j = min((abs(a[i, j]), i, j) for i in range(t, n) for j in range(t, n) if a[i, j])
+            a[[t, i]] = a[[i, t]]
+            a[:, [t, j]], cols[:, [t, j]] = a[:, [j, t]], cols[:, [j, t]]
+            for i in range(t + 1, n):
+                a[i] -= a[i, t] // a[t, t] * a[t]
+            for j in range(t + 1, n):
+                q = a[t, j] // a[t, t]
+                a[:, j] -= q * a[:, t]
+                cols[:, j] -= q * cols[:, t]
+            if not (any(a[t + 1 :, t]) or any(a[t, t + 1 :])):
+                break
+    return np.abs(np.diagonal(a)).astype(np.int64), cols
+
+
 def _check_associative(group: FiniteGroup) -> None:
     """Light's test: check (x*y)*s == x*(y*s) for every x, y and each generator s.
 
@@ -410,13 +464,16 @@ def make_subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
     missing = index[~inside[group.inv[index]]]
     if missing.size:
         raise ValidationError(f"subgroup is missing the inverse of element {missing[0]}")
-    products = group.table[np.ix_(index, index)]
-    outside = np.argwhere(~inside[products])
-    if outside.size:
-        i, j = outside[0]
-        raise ValidationError(
-            f"subgroup is not closed: {ms[i]}*{ms[j]} = {products[i, j]} is not a member"
-        )
+    step = max(1, _BLOCK // len(ms))
+    for start in range(0, len(ms), step):
+        products = group.table[np.ix_(index[start : start + step], index)]
+        outside = np.argwhere(~inside[products])
+        if outside.size:
+            i, j = outside[0]
+            raise ValidationError(
+                f"subgroup is not closed: {ms[start + i]}*{ms[j]} = "
+                f"{products[i, j]} is not a member"
+            )
     return Subgroup(group, ms)
 
 

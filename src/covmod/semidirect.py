@@ -6,7 +6,10 @@ pair (h, k) is packed as index h * |K| + k.  Because every finite group is
 unimodular, the modulus of each theta[h] is identically 1; it is still kept
 explicit so the measure bookkeeping on products and their quotients stays
 visible.  The product group keeps its factors as a `SemidirectSplit`, which
-holds the fiber-Fourier convolution that `convolve` runs when K is abelian.
+holds the fiber-Fourier convolution that `convolve` runs when K is abelian:
+an FFT along each cyclic factor of K (Cooley-Tukey, the separation of
+variables of Maslen & Rockmore), one sum over H per character of K, and
+the inverse FFT.
 
 One family gets a dedicated constructor: the shear groups on
 Z_M x (Z_M x Z_R), where h shears the circle coordinate by (R / M) h times
@@ -24,6 +27,7 @@ by w; there is no per-element weighting to restore.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -31,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characters import Character, _character_phases, phase_to_complex
+from .characters import Character, phase_to_complex
 from .covariant import CovariantFunction
 from .errors import (
     DiscretizationError,
@@ -44,9 +48,7 @@ from .groups import (
     GroupFunction,
     QuotientGroup,
     Subgroup,
-    element_orders,
-    full_subgroup,
-    generating_set,
+    cyclic_coordinates,
     make_cyclic,
     make_product,
     make_subgroup,
@@ -70,47 +72,49 @@ class SemidirectSplit:
     def fiber_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tables of `fiber_convolve` for an abelian K, built on first use.
 
-        `chars[j, k]` = chi_j(k) over the characters chi_j of K,
-        `pulled[a, 0, j]` is the index of chi_j o theta_a, and
-        `steps[a, h, 0]` = a^-1 h, shaped so that gathering by both
-        broadcasts over (a, h, j).  Phases stay integers over one
-        denominator until they index the roots of unity.
+        K is laid out on the grid Z_d1 x ... x Z_dr of `cyclic_coordinates`:
+        `elem[c]` is the element at grid point c and `pos[k]` the flat grid
+        index of k.  The character omega of K is
+        chi_omega(c) = e(sum over i of omega_i c_i / d_i); the grid index of
+        chi_omega o theta_a is read off its phases on the unit vectors, as
+        integers over the exponent of K.  `twist[a, h, omega]` is the flat
+        index of (a^-1 h, chi_omega o theta_a) in an |H| x |K| array.
         """
         k = self.k
-        den, phases = _character_phases(full_subgroup(k))
-        # A character is fixed by its phases on generators, each a multiple
-        # of den / order: those multiples are the digits of a mixed-radix code.
-        gens = generating_set(k, range(k.order))
-        orders = element_orders(k, gens)
-        radix = np.prod(orders) // np.cumprod(orders)
-        unit = den // orders
-        slot = np.zeros(int(np.prod(orders)), dtype=np.intp)
-        slot[phases[:, gens] // unit @ radix] = np.arange(len(phases))
-        pulled = slot[phases[:, self.action[:, gens]] // unit @ radix].T   # pulled[a, j]
-        return _frozen(
-            _roots_of_unity(den)[phases],
-            pulled[:, None, :],
-            self.h.table[self.h.inv][:, :, None],
-        )
+        d, coords = cyclic_coordinates(k)
+        radix = np.prod(d) // np.cumprod(d)          # row-major strides of the grid
+        pos = coords @ radix
+        elem = np.empty(k.order, dtype=np.intp)
+        elem[pos] = np.arange(k.order)
+        exponent = math.lcm(*d.tolist())
+        unit = exponent // d
+        image = coords[self.action[:, elem[radix]]]  # image[a, j] = coords of theta_a(unit vector j)
+        phases = np.einsum("wi,aji->awj", coords[elem] * unit, image) % exponent
+        pulled = phases // unit @ radix              # pulled[a, omega]
+        steps = self.h.table[self.h.inv]             # steps[a, h] = a^-1 h
+        twist = steps[:, :, None] * k.order + pulled[:, None, :]
+        return _frozen(elem.reshape(tuple(d.tolist())), pos, twist)
 
     def fiber_convolve(self, wf: np.ndarray, v: np.ndarray) -> np.ndarray:
         """sum over y of wf(y) * v(y^-1 x) at every x of the product, for an abelian K.
 
-        With f^(a, j) = sum over k of f(a, k) chi_j(k), the transform along K,
+        With f^(a, omega) = sum over k of f(a, k) conj(chi_omega(k)), the
+        transform along K that `numpy.fft` takes one cyclic axis at a time,
         the convolution becomes one sum over H per character:
-        (f * v)^(h, j) = sum over a of f^(a, j) * v^(a^-1 h, chi_j o theta_a),
-        and (f * v)(h, k) = 1/|K| sum over j of (f * v)^(h, j) chi_j(k^-1).
-        Cost: |H|^2 |K| for the sum plus 3 |H| |K|^2 for the transforms.
-        The transforms are einsum loops, not BLAS products, which on complex
-        operands stalled for milliseconds on a two-CPU host.
+        (f * v)^(h, omega) = sum over a of f^(a, omega) * v^(a^-1 h, chi_omega o theta_a),
+        and the inverse transform returns f * v on the grid.  Cost: |H|^2 |K|
+        for the sum plus O(|H| |K| log |K|) for the transforms.
         """
-        chars, pulled, steps = self.fiber_tables
-        shape = (self.h.order, self.k.order)
-        f_hat = np.einsum("ak,jk->aj", wf.reshape(shape), chars)
-        v_hat = np.einsum("ak,jk->aj", v.reshape(shape), chars)
-        out_hat = np.einsum("aj,ahj->hj", f_hat, v_hat[steps, pulled])
-        out = np.einsum("hj,jk->hk", out_hat, chars)[:, self.k.inv]
-        return (out / self.k.order).ravel()
+        elem, pos, twist = self.fiber_tables
+        nh, nk = self.h.order, self.k.order
+        grid = np.concatenate((wf, v)).reshape(2, nh, nk).take(elem, axis=2)
+        for axis in range(2, grid.ndim):
+            grid = np.fft.fft(grid, axis=axis)
+        f_hat, v_hat = grid.reshape(2, nh, nk)
+        out = np.einsum("aj,ahj->hj", f_hat, v_hat.take(twist)).reshape(grid.shape[1:])
+        for axis in range(1, out.ndim):
+            out = np.fft.ifft(out, axis=axis)
+        return out.reshape(nh, nk).take(pos, axis=1).ravel()
 
 
 @dataclass(frozen=True)

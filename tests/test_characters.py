@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,30 @@ def test_pullback_by_group_automorphism(z4):
 def test_pullback_rejects_non_bijection(z4):
     with pytest.raises(ValidationError):
         pullback(enumerate_characters(z4)[1], [0, 0, 2, 3])
+
+
+def test_pullback_witness_does_not_depend_on_block_size(monkeypatch):
+    # swapping 4 and 5 keeps row 0 and 1*0 .. 1*2; 1*3 = 4 is sent to 5, not 1 + 3
+    char = enumerate_characters(make_cyclic(6))[1]
+    for block in (1, 6, 1 << 18):
+        monkeypatch.setattr(characters, "_BLOCK", block)
+        with pytest.raises(ValidationError) as err:
+            pullback(char, [0, 1, 2, 3, 5, 4])
+        assert str(err.value) == "map is not multiplicative at pair (1, 3)"
+
+
+def test_pullback_check_memory_is_linear():
+    # checking all 2**24 pairs at once peaked at 321 MB (tracemalloc)
+    z = make_cyclic(4096)
+    char = characters.Character(full_subgroup(z), tuple(F(j, 4096) for j in range(4096)))
+    tracemalloc.start()
+    try:
+        moved = pullback(char, range(4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert moved.phases == char.phases
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize(

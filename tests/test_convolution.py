@@ -18,6 +18,7 @@ from covmod import (
     group_center,
     make_cyclic,
     make_from_table,
+    make_product,
     module_action,
     project_trivial,
     quotient,
@@ -32,6 +33,7 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod.convolution import _convolve_at
+from covmod.groups import generating_set
 from covmod.jsonio import group_from_json, group_to_json
 from covmod.verify import builtin_corpus
 
@@ -191,29 +193,77 @@ def test_kernels_match_defining_sums(name, s3, a3):
         assert max(abs(a - b) for a, b in zip(acted.section, want)) <= 1e-12
 
 
+def _relabelled(group, order):
+    """`group` rebuilt by `make_from_table` with order[i] as element i."""
+    at = np.argsort(order)
+    return make_from_table(at[group.table[np.ix_(order, order)]].tolist())
+
+
+def _by_inversion(k):
+    """Z2 acting on an abelian K by k -> k^-1."""
+    return semidirect(make_cyclic(2), k, [list(range(k.order)), k.inv.tolist()]).product
+
+
 def _fiber_route_groups():
-    """Every semidirect product of the corpus, two larger shear groups, and
-    the flip group with both identities at index 1."""
+    """Every semidirect product of the corpus, larger shear groups, the flip
+    group with both identities at index 1, and K of every grid shape: trivial,
+    two axes under a trivial H, three axes, axes of mixed lengths, and a K
+    whose greedy generators are dependent."""
     groups = {e.name.split("/")[0]: e.group for e in builtin_corpus() if e.sd is not None}
-    for m in (4, 8):
+    for m in (4, 8, 16):
         groups[f"WH({m},{m})"] = weyl_heisenberg_finite(m, m).product
     h = make_from_table([[1, 0], [0, 1]])
     k = make_from_table([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
     groups["flip, identities at 1"] = semidirect(h, k, ((2, 1, 0), (0, 1, 2))).product
+    groups["trivial K"] = semidirect(make_cyclic(3), make_cyclic(1), [[0]] * 3).product
+    z2 = make_cyclic(2)
+    z3z2 = make_product(make_cyclic(3), z2)   # its grid Z2 x Z3 lists K in another order
+    groups["trivial H"] = semidirect(make_cyclic(1), z3z2, [list(range(6))]).product
+    # Z3 cycling the coordinates (a, b, c) of Z2^3, packed as 4a + 2b + c
+    cube = make_product(make_product(z2, z2), z2)
+    shift = [4 * (x & 1) + (x >> 1) for x in range(8)]
+    groups["Z3 on Z2^3"] = semidirect(
+        make_cyclic(3), cube, [list(range(8)), shift, [shift[x] for x in shift]]
+    ).product
+    groups["Z2 on Z6 x Z3"] = _by_inversion(make_product(make_cyclic(6), make_cyclic(3)))
+    # Z2 x Z4 with (1,1) at index 1 and (0,1) at 2: greedy generators [1, 2]
+    # of orders [4, 4] span a grid of 16 points over 8 elements
+    z2z4 = _relabelled(make_product(z2, make_cyclic(4)), [0, 5, 1, 2, 3, 4, 6, 7])
+    assert generating_set(z2z4, range(8)) == [1, 2]
+    groups["Z2 on Z2 x Z4, dependent generators"] = _by_inversion(z2z4)
     return groups
+
+
+def _assert_fiber_route_matches(name, g, rng, weighted):
+    f, h = random_function(g, rng), random_function(g, rng)
+    w = [rng.uniform(0.25, 4.0) for _ in range(g.order)] if weighted else None
+    wf = f.values if w is None else np.array(w) * f.values
+    want = _convolve_at(g, wf, h.values, range(g.order))
+    got = convolve(f, h, measure=w).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    assert "fiber_tables" in g.split.__dict__, name   # the route ran
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_fiber_route_matches_the_table_route(weighted):
     rng = random.Random(f"fiber-route:{weighted}")
     for name, g in _fiber_route_groups().items():
-        f, h = random_function(g, rng), random_function(g, rng)
-        w = [rng.uniform(0.25, 4.0) for _ in range(g.order)] if weighted else None
-        wf = f.values if w is None else np.array(w) * f.values
-        want = _convolve_at(g, wf, h.values, range(g.order))
-        got = convolve(f, h, measure=w).values
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
-        assert "fiber_tables" in g.split.__dict__, name   # the route ran
+        _assert_fiber_route_matches(name, g, rng, weighted)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_fiber_route_on_relabelled_products_of_cyclic_groups(orders, data):
+    k = make_cyclic(1)
+    for n in orders:
+        k = make_product(k, make_cyclic(n))
+    order = data.draw(st.permutations(range(k.order)))   # the identity can land anywhere
+    g = _by_inversion(_relabelled(k, order))
+    weighted = data.draw(st.booleans())
+    _assert_fiber_route_matches(orders, g, random.Random(str(orders)), weighted)
 
 
 def test_groups_without_an_abelian_fiber_keep_the_table_route():

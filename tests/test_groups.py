@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ from covmod import (
     project_trivial,
     trivial_character,
 )
-from covmod.groups import generating_set
+from covmod import groups
+from covmod.groups import cyclic_coordinates, generating_set
 from covmod.jsonio import (
     covariant_from_json,
     covariant_to_json,
@@ -130,11 +132,49 @@ def test_generating_set_is_greedy():
     assert generating_set(g, range(g.order)) == [1, 8, 64]
 
 
+def test_cyclic_coordinates_are_an_isomorphism():
+    # Z2 x Z4 with (1,1) at index 1 and (0,1) at 2, whose greedy generators
+    # [1, 2] both have order 4, so their exponents alone are not coordinates
+    z2z4, order = make_product(make_cyclic(2), make_cyclic(4)), [0, 5, 1, 2, 3, 4, 6, 7]
+    dependent = make_from_table(np.argsort(order)[z2z4.table[np.ix_(order, order)]].tolist())
+    shapes = {}
+    for name, g in [("Z1", make_cyclic(1)), ("Z12", make_cyclic(12)), ("Z2 x Z4", dependent),
+                    ("Z4 x Z4", weyl_heisenberg_finite(4, 4).k)]:
+        d, coords = cyclic_coordinates(g)
+        shapes[name] = sorted(d.tolist())
+        assert len(set(map(tuple, coords.tolist()))) == g.order == math.prod(d.tolist())
+        assert not ((coords[g.table] - coords[:, None] - coords) % d).any()   # additive
+    assert shapes == {"Z1": [], "Z12": [12], "Z2 x Z4": [2, 4], "Z4 x Z4": [4, 4]}
+
+
 def test_subgroup_requires_closure(z4):
     with pytest.raises(ValidationError):
         make_subgroup(z4, (0, 1, 2))
     with pytest.raises(ValidationError):
         make_subgroup(z4, (1, 3))
+
+
+def test_subgroup_closure_witness_does_not_depend_on_block_size(monkeypatch):
+    # row 0 closes; 2*3 = 5, in the second row, is the first product outside
+    # {0, 2, 3, 4}
+    z6 = make_cyclic(6)
+    for block in (1, 4, 1 << 18):
+        monkeypatch.setattr(groups, "_BLOCK", block)
+        with pytest.raises(ValidationError) as err:
+            make_subgroup(z6, (0, 2, 3, 4))
+        assert str(err.value) == "subgroup is not closed: 2*3 = 5 is not a member"
+
+
+def test_subgroup_closure_check_memory_is_linear():
+    # checking all 2**24 pairs at once peaked at 80 MB (tracemalloc)
+    g = weyl_heisenberg_finite(16, 16).product
+    tracemalloc.start()
+    try:
+        make_subgroup(g, range(g.order))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_subgroup_members_sorted(z4):
