@@ -158,8 +158,10 @@ def _cmd_norm(args) -> int:
 
 def _cmd_verify(args) -> int:
     entries = builtin_corpus()
-    if args.corpus:
-        wanted = [tok for tok in args.corpus.split(",") if tok.strip()]
+    if args.corpus is not None:
+        wanted = [tok.strip() for tok in args.corpus.split(",") if tok.strip()]
+        if not wanted:
+            raise CovmodError(f"--corpus {args.corpus!r} names no corpus entry")
         known = {e.name for e in entries}
         unknown = [name for name in wanted if name not in known]
         if unknown:

@@ -9,19 +9,20 @@ representatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .characters import Character
-from .errors import DomainMismatchError, ExponentError, IdentificationError
+from .errors import DomainMismatchError, IdentificationError
 from .groups import (
     FiniteGroup,
     GroupFunction,
     MeasureTriple,
     QuotientGroup,
+    _p_norms,
+    _require_exponent,
     _scaled,
     _vector,
     quotient,
@@ -57,10 +58,7 @@ class CovariantFunction:
 
     def full(self) -> GroupFunction:
         """Materialize the function on the whole group."""
-        q = self.quotient
-        # psi(r_i s_j) = xi(s_j) * section[i], laid out like q.grid
-        on_grid = self.section[:, None] * self.character.complex_values
-        return GroupFunction(q.parent, on_grid.take(q.grid_order))
+        return GroupFunction(self.group, _on_group(self.section, self.character, self.quotient))
 
     def __add__(self, other: "CovariantFunction") -> "CovariantFunction":
         if other.quotient is not self.quotient or other.character is not self.character:
@@ -100,14 +98,32 @@ def t_xi(
         quot = quotient(f.group, char.domain)
     elif not quot.normal.same_as(char.domain):
         raise DomainMismatchError("quotient was built for a different subgroup")
+    wN = None if measure is None else measure.wN
+    return CovariantFunction(quot, char, _averaged(f.values, char, quot, wN))
+
+
+def _averaged(
+    values: np.ndarray,
+    char: Character,
+    quot: QuotientGroup,
+    wN: np.ndarray | None = None,
+) -> np.ndarray:
+    """The sections of `t_xi` along the last axis of a (..., |G|) array."""
     weights = char.complex_values.conj()
-    if measure is not None:
-        weights *= measure.wN
+    if wN is not None:
+        weights = weights * wN
     # einsum, not a BLAS matrix-vector product: OpenBLAS splits a complex one
     # of 4096 entries or more across threads, and waking a second thread
     # costs more than the whole product.
-    section = np.einsum("ij,j->i", f.values[quot.grid], weights)
-    return CovariantFunction(quot, char, section)
+    return np.einsum("...ij,j->...i", values.take(quot.grid, axis=-1), weights)
+
+
+def _on_group(section: np.ndarray, char: Character, quot: QuotientGroup) -> np.ndarray:
+    """The values on the whole group of the sections along the last axis of a
+    (..., |G/N|) array: psi(r_i s_j) = xi(s_j) * section[i]."""
+    on_grid = section[..., :, None] * char.complex_values   # laid out like quot.grid
+    flat = on_grid.reshape(*section.shape[:-1], on_grid.shape[-2] * on_grid.shape[-1])
+    return flat.take(quot.grid_order, axis=-1)
 
 
 def from_section(
@@ -126,16 +142,13 @@ def cov_norm(
     covariant function itself; with counting weights it differs from the
     full-group p-norm exactly by the factor |N| ** (1/p).
     """
-    if not 1 <= p < math.inf:
-        raise ExponentError(f"norm exponent must be finite and at least 1, got {p}")
-    wQ = measure.wQ.tolist() if measure is not None else [1.0] * psi.quotient.order
-    if len(wQ) != psi.quotient.order:
+    _require_exponent(p)
+    wQ = None if measure is None else measure.wQ
+    if wQ is not None and wQ.size != psi.quotient.order:
         raise DomainMismatchError(
-            f"got {len(wQ)} quotient weights for {psi.quotient.order} cosets"
+            f"got {wQ.size} quotient weights for {psi.quotient.order} cosets"
         )
-    # Python's complex abs, not numpy's, which rounds some moduli differently
-    total = math.fsum(w * abs(v) ** p for w, v in zip(wQ, psi.section.tolist()))
-    return total ** (1.0 / p)
+    return float(_p_norms(psi.section, p, wQ))
 
 
 def project_trivial(psi: CovariantFunction) -> GroupFunction:

@@ -561,9 +561,14 @@ def weil_residual(f: GroupFunction, quot: QuotientGroup, measure: MeasureTriple)
     """|iterated coset sum - plain group sum| for one function and weight family."""
     if f.group is not quot.parent:
         raise DomainMismatchError("function lives on a different group")
-    outer = measure.wQ @ (f.values[quot.grid] @ measure.wN)
-    direct = measure.wG @ f.values
-    return abs(complex(outer - direct))
+    return float(_weil_gaps(f.values, quot, measure))
+
+
+def _weil_gaps(values: np.ndarray, quot: QuotientGroup, measure: MeasureTriple) -> np.ndarray:
+    """`weil_residual` along the last axis of a (..., |G|) array of values."""
+    inner = np.einsum("...ij,j->...i", values.take(quot.grid, axis=-1), measure.wN)
+    outer = np.einsum("...i,i->...", inner, measure.wQ)
+    return np.abs(outer - np.einsum("...j,j->...", values, measure.wG))
 
 
 def lp_norm(
@@ -572,13 +577,32 @@ def lp_norm(
     weights: MeasureTriple | Sequence[float] | None = None,
 ) -> float:
     """Weighted p-norm (sum of w * |f|^p) ** (1/p) over the group."""
+    _require_exponent(p)
+    w = None if weights is None else _group_weights(weights, f.group.order)
+    return float(_p_norms(f.values, p, w))
+
+
+def _require_exponent(p: float) -> None:
     if not 1 <= p < math.inf:
         raise ExponentError(f"norm exponent must be finite and at least 1, got {p}")
-    order = f.group.order
-    w = [1.0] * order if weights is None else _group_weights(weights, order).tolist()
-    # Python's complex abs, not numpy's, which rounds some moduli differently
-    total = math.fsum(wx * abs(v) ** p for wx, v in zip(w, f.values.tolist()))
-    return total ** (1.0 / p)
+
+
+def _p_norms(values: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.ndarray:
+    """(sum of w * |v| ** p) ** (1/p) along the last axis, counting weights by default.
+
+    The moduli are divided by their largest before the power and multiplied
+    back after the root, so the largest scales to exactly 1 and no exponent
+    takes the sum out of the float range (unscaled, |v| ** p leaves it from
+    p of about 1000 on).  A zero or non-finite largest modulus is left
+    unscaled, so a NaN or infinite value still gives a NaN or infinite norm.
+    """
+    mod = np.abs(values)
+    top = mod.max(axis=-1, keepdims=True)
+    scale = np.where((top > 0) & (top < math.inf), top, 1.0)
+    terms = (mod / scale) ** p
+    if weights is not None:
+        terms = terms * weights
+    return scale[..., 0] * terms.sum(axis=-1) ** (1.0 / p)
 
 
 def delta_function(group: FiniteGroup, at: int) -> GroupFunction:
@@ -591,21 +615,39 @@ def delta_function(group: FiniteGroup, at: int) -> GroupFunction:
 
 
 def random_function(group: FiniteGroup, rng: random.Random) -> GroupFunction:
-    """Standard complex Gaussian values drawn from the supplied PRNG, real part first.
+    """Standard complex Gaussian values drawn from the supplied PRNG, real part first."""
+    return GroupFunction(group, _complex_gaussians(rng, group.order))
 
-    The values are exactly those of `rng.gauss(0.0, 1.0)` called twice per
-    element, and the rng ends in the same state: each Box-Muller pair that
-    `gauss` computes from two `rng.random()` draws is taken here in one step.
-    A `gauss` value already cached in the rng is not consumed, so the stream
-    matches only where the caller has drawn `gauss` values in pairs.
+
+def _complex_gaussians(rng: random.Random, count: int) -> np.ndarray:
+    """`count` complex values, each exactly `complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))`.
+
+    The rng ends in the same state as after those `gauss` calls: each
+    Box-Muller pair that `gauss` computes from two `rng.random()` draws is
+    taken here in one step.  A `gauss` value already cached in the rng is not
+    consumed, so the stream matches only where the caller has drawn `gauss`
+    values in pairs.
     """
     uniform, tau = rng.random, math.tau
     cos, sin, log, sqrt = math.cos, math.sin, math.log, math.sqrt
     draws = []
-    for _ in range(group.order):
+    for _ in range(count):
         # as random.gauss: mu + z * sigma with mu = 0.0, sigma = 1.0
         x2pi = uniform() * tau
         g2rad = sqrt(-2.0 * log(1.0 - uniform()))
         draws.append(0.0 + cos(x2pi) * g2rad)
         draws.append(0.0 + sin(x2pi) * g2rad)
-    return GroupFunction(group, np.array(draws).view(complex))
+    return np.array(draws, dtype=float).view(complex)
+
+
+def _draws(rng: random.Random, trials: int, *sizes: int) -> list[np.ndarray]:
+    """One (trials, size) complex array per size, drawn trial by trial.
+
+    Within a trial the sizes are drawn in order, so the values and the rng's
+    final state are those of calling `random_function` on a group of each
+    size in turn, `trials` times over; a size of 1 stands for one
+    `complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))`.
+    """
+    width = sum(sizes)
+    block = _complex_gaussians(rng, trials * width).reshape(trials, width)
+    return np.split(block, np.cumsum(sizes)[:-1], axis=1)

@@ -96,25 +96,29 @@ class SemidirectSplit:
         return _frozen(elem.reshape(tuple(d.tolist())), pos, twist)
 
     def fiber_convolve(self, wf: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum over y of wf(y) * v(y^-1 x) at every x of the product, for an abelian K.
+        """sum over y of wf(y) * v(y^-1 x) at every x of the product, for an
+        abelian K, along the last axis of two (..., |H| |K|) arrays.
 
         With f^(a, omega) = sum over k of f(a, k) conj(chi_omega(k)), the
         transform along K that `numpy.fft` takes one cyclic axis at a time,
         the convolution becomes one sum over H per character:
         (f * v)^(h, omega) = sum over a of f^(a, omega) * v^(a^-1 h, chi_omega o theta_a),
         and the inverse transform returns f * v on the grid.  Cost: |H|^2 |K|
-        for the sum plus O(|H| |K| log |K|) for the transforms.
+        for the sum plus O(|H| |K| log |K|) for the transforms, which run
+        once per axis for every leading index together.
         """
         elem, pos, twist = self.fiber_tables
         nh, nk = self.h.order, self.k.order
-        grid = np.concatenate((wf, v)).reshape(2, nh, nk).take(elem, axis=2)
-        for axis in range(2, grid.ndim):
+        lead = wf.shape[:-1]
+        grid = np.stack((wf, v)).reshape(2, *lead, nh, nk).take(elem, axis=-1)
+        for axis in range(-elem.ndim, 0):
             grid = np.fft.fft(grid, axis=axis)
-        f_hat, v_hat = grid.reshape(2, nh, nk)
-        out = np.einsum("aj,ahj->hj", f_hat, v_hat.take(twist)).reshape(grid.shape[1:])
-        for axis in range(1, out.ndim):
+        f_hat, v_hat = grid.reshape(2, *lead, nh, nk)
+        v_twisted = v_hat.reshape(*lead, nh * nk).take(twist, axis=-1)
+        out = np.einsum("...aj,...ahj->...hj", f_hat, v_twisted).reshape(grid.shape[1:])
+        for axis in range(-elem.ndim, 0):
             out = np.fft.ifft(out, axis=axis)
-        return out.reshape(nh, nk).take(pos, axis=1).ravel()
+        return out.reshape(*lead, nh, nk).take(pos, axis=-1).reshape(*lead, nh * nk)
 
 
 @dataclass(frozen=True)
@@ -441,17 +445,27 @@ def conv_fast_full_k(
         raise DomainMismatchError("function does not live on the product group")
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    members, reps, twisted, h_step, anchor, out = sd.fiber_index
+    members, reps, *_ = sd.fiber_index
     _require_normal_members(psi, members, "the full K fiber")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with (h, 0)")
-    cvals = psi.character.complex_values  # indexed by K index: members are base + k in order
-    fv = f.values.reshape(sd.h.order, sd.k.order)
+    section = _full_k_sections(sd, f.values, psi.section, psi.character)
+    return CovariantFunction(psi.quotient, psi.character, section)
 
-    psi_h = cvals[anchor] * psi.section              # psi(h, e_K)
-    inner = fv @ np.conj(cvals)[twisted].T           # inner[h, a]
-    acc = (inner * psi_h[h_step]).sum(axis=0)        # acc[a]
-    return CovariantFunction(psi.quotient, psi.character, cvals[out] * acc)
+
+def _full_k_sections(
+    sd: SemidirectGroup, fv: np.ndarray, section: np.ndarray, char: Character
+) -> np.ndarray:
+    """`conv_fast_full_k` along the last axis of a (..., |G|) array of values
+    and a (..., |H|) array of sections."""
+    *_, twisted, h_step, anchor, out = sd.fiber_index
+    cvals = char.complex_values  # indexed by K index: members are base + k in order
+    fv = fv.reshape(fv.shape[:-1] + (sd.h.order, sd.k.order))
+
+    psi_h = cvals[anchor] * section                  # psi(h, e_K)
+    inner = fv @ np.conj(cvals)[twisted].T           # inner[..., h, a]
+    acc = (inner * psi_h[..., h_step]).sum(axis=-2)  # acc[..., a]
+    return cvals[out] * acc
 
 
 def conv_fast_wh_center(
@@ -469,18 +483,27 @@ def conv_fast_wh_center(
         raise DomainMismatchError("function does not live on the product group")
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    members, reps, phases, crow, w, shift, fold = _center_tables(m, r, n % r)
+    members, reps, phases, *_ = _center_tables(m, r, n % r)
     _require_normal_members(psi, members, "the central fiber")
     _require_phases(psi, phases, "central character index")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with t = 0")
-    f1 = f.values.reshape(m, m, r) @ crow   # f1[m', l']
+    section = _wh_center_sections(m, r, n, f.values, psi.section)
+    return CovariantFunction(psi.quotient, psi.character, section)
+
+
+def _wh_center_sections(m: int, r: int, n: int, fv: np.ndarray, section: np.ndarray) -> np.ndarray:
+    """`conv_fast_wh_center` on WH(m, r) along the last axis of a (..., |G|)
+    array of values and a (..., m^2) array of sections."""
+    *_, crow, w, shift, fold = _center_tables(m, r, n % r)
+    lead = fv.shape[:-1]
+    f1 = (fv.reshape(lead + (m, m, r)) @ crow).reshape(lead + (m * m,))   # f1[..., (m', l')]
 
     # With d = (l - l') mod m and the section psec[m, l] at (m, l, 0), the sum is
     # section[m, l] = sum over m', d of psec[m - m', d] * w[m', d] * f1[m', l - d],
     # one (m x m^2) by (m^2 x m) matrix product.
-    section = (psi.section.take(shift) * w).dot(f1.take(fold))
-    return CovariantFunction(psi.quotient, psi.character, section.ravel())
+    out = (section.take(shift, axis=-1) * w) @ f1.take(fold, axis=-1)
+    return out.reshape(lead + (m * m,))
 
 
 def conv_fast_wh_full(

@@ -130,6 +130,18 @@ def test_norm_prints_seventeen_digits(tmp_path, z4_file):
     assert res.stdout.strip() == "5"
 
 
+@pytest.mark.parametrize(
+    "values, p, expected",
+    [([2, 1, 0, 0.5], 2000, 2.0), ([1.41] * 4, 2100, 1.41 * 4.0 ** (1.0 / 2100))],
+)
+def test_norm_at_a_large_exponent(tmp_path, z4_file, values, p, expected):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"values": [[v, 0] for v in values]}))
+    res = run("norm", str(z4_file), str(f), "--p", str(p))
+    assert res.returncode == 0, res.stderr
+    assert math.isclose(float(res.stdout), expected, rel_tol=1e-15)
+
+
 def test_norm_exponent_must_be_finite(tmp_path, capsys, z4_file):
     f = tmp_path / "f.json"
     f.write_text(json.dumps({"values": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
@@ -168,6 +180,19 @@ def test_verify_refuses_a_tolerance_that_judges_nothing(capsys, tol):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"got {float(tol)!r}" in out.err
+
+
+@pytest.mark.parametrize("corpus", [",", " ", ""])
+def test_verify_empty_corpus_selection_is_usage_error(capsys, corpus):
+    assert main(["verify", "--corpus", corpus, "--trials", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "names no corpus entry" in out.err
+
+
+def test_verify_corpus_names_are_stripped(capsys):
+    assert main(["verify", "--corpus", "Z4/evens, S3/A3 ", "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["corpus"] == ["Z4/evens", "S3/A3"]
 
 
 def test_verify_unknown_corpus_is_usage_error():

@@ -68,6 +68,14 @@ def test_cov_norm_oracle(z4_quot, sign_char):
     assert rel <= 1e-12 * cov_norm(psi, 2)
 
 
+@pytest.mark.parametrize("p", [1100, 2000, 2100])
+def test_cov_norm_at_large_exponents(z4_quot, sign_char, p):
+    for v in (0.5, 1.41):
+        flat = from_section((v, v * 1j), sign_char, z4_quot)
+        assert math.isclose(cov_norm(flat, p), v * 2.0 ** (1.0 / p), rel_tol=1e-15)
+    assert cov_norm(from_section((2, 0.5), sign_char, z4_quot), p) == 2.0
+
+
 def test_cov_norm_rejects_small_exponent(z4_quot, sign_char):
     psi = from_section((1 + 0j, 0j), sign_char, z4_quot)
     for p in (0.9, math.inf, math.nan):

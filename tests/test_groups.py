@@ -235,6 +235,16 @@ def test_lp_norm_oracle(z4):
             lp_norm(f, p)
 
 
+@pytest.mark.parametrize("p", [1100, 2000, 2100])
+def test_lp_norm_at_large_exponents(z4, p):
+    # unscaled, 0.5 ** 1100 underflows to zero and 2.0 ** 2000 overflows;
+    # 1.41 is nearest 2 ** 0, so no power-of-two scale keeps 1.41 ** 2100 finite
+    for v in (0.5, 1.41):
+        flat = GroupFunction(z4, (v,) * 4)
+        assert math.isclose(lp_norm(flat, p), v * 4.0 ** (1.0 / p), rel_tol=1e-15)
+    assert lp_norm(GroupFunction(z4, (2, 1, 0, 0.5)), p) == 2.0
+
+
 def test_lp_norm_weight_length_mismatch(z4):
     f = delta_function(z4, 0)
     with pytest.raises(MeasureError):

@@ -1,10 +1,11 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 import covmod
-from covmod import CovariantFunction, ValidationError, verify_module_axioms, verify
+from covmod import ValidationError, verify_module_axioms, verify
 from covmod.verify import (
     builtin_corpus,
     check_fast_kernels,
@@ -33,23 +34,22 @@ def corpus():
     "check", [check_norm_bound, check_txi_homomorphism, check_full_agreement]
 )
 def test_nan_sections_fail_their_rows(corpus, monkeypatch, check):
-    original = verify.module_action
+    original = verify._module_action
 
-    def nan_action(f, psi, measure=None):
-        out = original(f, psi, measure)
-        return CovariantFunction(out.quotient, out.character, (complex("nan"),) * len(out.section))
+    def nan_action(*args):
+        return np.full_like(original(*args), complex("nan"))
 
-    monkeypatch.setattr(verify, "module_action", nan_action)
+    monkeypatch.setattr(verify, "_module_action", nan_action)
     row = check(corpus["S3/A3"], 42, 3)
     assert math.isnan(row["residual"]), row
     assert not row["passed"], row
 
 
 def test_fast_kernels_do_not_swallow_unexpected_errors(corpus, monkeypatch):
-    def broken(sd, f, psi):
+    def broken(*args):
         raise RuntimeError("kernel failed")
 
-    monkeypatch.setattr(verify, "conv_fast_full_k", broken)
+    monkeypatch.setattr(verify, "_full_k_sections", broken)
     with pytest.raises(RuntimeError):
         check_fast_kernels(corpus["WH(2,4)/K"], 42, 1)
 
@@ -100,6 +100,9 @@ def test_characters_enumerated_once_per_subgroup(monkeypatch):
     for row in report["checks"]:
         assert type(row["residual"]) is float, row
         assert type(row["passed"]) is bool, row
+        assert type(row["seconds"]) is float and row["seconds"] >= 0.0, row
+    assert type(report["seconds"]) is float
+    assert report["seconds"] >= sum(row["seconds"] for row in report["checks"])
 
 
 def test_public_names_resolve():
