@@ -4,9 +4,11 @@ The baseline is the path a consumer would take without exploiting
 covariance at all: materialize the covariant function on the whole group
 and convolve, at |G| squared scalar operations per call.  It is
 `full_module_action`, which takes the table route on every group by
-definition, never the fiber-Fourier route of `convolve`.  The per-coset
-action (|G| times |G/N| operations) is timed alongside for reference, and
-the closed-form shear-group kernels are the contenders.  Every kernel is
+definition, never the fiber-Fourier routes of `convolve` and
+`module_action`.  `module_action`, one value per coset, is timed alongside
+for reference (the per-coset column; on these products it takes the
+fiber-Fourier route), and the closed-form shear-group kernels are the
+contenders.  Every kernel is
 checked for agreement on the exact inputs being timed before any clock
 starts, so a reported speedup cannot come from a wrong answer.
 """

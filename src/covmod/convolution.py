@@ -1,38 +1,46 @@
 """Convolution on a group and its action on covariant functions.
 
-`convolve` takes one of two routes, chosen from the group's structure alone.
+`convolve` and `module_action` each take one of two routes, chosen from the
+structure alone.
 
 - The fiber-Fourier route serves a product H x| K built by `semidirect` whose
-  K is abelian.  It lays K out as a product of cyclic groups, transforms both
-  functions along K with `numpy.fft`, one cyclic axis at a time, takes one
-  sum over H per character, and transforms back: |H|^2 |K| work for the sum
-  plus O(|H| |K| log |K|) for the transforms, plus an integer table build on
-  the group's first convolution (`SemidirectSplit.fiber_tables`).
-- The table route serves every other group: groups read from a table
-  document, which carry no split, products with a non-abelian K, and plain
-  groups.  It reads the read-only value arrays as they are and gathers from
-  the group's int32 table: one contiguous row gather and one inner product
-  per output point, so memory stays linear in the group order.
+  K is abelian.  It lays K out as a product of cyclic groups and transforms
+  along K with `numpy.fft`, one cyclic axis at a time.  `convolve`
+  transforms both functions, takes one sum over H per character and
+  transforms back: |H|^2 |K| work for the sum plus O(|H| |K| log |K|) for
+  the transforms, plus an integer table build on the group's first
+  convolution (`SemidirectSplit.fiber_tables`).  `module_action` takes it
+  when N lies inside K: the transforms of psi and of the output vanish off
+  the |K/N| characters above xi o theta_h^-1 at each h, so psi's is built
+  from its section, the sum runs on those characters alone (|H|^2 |K/N|),
+  and the output is transformed back at the coset representatives only
+  (`semidirect.FiberAction`, whose tables are built on first use for each
+  quotient and character).
+- The table route serves every other group or quotient: groups read from a
+  table document, which carry no split, products with a non-abelian K,
+  plain groups, and normal subgroups outside K.  It reads the read-only
+  value arrays as they are and gathers from the group's int32 table: one
+  contiguous row gather and one inner product per output point, so memory
+  stays linear in the group order.
 
-`module_action` and `full_module_action` always take the table route;
-`full_module_action` is the structure-blind |G|^2 reference by definition.
-Sums run in numpy's order: they match a left-to-right scalar sum to rounding.
+`full_module_action` always takes the table route: it is the
+structure-blind |G|^2 reference by definition.  Sums run in numpy's order:
+they match a left-to-right scalar sum to rounding.
 
 Each public function checks its inputs and calls one private array function
-(`_convolved`, `_convolve_at`, `_covariance_gaps`, `_gaps`) with no trial
-axis; `module_action` runs `_convolve_at` on `psi.full()`, as
-`_module_action` does on the sections' values.  The array functions take
-values of shape (..., |G|) and sections of shape (..., |G/N|): any leading
-axes are trials, evaluated together, one numpy call per output point or
-transform rather than per trial.  `verify_module_axioms` and
-`covmod.verify` call them that way.
+(`_convolved`, `_module_action`, `_convolve_at`, `_covariance_gaps`,
+`_gaps`) with no trial axis.  The array functions take values of shape
+(..., |G|) and sections of shape (..., |G/N|): any leading axes are trials,
+evaluated together, one numpy call per output point or transform rather
+than per trial.  `verify_module_axioms` and `covmod.verify` call them that
+way.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -88,11 +96,26 @@ def _convolved(group: FiniteGroup, wf: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _module_action(
-    wf: np.ndarray, section: np.ndarray, char: Character, quot: QuotientGroup
+    wf: np.ndarray,
+    section: np.ndarray,
+    char: Character,
+    quot: QuotientGroup,
+    full: Callable[[], GroupFunction] | None = None,
 ) -> np.ndarray:
-    """`module_action` along the last axis of a (..., |G|) array of values
-    and a (..., |G/N|) array of sections, covariant for `char`."""
-    return _convolve_at(quot.parent, wf, _on_group(section, char, quot), quot.reps)
+    """`module_action` along the last axis of a (..., |G|) array of weighted
+    values and a (..., |G/N|) array of sections, covariant for `char`.
+
+    The fiber-Fourier route serves a quotient of H x| K with K abelian by
+    an N inside K; the table route every other quotient.  The table route
+    materializes psi on the whole group, through `full` when the caller
+    holds psi as a `CovariantFunction`, and gathers at the representatives.
+    """
+    route = quot.fiber_action
+    tables = None if route is None else route.tables(char)
+    if tables is not None:
+        return route.act(wf, section, tables)
+    values = _on_group(section, char, quot) if full is None else full().values
+    return _convolve_at(quot.parent, wf, values, quot.reps)
 
 
 def convolve(
@@ -118,13 +141,16 @@ def module_action(
     """Convolve a function against a covariant function, evaluated on representatives.
 
     The output is covariant for the same character, so only one value per
-    coset is computed; cost is |G| * |G/N| instead of |G| squared.
+    coset is computed.  On a quotient of H x| K with K abelian by an N
+    inside K, the fiber-Fourier route costs |H|^2 |K/N| for the sum, plus
+    O(|H| |K| log |K|) for transforming f and |H| |K/N|^2 for psi and the
+    output; on every other quotient the table route costs |G| * |G/N|.
     """
     if f.group is not psi.group:
         raise DomainMismatchError("function and covariant function live on different groups")
-    quot = psi.quotient
-    out = _convolve_at(f.group, _weighted(f, measure), psi.full().values, quot.reps)
-    return CovariantFunction(quot, psi.character, out)
+    quot, char = psi.quotient, psi.character
+    out = _module_action(_weighted(f, measure), psi.section, char, quot, psi.full)
+    return CovariantFunction(quot, char, out)
 
 
 def full_module_action(
@@ -225,8 +251,9 @@ def verify_module_axioms(
     bilinearity in both arguments, and covariance of outputs.  The norm
     bound and the intertwining identity t_xi(f * g) = f acted on t_xi(g)
     have checks of their own in `covmod.verify`.  All trials are drawn
-    first, in the order a trial-by-trial loop would draw them, and each law
-    is evaluated once over the trial axis.  Zero trials yields an empty,
+    first, in the order a trial-by-trial loop would draw them, and the laws
+    are evaluated over the trial axis in two module actions, each on a
+    stack of inputs.  Zero trials yields an empty,
     passing report; a NaN, infinite or negative `tol` is refused.
     """
     _require_tolerance(tol)
@@ -238,13 +265,16 @@ def verify_module_axioms(
         return _module_action(wf, section, char, quot)
 
     psi, chi = _averaged(h, char, quot), _averaged(k, char, quot)
-    acted = act(f, psi)
-    g_psi = act(g, psi)
+    # two actions, each over a stack of inputs, so each pays its fixed cost once
+    acted, g_psi, fg_psi, mixed_psi = act(
+        np.stack((f, g, _convolved(group, f, g), alpha * f + beta * g)), psi
+    )
+    f_g_psi, f_mixed, f_chi = act(f, np.stack((g_psi, alpha * psi + beta * chi, chi)))
     residuals = {
-        "associativity": _gaps(act(_convolved(group, f, g), psi), act(f, g_psi)),
+        "associativity": _gaps(fg_psi, f_g_psi),
         "bilinearity": np.concatenate((
-            _gaps(act(alpha * f + beta * g, psi), alpha * acted + beta * g_psi),
-            _gaps(act(f, alpha * psi + beta * chi), alpha * acted + beta * act(f, chi)),
+            _gaps(mixed_psi, alpha * acted + beta * g_psi),
+            _gaps(f_mixed, alpha * acted + beta * f_chi),
         )),
         "output_covariance": _covariance_gaps(_on_group(acted, char, quot), char),
     }

@@ -36,7 +36,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .semidirect import SemidirectSplit
+    from .semidirect import FiberAction, SemidirectSplit
 
 MAX_GROUP_ORDER = 1 << 20
 
@@ -187,6 +187,14 @@ class QuotientGroup:
         index puts grid-shaped values back in element order."""
         return _frozen(np.argsort(self.grid, axis=None))[0]
 
+    @cached_property
+    def fiber_action(self) -> FiberAction | None:
+        """The tables of the module action's fiber-Fourier route over this
+        quotient, or None where it does not apply (`SemidirectSplit.fiber_action`).
+        Built on first use and freed with the quotient."""
+        split = self.parent.split
+        return None if split is None else split.fiber_action(self)
+
 
 def _scaled(scalar: complex, values: np.ndarray) -> np.ndarray:
     """scalar * values, rounded as Python's complex product: numpy's may fuse a
@@ -288,13 +296,22 @@ def right_closure(
 
 
 def generating_set(group: FiniteGroup, members: Iterable[int]) -> list[int]:
-    """Greedy generators of `members`: each is the smallest member not yet generated."""
+    """Greedy generators of `members`: each is the smallest member not yet generated.
+
+    Each new generator extends the subgroup already reached, walking on
+    from all of it by right multiplication, so no closure starts over.
+    """
     ms = np.unique(np.fromiter(members, dtype=np.intp))
     gens: list[int] = []
-    reached, _ = right_closure(group, gens)
+    reached = np.zeros(group.order, dtype=bool)
+    reached[group.identity] = True
     while not reached[ms].all():
         gens.append(int(ms[reached[ms].argmin()]))
-        reached, _ = right_closure(group, gens)
+        cols, frontier = np.array(gens), np.flatnonzero(reached)
+        while frontier.size:
+            step = group.table[frontier[:, None], cols].ravel()
+            frontier = np.unique(step[~reached[step]])
+            reached[frontier] = True
     return gens
 
 

@@ -9,7 +9,9 @@ visible.  The product group keeps its factors as a `SemidirectSplit`, which
 holds the fiber-Fourier convolution that `convolve` runs when K is abelian:
 an FFT along each cyclic factor of K (Cooley-Tukey, the separation of
 variables of Maslen & Rockmore), one sum over H per character of K, and
-the inverse FFT.
+the inverse FFT.  `FiberAction` runs the module action the same way for a
+normal subgroup inside K, on the characters above the covariance
+character only.
 
 One family gets a dedicated constructor: the shear groups on
 Z_M x (Z_M x Z_R), where h shears the circle coordinate by (R / M) h times
@@ -28,6 +30,7 @@ by w; there is no per-element weighting to restore.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -49,6 +52,7 @@ from .groups import (
     QuotientGroup,
     Subgroup,
     cyclic_coordinates,
+    generating_set,
     make_cyclic,
     make_product,
     make_subgroup,
@@ -69,16 +73,19 @@ class SemidirectSplit:
     action: np.ndarray
 
     @cached_property
-    def fiber_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tables of `fiber_convolve` for an abelian K, built on first use.
+    def dual_grid(self) -> tuple:
+        """K on a grid of cyclic axes and H acting on K's characters, for an
+        abelian K; built on first use, in integer arithmetic.
 
         K is laid out on the grid Z_d1 x ... x Z_dr of `cyclic_coordinates`:
-        `elem[c]` is the element at grid point c and `pos[k]` the flat grid
-        index of k.  The character omega of K is
-        chi_omega(c) = e(sum over i of omega_i c_i / d_i); the grid index of
-        chi_omega o theta_a is read off its phases on the unit vectors, as
-        integers over the exponent of K.  `twist[a, h, omega]` is the flat
-        index of (a^-1 h, chi_omega o theta_a) in an |H| x |K| array.
+        `coords[k]` is the grid point of k, `elem[c]` the element at flat
+        (row-major) grid index c and `pos[k]` the flat grid index of k.  The
+        character omega of K is chi_omega(c) = e(sum over i of omega_i c_i / d_i),
+        indexed by flat grid index like the elements.  With E the exponent of
+        K, `dual[omega]` holds the omega_i E / d_i, so chi_omega(k) is the
+        E-th root of unity `dual[omega] @ coords[k]` mod E.  `pulled[a, omega]`
+        is the index of chi_omega o theta_a, read off its phases on the unit
+        vectors.  Returns (d, coords, elem, pos, dual, E, pulled).
         """
         k = self.k
         d, coords = cyclic_coordinates(k)
@@ -88,12 +95,37 @@ class SemidirectSplit:
         elem[pos] = np.arange(k.order)
         exponent = math.lcm(*d.tolist())
         unit = exponent // d
+        dual = coords[elem] * unit
         image = coords[self.action[:, elem[radix]]]  # image[a, j] = coords of theta_a(unit vector j)
-        phases = np.einsum("wi,aji->awj", coords[elem] * unit, image) % exponent
+        phases = np.einsum("wi,aji->awj", dual, image) % exponent
         pulled = phases // unit @ radix              # pulled[a, omega]
+        return (d.tolist(), *_frozen(coords, elem, pos, dual), exponent, *_frozen(pulled))
+
+    @cached_property
+    def fiber_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tables of `fiber_convolve`, built on first use: `elem` and `pos` of
+        `dual_grid`, and `twist[a, h, omega]`, the flat index of
+        (a^-1 h, chi_omega o theta_a) in an |H| x |K| array."""
+        _, _, elem, pos, _, _, pulled = self.dual_grid
         steps = self.h.table[self.h.inv]             # steps[a, h] = a^-1 h
-        twist = steps[:, :, None] * k.order + pulled[:, None, :]
-        return _frozen(elem.reshape(tuple(d.tolist())), pos, twist)
+        twist = steps[:, :, None] * self.k.order + pulled[:, None, :]
+        return (elem, pos, *_frozen(twist))
+
+    def transform(self, grid: np.ndarray, fft=np.fft.fft) -> np.ndarray:
+        """`fft` (or `numpy.fft.ifft`) along each cyclic axis of K, over the
+        last axis of a (..., |K|) array in flat grid order.
+
+        Each transform runs along the last axis of a contiguous array, and
+        its output is copied with that axis moved in front of the others, so
+        r transforms leave the grid in its own order: numpy's transform is
+        several times slower along an inner or strided axis of many short
+        lines.
+        """
+        rows, nk = math.prod(grid.shape[:-1]), grid.shape[-1]
+        out = grid
+        for size in reversed(self.dual_grid[0]):
+            out = np.ascontiguousarray(fft(out.reshape(rows, nk // size, size)).swapaxes(1, 2))
+        return out.reshape(grid.shape)
 
     def fiber_convolve(self, wf: np.ndarray, v: np.ndarray) -> np.ndarray:
         """sum over y of wf(y) * v(y^-1 x) at every x of the product, for an
@@ -111,14 +143,119 @@ class SemidirectSplit:
         nh, nk = self.h.order, self.k.order
         lead = wf.shape[:-1]
         grid = np.stack((wf, v)).reshape(2, *lead, nh, nk).take(elem, axis=-1)
-        for axis in range(-elem.ndim, 0):
-            grid = np.fft.fft(grid, axis=axis)
-        f_hat, v_hat = grid.reshape(2, *lead, nh, nk)
+        f_hat, v_hat = self.transform(grid)
         v_twisted = v_hat.reshape(*lead, nh * nk).take(twist, axis=-1)
-        out = np.einsum("...aj,...ahj->...hj", f_hat, v_twisted).reshape(grid.shape[1:])
-        for axis in range(-elem.ndim, 0):
-            out = np.fft.ifft(out, axis=axis)
-        return out.reshape(*lead, nh, nk).take(pos, axis=-1).reshape(*lead, nh * nk)
+        out = np.einsum("...aj,...ahj->...hj", f_hat, v_twisted)
+        return self.transform(out, np.fft.ifft).take(pos, axis=-1).reshape(*lead, nh * nk)
+
+    def fiber_action(self, quot: QuotientGroup) -> FiberAction | None:
+        """The module action's tables over `quot`, a quotient of this product,
+        when K is abelian and the normal subgroup lies in the K fiber;
+        otherwise None.  `QuotientGroup.fiber_action` keeps the result."""
+        nh, nk = self.h.order, self.k.order
+        members = np.array(quot.normal.members) - self.h.identity * nk
+        if not self.k.is_abelian or members[0] < 0 or members[-1] >= nk:
+            return None
+        # the coset of (h, k) is (h, kN): its representative is (h, r) for the
+        # same representatives r of K / N at every h
+        reps = np.array(quot.reps).reshape(nh, -1) - nk * np.arange(nh)[:, None]
+        if not (reps == reps[0]).all():
+            return None
+        return FiberAction(self, members, reps[0])
+
+
+class FiberAction:
+    """The module action of L^1(G) on xi-covariant functions, G = H x| K
+    with K abelian and N inside K, through the characters of K: the tables
+    for one quotient G / N, and for each character as it is first used.
+
+    Since (h, k)(e, s) = (h, k theta_h(s)), a xi-covariant psi has
+    psi(h, .) covariant on K for xi o theta_h^-1 (Mackey's analysis of group
+    extensions).  Its transform along K, psi^(h, omega) = sum over k of
+    psi(h, k) conj(chi_omega(k)), vanishes except on the |K/N| characters
+    S_h = (chi_omega0 o theta_h^-1) N^perp, omega0 any one extension of xi
+    and N^perp the characters trivial on N, where it is
+    psi^(h, omega) = |N| sum over r of psi(h, r) conj(chi_omega(r)) over the
+    representatives r of K / N.  So is the transform of f * psi, which the
+    sum of `SemidirectSplit.fiber_convolve` gives on S_h alone, in
+    |H|^2 |K/N| work; the inverse transform is taken at the representatives
+    only.  Writing omega in S_h as sigma_h nu with nu in N^perp splits every
+    character table into an |H| x |K/N| part for xi and an |K/N| x |K/N|
+    part for N, and chi_omega o theta_a keeps the nu part's slot up to a
+    permutation of N^perp that depends on a alone.  Every table is built in
+    integer arithmetic, then read off exact roots of unity.
+    """
+
+    def __init__(self, split: SemidirectSplit, members: np.ndarray, reps: np.ndarray) -> None:
+        _, coords, elem, pos, dual, exponent, pulled = split.dual_grid
+        nh, nkn = split.h.order, reps.size
+        gens = generating_set(split.k, members)
+        roots = _roots_of_unity(exponent)
+        on_gens = dual @ coords[gens].T % exponent     # phases of each chi_omega on N's generators
+        perp = np.flatnonzero(~on_gens.any(axis=1))
+        table = dual[perp] @ coords[reps].T            # chi_nu(r) for nu in N^perp, over E
+        perm = np.searchsorted(perp, pulled[:, perp])  # chi_nu o theta_a = the perm[a, nu]-th of N^perp
+        steps = split.h.table[split.h.inv]             # steps[a, h] = a^-1 h
+        self.split, self.roots, self.elem = split, roots, elem
+        self.gen_slots = np.searchsorted(members, gens).tolist()
+        self.on_gens, self.perp, self.member_coords, self.rep_coords = _frozen(
+            on_gens, perp, coords[members].T, coords[reps].T
+        )
+        self.forward, self.inverse, self.twist = _frozen(
+            members.size * roots[-table % exponent].T,
+            roots[table % exponent] / split.k.order,
+            (steps[:, :, None] * nkn + perm[:, None, :]).reshape(nh, nh * nkn),
+        )
+        self._by_character: dict[int, tuple[weakref.ref, tuple | None]] = {}
+
+    def tables(self, char: Character) -> tuple | None:
+        """The tables for `char`, built on its first use with this quotient:
+        the flat grid index of each (h, omega in S_h), and conj(chi_sigma_h(r))
+        with its conjugate.  None when `char` is not a character of N, so no
+        character of K extends it.  They are kept by the character's
+        identity, not its phases, until the character or the quotient goes."""
+        key = id(char)
+        entry = self._by_character.get(key)
+        if entry is None or entry[0]() is not char:
+            cache = self._by_character
+            alive = weakref.ref(char, lambda _: cache.pop(key, None))
+            entry = cache[key] = (alive, self._character_tables(char))
+        return entry[1]
+
+    def _character_tables(self, char: Character) -> tuple | None:
+        split = self.split
+        _, _, _, pos, dual, exponent, pulled = split.dual_grid
+        target = []
+        for slot in self.gen_slots:
+            q = char.phases[slot]
+            if exponent % q.denominator:
+                return None
+            target.append(q.numerator * (exponent // q.denominator))
+        found = np.flatnonzero((self.on_gens == target).all(axis=1))
+        # exact: both sides are phase_to_complex of equal fractions
+        if not found.size or not np.array_equal(
+            self.roots[dual[found[0]] @ self.member_coords % exponent], char.complex_values
+        ):
+            return None
+        sigma = pulled[split.h.inv, found[0]]           # sigma[h] = chi_omega0 o theta_h^-1
+        product = split.k.table[self.elem[sigma][:, None], self.elem[self.perp]]
+        support = pos[product].ravel()                  # grid index of sigma_h nu
+        phase = self.roots[-(dual[sigma] @ self.rep_coords) % exponent]
+        return _frozen(support, phase, phase.conj())
+
+    def act(self, wf: np.ndarray, section: np.ndarray, tables: tuple) -> np.ndarray:
+        """The module action's sections along the last axis of a (..., |G|)
+        array of weighted values and a (..., |G/N|) array of sections."""
+        support, phase, unphase = tables
+        split = self.split
+        nh, nk, nkn = split.h.order, split.k.order, self.perp.size
+        grid = wf.reshape(*wf.shape[:-1], nh, nk).take(self.elem, axis=-1)
+        f_hat = split.transform(grid).take(support, axis=-1)    # f^(a, omega) at [..., a, (h, omega)]
+        on_cosets = (section.reshape(-1, nh, nkn) * phase).reshape(-1, nkn)
+        psi_hat = (on_cosets @ self.forward).reshape(section.shape)
+        out_hat = np.einsum("...ax,...ax->...x", f_hat, psi_hat.take(self.twist, axis=-1))
+        out = out_hat.reshape(-1, nkn) @ self.inverse
+        return (out.reshape(-1, nh, nkn) * unphase).reshape(*out_hat.shape)
 
 
 @dataclass(frozen=True)

@@ -365,7 +365,9 @@ def check_trivial_identification(entry: CorpusEntry, seed: int, trials: int, tol
 
 
 def check_full_agreement(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:
-    """The per-representative action equals the structure-blind convolution."""
+    """The per-representative action equals the structure-blind convolution:
+    on a quotient of H x| K by an N inside K with K abelian, this checks the
+    fiber-Fourier route against the table route."""
     group, quot = entry.group, entry.quot
 
     def evaluate(char: Character, f: np.ndarray, psi: np.ndarray) -> np.ndarray:

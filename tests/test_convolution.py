@@ -19,6 +19,7 @@ from covmod import (
     make_cyclic,
     make_from_table,
     make_product,
+    make_subgroup,
     module_action,
     project_trivial,
     quotient,
@@ -32,8 +33,9 @@ from covmod import (
     verify_module_axioms,
     weyl_heisenberg_finite,
 )
-from covmod.convolution import _convolve_at
-from covmod.groups import generating_set
+from covmod.convolution import _convolve_at, _module_action
+from covmod.covariant import _on_group
+from covmod.groups import _draws, generating_set, right_closure
 from covmod.jsonio import group_from_json, group_to_json
 from covmod.verify import builtin_corpus
 
@@ -264,6 +266,28 @@ def test_fiber_route_on_relabelled_products_of_cyclic_groups(orders, data):
     g = _by_inversion(_relabelled(k, order))
     weighted = data.draw(st.booleans())
     _assert_fiber_route_matches(orders, g, random.Random(str(orders)), weighted)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_module_action_route_on_relabelled_products_of_cyclic_groups(orders, data):
+    k = make_cyclic(1)
+    for n in orders:
+        k = make_product(k, make_cyclic(n))
+    k = _relabelled(k, data.draw(st.permutations(range(k.order))))
+    g = _by_inversion(k)
+    # inversion keeps every subgroup of K, so the one generated by x is normal
+    x = data.draw(st.integers(min_value=0, max_value=k.order - 1))
+    normal = make_subgroup(g, np.flatnonzero(right_closure(k, [x])[0]).tolist())
+    quot = quotient(g, normal)
+    char = data.draw(st.sampled_from(enumerate_characters(normal)))
+    assert quot.fiber_action.tables(char) is not None
+    f, s = _draws(random.Random(str(orders)), 2, g.order, quot.order)
+    want = _convolve_at(g, f, _on_group(s, char, quot), quot.reps)
+    assert np.abs(_module_action(f, s, char, quot) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_groups_without_an_abelian_fiber_keep_the_table_route():

@@ -1,0 +1,201 @@
+"""The module action's fiber-Fourier route against the table route.
+
+On a quotient of H x| K with K abelian by an N inside K, `module_action`
+works through the characters of K above xi; `_convolve_at` at the coset
+representatives is the table route it must agree with, to 1e-12 relative,
+over a leading trial axis of 0, 1 and 3 trials.
+"""
+
+import gc
+import random
+import weakref
+from fractions import Fraction
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from covmod import (
+    Character,
+    enumerate_characters,
+    from_section,
+    full_module_action,
+    lift_subgroup,
+    make_character,
+    make_cyclic,
+    make_from_table,
+    make_product,
+    make_subgroup,
+    module_action,
+    quotient,
+    random_function,
+    semidirect,
+    symmetric_3,
+    weil_measure,
+    weyl_heisenberg_finite,
+)
+from covmod.convolution import _convolve_at, _module_action
+from covmod.covariant import _on_group
+from covmod.groups import _draws
+from covmod.verify import FAST_GRID, builtin_corpus
+
+TRIALS = (0, 1, 3)
+
+
+def _s3_on_v4():
+    """S3 permuting the three nonzero elements of Z2 x Z2: a non-abelian H,
+    and a K on two cyclic axes."""
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    perms = sorted(permutations(range(3)))
+    return semidirect(symmetric_3(), v4, [[0] + [p[i] + 1 for i in range(3)] for p in perms])
+
+
+def _flip_with_identities_at_1():
+    h = make_from_table([[1, 0], [0, 1]])
+    k = make_from_table([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    return semidirect(h, k, ((2, 1, 0), (0, 1, 2)))
+
+
+def _cases():
+    """(name, split product, members of N in K) for every quotient tested."""
+    for entry in builtin_corpus():
+        if entry.sd is not None:
+            yield entry.name, entry.sd, entry.normal_in_k.members
+    for m, r in FAST_GRID:
+        sd = weyl_heisenberg_finite(m, r)
+        yield f"WH({m},{r})/center", sd, range(r)
+        yield f"WH({m},{r})/K", sd, range(m * r)
+    s3v4 = _s3_on_v4()
+    yield "S3 x| V4 / K", s3v4, range(4)
+    yield "S3 x| V4 / e", s3v4, [0]
+    wh44 = weyl_heisenberg_finite(4, 4)
+    yield "WH(4,4)/e", wh44, [0]                      # |K/N| = |K|
+    yield "WH(4,4)/K", wh44, range(16)                # N = K
+    yield "WH(2,4)/{(0,0),(0,2)}", weyl_heisenberg_finite(2, 4), [0, 2]
+    flip = _flip_with_identities_at_1()
+    yield "flip, identities at 1 / K", flip, range(3)
+    yield "flip, identities at 1 / e", flip, [1]
+
+
+CASES = list(_cases())
+
+
+def _close(got: np.ndarray, want: np.ndarray, what: str) -> None:
+    assert got.shape == want.shape, what
+    if want.size:
+        scale = max(float(np.abs(want).max()), 1e-300)
+        assert float(np.abs(got - want).max()) <= 1e-12 * scale, what
+
+
+def _quotient(sd, members):
+    normal = lift_subgroup(sd, make_subgroup(sd.k, list(members)))
+    return normal, quotient(sd.product, normal)
+
+
+@pytest.mark.parametrize("name, sd, members", CASES, ids=[c[0] for c in CASES])
+def test_route_matches_the_table_route(name, sd, members):
+    normal, quot = _quotient(sd, members)
+    group = sd.product
+    route = quot.fiber_action
+    assert route is not None, name
+    rng = random.Random(f"fiber-action:{name}")
+    for char in enumerate_characters(normal):
+        assert route.tables(char) is not None, name
+        for trials in TRIALS:
+            f, s = _draws(rng, trials, group.order, quot.order)
+            want = _convolve_at(group, f, _on_group(s, char, quot), quot.reps)
+            _close(_module_action(f, s, char, quot), want, f"{name}, {trials} trials")
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0), (2.5, 0.5)])
+def test_route_under_a_measure(scales):
+    sd = weyl_heisenberg_finite(2, 4)
+    normal, quot = _quotient(sd, range(4))
+    group = sd.product
+    rng = random.Random(f"fiber-measure:{scales}")
+    explicit = [rng.uniform(0.25, 4.0) for _ in range(group.order)]
+    for measure in (weil_measure(group, normal, quot, *scales), explicit):
+        for char in enumerate_characters(normal):
+            f = random_function(group, rng)
+            psi = from_section(random_function(quot.table, rng).values, char, quot)
+            want = full_module_action(f, psi, measure).values[list(quot.reps)]
+            _close(module_action(f, psi, measure).section, want, f"{scales}")
+
+
+def test_tables_are_lazy_cached_and_freed_with_the_quotient():
+    sd = weyl_heisenberg_finite(4, 4)
+    normal, quot = _quotient(sd, range(4))
+    chars = enumerate_characters(normal)
+    assert "fiber_action" not in quot.__dict__
+    assert "dual_grid" not in sd.product.split.__dict__
+
+    rng = random.Random("fiber-cache")
+    f = random_function(sd.product, rng)
+    psi = from_section(random_function(quot.table, rng).values, chars[1], quot)
+    first = module_action(f, psi)
+    route = quot.fiber_action
+    tables = route.tables(chars[1])
+    second = module_action(f, psi)
+    assert quot.fiber_action is route and route.tables(chars[1]) is tables
+    assert all(a is b for a, b in zip(route.tables(chars[1]), tables))
+    assert np.array_equal(first.section, second.section)
+
+    # a character dropped while the quotient lives takes its tables along
+    dropped = make_character(normal, chars[2].phases)
+    held = weakref.ref(route.tables(dropped)[0])
+    assert len(route._by_character) == 2
+    del dropped
+    gc.collect()
+    assert held() is None and len(route._by_character) == 1
+
+    refs = [weakref.ref(route), weakref.ref(tables[0]), weakref.ref(tables[1])]
+    del quot, psi, first, second, route, tables
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        (0, Fraction(1, 4), 0, 0),                       # not a homomorphism
+        (0, Fraction(1, 3), Fraction(2, 3), 0),          # denominators that do not divide 4
+    ],
+)
+def test_a_non_character_takes_the_table_route(phases):
+    sd = weyl_heisenberg_finite(2, 4)
+    normal, quot = _quotient(sd, range(4))
+    bogus = Character(normal, tuple(Fraction(q) for q in phases))
+    assert quot.fiber_action.tables(bogus) is None
+    f, s = _draws(random.Random("bogus"), 2, sd.product.order, quot.order)
+    want = _convolve_at(sd.product, f, _on_group(s, bogus, quot), quot.reps)
+    assert np.array_equal(_module_action(f, s, bogus, quot), want)
+
+
+def test_quotients_outside_the_route_keep_the_table_route():
+    z2 = make_cyclic(2)
+    direct = semidirect(z2, z2, [[0, 1], [0, 1]])          # N = H x {e} is not in K
+    non_abelian = semidirect(z2, symmetric_3(), [list(range(6))] * 2)
+    for group, members in ((direct.product, (0, 2)), (non_abelian.product, (0, 3, 4))):
+        normal = make_subgroup(group, members)
+        quot = quotient(group, normal)
+        assert quot.fiber_action is None
+        f, s = _draws(random.Random("outside"), 2, group.order, quot.order)
+        for char in enumerate_characters(normal):
+            want = _convolve_at(group, f, _on_group(s, char, quot), quot.reps)
+            assert np.array_equal(_module_action(f, s, char, quot), want)
+
+
+def test_route_broadcasts_leading_axes():
+    sd = weyl_heisenberg_finite(2, 4)
+    normal, quot = _quotient(sd, range(4))
+    char = enumerate_characters(normal)[1]
+    assert quot.fiber_action.tables(char) is not None
+    fs, ss = _draws(random.Random("broadcast"), 3, sd.product.order, quot.order)
+    f, s = fs[0], ss[0]
+    one_f = _module_action(f, ss, char, quot)
+    one_s = _module_action(fs, s, char, quot)
+    stacked = _module_action(np.stack((fs, fs)), ss, char, quot)
+    for i in range(3):
+        _close(one_f[i], _module_action(f, ss[i], char, quot), "one f")
+        _close(one_s[i], _module_action(fs[i], s, char, quot), "one section")
+        _close(stacked[1, i], _module_action(fs[i], ss[i], char, quot), "stacked")
