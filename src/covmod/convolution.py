@@ -251,10 +251,10 @@ def verify_module_axioms(
     bilinearity in both arguments, and covariance of outputs.  The norm
     bound and the intertwining identity t_xi(f * g) = f acted on t_xi(g)
     have checks of their own in `covmod.verify`.  All trials are drawn
-    first, in the order a trial-by-trial loop would draw them, and the laws
-    are evaluated over the trial axis in two module actions, each on a
-    stack of inputs.  Zero trials yields an empty,
-    passing report; a NaN, infinite or negative `tol` is refused.
+    first, in one `_draws` call seeded from `seed`, and the laws are
+    evaluated over the trial axis in two module actions, each on a stack of
+    inputs.  Zero trials yields an empty, passing report; a NaN, infinite
+    or negative `tol` is refused.
     """
     _require_tolerance(tol)
     group, n = quot.parent, quot.parent.order

@@ -301,7 +301,7 @@ def generating_set(group: FiniteGroup, members: Iterable[int]) -> list[int]:
     Each new generator extends the subgroup already reached, walking on
     from all of it by right multiplication, so no closure starts over.
     """
-    ms = np.unique(np.fromiter(members, dtype=np.intp))
+    ms = _distinct(group.order, np.fromiter(members, dtype=np.intp))
     gens: list[int] = []
     reached = np.zeros(group.order, dtype=bool)
     reached[group.identity] = True
@@ -310,9 +310,20 @@ def generating_set(group: FiniteGroup, members: Iterable[int]) -> list[int]:
         cols, frontier = np.array(gens), np.flatnonzero(reached)
         while frontier.size:
             step = group.table[frontier[:, None], cols].ravel()
-            frontier = np.unique(step[~reached[step]])
+            frontier = _distinct(group.order, step[~reached[step]])
             reached[frontier] = True
     return gens
+
+
+def _distinct(order: int, xs: np.ndarray) -> np.ndarray:
+    """The distinct entries of the index array `xs`, sorted.
+
+    A boolean scatter over the group's `order` elements, in place of
+    `np.unique`, which on numpy 2.x imports `numpy.ma` at its first call.
+    """
+    seen = np.zeros(order, dtype=bool)
+    seen[xs] = True
+    return np.flatnonzero(seen)
 
 
 def element_orders(group: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
@@ -632,39 +643,21 @@ def delta_function(group: FiniteGroup, at: int) -> GroupFunction:
 
 
 def random_function(group: FiniteGroup, rng: random.Random) -> GroupFunction:
-    """Standard complex Gaussian values drawn from the supplied PRNG, real part first."""
-    return GroupFunction(group, _complex_gaussians(rng, group.order))
-
-
-def _complex_gaussians(rng: random.Random, count: int) -> np.ndarray:
-    """`count` complex values, each exactly `complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))`.
-
-    The rng ends in the same state as after those `gauss` calls: each
-    Box-Muller pair that `gauss` computes from two `rng.random()` draws is
-    taken here in one step.  A `gauss` value already cached in the rng is not
-    consumed, so the stream matches only where the caller has drawn `gauss`
-    values in pairs.
-    """
-    uniform, tau = rng.random, math.tau
-    cos, sin, log, sqrt = math.cos, math.sin, math.log, math.sqrt
-    draws = []
-    for _ in range(count):
-        # as random.gauss: mu + z * sigma with mu = 0.0, sigma = 1.0
-        x2pi = uniform() * tau
-        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
-        draws.append(0.0 + cos(x2pi) * g2rad)
-        draws.append(0.0 + sin(x2pi) * g2rad)
-    return np.array(draws, dtype=float).view(complex)
+    """Standard complex Gaussian values seeded from the supplied PRNG: one
+    trial of `_draws`."""
+    return GroupFunction(group, _draws(rng, 1, group.order)[0][0])
 
 
 def _draws(rng: random.Random, trials: int, *sizes: int) -> list[np.ndarray]:
-    """One (trials, size) complex array per size, drawn trial by trial.
+    """One (trials, size) array of standard complex Gaussians per size.
 
-    Within a trial the sizes are drawn in order, so the values and the rng's
-    final state are those of calling `random_function` on a group of each
-    size in turn, `trials` times over; a size of 1 stands for one
-    `complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))`.
+    Takes exactly 128 bits from `rng`, even for no trials, and seeds one
+    numpy PCG64 `Generator` with them, so the values are fixed by the rng's
+    state (for a given numpy version).  One `standard_normal` call fills the
+    whole block, real part first, trial by trial and, within a trial, size
+    by size: the same values as drawing each trial's sizes in turn from that
+    Generator.
     """
     width = sum(sizes)
-    block = _complex_gaussians(rng, trials * width).reshape(trials, width)
-    return np.split(block, np.cumsum(sizes)[:-1], axis=1)
+    normals = np.random.default_rng(rng.getrandbits(128)).standard_normal((trials, 2 * width))
+    return np.split(normals.view(complex), np.cumsum(sizes)[:-1], axis=1)

@@ -6,12 +6,13 @@ table isomorphisms, pullback shifts) report a mismatch count instead, so a
 passing run shows literal zeros there.
 
 A randomized check draws all trials of a character first, into arrays with
-a leading trial axis, from the same `random.Random` stream and in the same
-order as drawing them one trial at a time.  It then evaluates both sides
+a leading trial axis, with one `groups._draws` call: it seeds a numpy
+PCG64 `Generator` with 128 bits of a `random.Random` keyed by the seed, and
+the Generator samples every trial at once.  It then evaluates both sides
 once over that axis with the array functions behind the public kernels and
 takes the worst residual, NaN failing its row.  The draws are thus fixed by
-the seed, while the residuals' last digits depend on numpy's summation
-order.
+the seed (for a given numpy version), while the residuals' last digits
+depend on numpy's summation order.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .groups import (
     FiniteGroup,
     QuotientGroup,
     Subgroup,
+    _distinct,
     _draws,
     _p_norms,
     _weil_gaps,
@@ -205,9 +207,9 @@ def _trial_row(
     """Draw every trial of a character, evaluate them at once, and report the
     worst residual over all characters.
 
-    One rng keyed by (seed, check, config) feeds the draws, character by
-    character and trial by trial, so each row is reproducible from the seed
-    alone.  `_draws` gives one (trials, size) array per entry of `sizes`, and
+    One rng keyed by (seed, check, config) seeds the draws, one `_draws`
+    call per character, so each row is reproducible from the seed alone.
+    `_draws` gives one (trials, size) array per entry of `sizes`, and
     `evaluate(char, *arrays)` returns the residuals of all of those trials;
     `worst` seeds the maximum with residuals found before the random trials.
     """
@@ -234,7 +236,7 @@ def check_weil(entry: CorpusEntry, seed: int, trials: int, tol: float | None = N
 def _abelianization_order(sub: Subgroup) -> int:
     table, inv, ms = sub.parent.table, sub.parent.inv, np.array(sub.members)
     comms = table[table[table[np.ix_(ms, ms)], inv[ms][:, None]], inv[ms]]   # s t s^-1 t^-1
-    return sub.order // int(right_closure(sub.parent, np.unique(comms))[0].sum())
+    return sub.order // int(right_closure(sub.parent, _distinct(sub.parent.order, comms))[0].sum())
 
 
 def check_characters(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:

@@ -2,8 +2,9 @@
 
 Every kernel that verify calls over a leading trial axis must give, trial by
 trial, what the public function gives on one `GroupFunction` or
-`CovariantFunction`; and the draw helper must reproduce the sequential
-`random_function` / `rng.gauss` stream bit for bit.
+`CovariantFunction`; and the draw helper must give, bit for bit, the values of
+drawing trial by trial and size by size from one numpy Generator seeded with
+128 bits of the rng, and leave the rng as those 128 bits do.
 """
 
 import random
@@ -179,13 +180,11 @@ def test_array_functions_match_the_public_path(name, group, members, sd, form, r
 def test_draws_are_the_sequential_stream(sizes, trials):
     ours, theirs = random.Random(f"draws:{sizes}"), random.Random(f"draws:{sizes}")
     arrays = _draws(ours, trials, *sizes)
+    normals = np.random.default_rng(theirs.getrandbits(128))
     expected = [[] for _ in sizes]
     for _ in range(trials):
         for i, size in enumerate(sizes):
-            if size == 1:
-                expected[i].append([complex(theirs.gauss(0.0, 1.0), theirs.gauss(0.0, 1.0))])
-            else:
-                expected[i].append(random_function(make_cyclic(size), theirs).values)
+            expected[i].append(normals.standard_normal(2 * size).view(complex))
     assert len(arrays) == len(sizes)
     for got, want, size in zip(arrays, expected, sizes):
         assert got.shape == (trials, size) and got.dtype == complex

@@ -339,10 +339,12 @@ def test_no_route_builds_the_tuple_table():
 @pytest.mark.parametrize("order", [1, 2, 7, 64])
 @pytest.mark.parametrize("seed", [0, 1, 42, "routes"])
 def test_random_function_is_the_gauss_stream(order, seed):
+    """The values are the standard normals of a numpy Generator seeded with
+    128 bits of the rng, real part first, and exactly those bits are used."""
     ours, theirs = random.Random(seed), random.Random(seed)
     f = random_function(make_cyclic(order), ours)
-    draws = [theirs.gauss(0.0, 1.0) for _ in range(2 * order)]
-    assert f.values.view(np.float64).tobytes() == np.array(draws).tobytes()
+    draws = np.random.default_rng(theirs.getrandbits(128)).standard_normal(2 * order)
+    assert f.values.view(np.float64).tobytes() == draws.tobytes()
     assert ours.getstate() == theirs.getstate()
 
 
