@@ -6,9 +6,13 @@ subgroup: the averaging operator producing them, the convolution module
 they form, and closed-form convolutions on shear-type semidirect products.
 Everything is checkable: `covmod verify` re-derives each identity on a
 corpus of groups with seeded random data.
+
+The names from `verify` and `bench` load with their module on first use
+(PEP 562), so `import covmod` and the CLI's other commands skip both.
 """
 
-from .bench import bench_table, run_bench
+import importlib
+
 from .characters import (
     Character,
     char_conj,
@@ -96,9 +100,24 @@ from .semidirect import (
     semidirect,
     weyl_heisenberg_finite,
 )
-from .verify import CorpusEntry, builtin_corpus, run_verification, symmetric_3
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "CorpusEntry": "verify",
+    "builtin_corpus": "verify",
+    "run_verification": "verify",
+    "symmetric_3": "verify",
+    "bench_table": "bench",
+    "run_bench": "bench",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "Character",

@@ -2,6 +2,8 @@
 
 Exit codes: 0 on success, 1 when `verify` finds a failing check, 2 on bad
 input (malformed files, invalid tables, unknown names, usage errors).
+`verify` and `bench` are imported by their own commands only, so the other
+commands do not load them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import jsonio
-from .bench import bench_table, run_bench
 from .characters import enumerate_characters
 from .convolution import convolve, module_action
 from .covariant import cov_norm, t_xi
@@ -27,7 +28,6 @@ from .groups import (
     make_subgroup,
 )
 from .semidirect import heisenberg_finite, semidirect, weyl_heisenberg_finite
-from .verify import builtin_corpus, run_verification
 
 
 def _read_json(path: str):
@@ -41,13 +41,16 @@ def _read_json(path: str):
         raise CovmodError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_doc(doc, out: str | None) -> None:
-    text = jsonio.dumps(doc)
+def _save(text: str, out: str) -> None:
+    try:
+        Path(out).write_text(text + "\n")
+    except OSError as exc:
+        raise CovmodError(f"cannot write {out}: {exc}") from exc
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
-        try:
-            Path(out).write_text(text + "\n")
-        except OSError as exc:
-            raise CovmodError(f"cannot write {out}: {exc}") from exc
+        _save(text, out)
     else:
         print(text)
 
@@ -84,7 +87,7 @@ def _cmd_group_make(args) -> int:
         g = semidirect(
             _load_group(args.h), _load_group(args.k), action
         ).product
-    _write_doc(jsonio.group_to_json(g), args.out)
+    _write(jsonio.group_text(g), args.out)
     return 0
 
 
@@ -125,7 +128,7 @@ def _cmd_txi(args) -> int:
     f = jsonio.function_from_json(_read_json(args.function), group)
     sub = make_subgroup(group, _parse_members(args.members))
     psi = t_xi(f, _pick_character(args, sub))
-    _write_doc(jsonio.covariant_to_json(psi), args.out)
+    _write(jsonio.dumps(jsonio.covariant_to_json(psi)), args.out)
     return 0
 
 
@@ -133,7 +136,7 @@ def _cmd_conv(args) -> int:
     group = _load_group(args.group)
     f = jsonio.function_from_json(_read_json(args.f), group)
     g = jsonio.function_from_json(_read_json(args.g), group)
-    _write_doc(jsonio.function_to_json(convolve(f, g)), args.out)
+    _write(jsonio.dumps(jsonio.function_to_json(convolve(f, g))), args.out)
     return 0
 
 
@@ -141,7 +144,7 @@ def _cmd_modact(args) -> int:
     group = _load_group(args.group)
     f = jsonio.function_from_json(_read_json(args.function), group)
     psi = jsonio.covariant_from_json(_read_json(args.covariant), group)
-    _write_doc(jsonio.covariant_to_json(module_action(f, psi)), args.out)
+    _write(jsonio.dumps(jsonio.covariant_to_json(module_action(f, psi))), args.out)
     return 0
 
 
@@ -157,6 +160,8 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import builtin_corpus, run_verification
+
     entries = builtin_corpus()
     if args.corpus is not None:
         wanted = [tok.strip() for tok in args.corpus.split(",") if tok.strip()]
@@ -175,15 +180,14 @@ def _cmd_verify(args) -> int:
     )
     text = json.dumps(report, indent=2)
     if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            raise CovmodError(f"cannot write {args.out}: {exc}") from exc
+        _save(text, args.out)
     print(text)
     return 0 if report["passed"] else 1
 
 
 def _cmd_bench(args) -> int:
+    from .bench import bench_table, run_bench
+
     report = run_bench(args.m, args.r, repetitions=args.repetitions, seed=args.seed)
     if args.json:
         print(json.dumps(report, indent=2))

@@ -11,7 +11,7 @@ An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
 1961): the elements s with (x*y)*s == x*(y*s) for all x and y form a
 submonoid, so checking s on a generating set suffices.  Each generator costs
-two whole-table numpy gathers.
+two numpy gathers over the whole table, taken in row blocks.
 """
 
 from __future__ import annotations
@@ -124,16 +124,21 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
+    def decimal_rows(self) -> list[str]:
+        """Each table row as its decimal text, `"x*0,x*1,..."`: the bytes that
+        `fingerprint` hashes and the group document writes."""
+        names = np.array([str(x) for x in range(self.order)], dtype=object)
+        return [",".join(names[row].tolist()) for row in self.table]
+
     @cached_property
     def fingerprint(self) -> str:
         """A short structural digest of the order and the table, computed once."""
         h = hashlib.sha256()
         h.update(b"covmod-group-v1:")
         h.update(str(self.order).encode())
-        names = np.array([str(x) for x in range(self.order)], dtype=object)
-        for row in self.table:
+        for row in self.decimal_rows():
             h.update(b"|")
-            h.update(",".join(names[row].tolist()).encode())
+            h.update(row.encode())
         return h.hexdigest()[:16]
 
 
@@ -393,17 +398,21 @@ def _check_associative(group: FiniteGroup) -> None:
     closed under multiplication, so passing on a generating set is exact.
     """
     arr = group.table
+    step = max(1, _BLOCK // group.order)
     for s in generating_set(group, range(group.order)):
         col = arr[:, s]
-        left = col[arr]                      # left[x, y] = (x*y)*s
-        right = np.take(arr, col, axis=1)    # right[x, y] = x*(y*s)
-        if not np.array_equal(left, right):
-            x, y = map(int, np.argwhere(left != right)[0])
-            raise ValidationError(
-                f"associativity fails at triple ({x}, {y}, {s}): "
-                f"({x}*{y})*{s} = {int(left[x, y])} but "
-                f"{x}*({y}*{s}) = {int(right[x, y])}"
-            )
+        for start in range(0, group.order, step):
+            rows = arr[start : start + step]
+            left = col[rows]                   # left[x, y] = (x*y)*s
+            right = np.take(rows, col, axis=1)  # right[x, y] = x*(y*s)
+            if not np.array_equal(left, right):
+                i, y = map(int, np.argwhere(left != right)[0])
+                x = start + i
+                raise ValidationError(
+                    f"associativity fails at triple ({x}, {y}, {s}): "
+                    f"({x}*{y})*{s} = {int(left[i, y])} but "
+                    f"{x}*({y}*{s}) = {int(right[i, y])}"
+                )
 
 
 def _table_error(table: Sequence[Sequence[int]], n: int) -> ValidationError:
@@ -463,7 +472,10 @@ def make_from_table(
     if labels is not None:
         if not isinstance(labels, (list, tuple)) or len(labels) != n:
             raise ValidationError(f"labels must be a list of {n} names")
-        packed_labels = tuple(str(s) for s in labels)
+        for i, s in enumerate(labels):
+            if not isinstance(s, str):
+                raise ValidationError(f"label {i} is {s!r}, not a string")
+        packed_labels = tuple(labels)
     group = FiniteGroup(n, arr, inverse.argmax(axis=1), identity, packed_labels)
     _check_associative(group)
     return group

@@ -98,6 +98,16 @@ def group_to_json(group: FiniteGroup) -> dict:
     return doc
 
 
+def group_text(group: FiniteGroup) -> str:
+    """`dumps(group_to_json(group))`, joined from the table's decimal rows
+    without building |G| lists of ints."""
+    rows = group.decimal_rows()
+    labels = "" if group.labels is None else ',"labels":' + dumps(list(group.labels))
+    rows[0] = f'{{"order":{group.order},"mul":[[{rows[0]}'
+    rows[-1] += f"]]{labels}}}"
+    return "],[".join(rows)
+
+
 def group_from_json(doc: dict) -> FiniteGroup:
     """Rebuild a group from its table, re-running the full axiom validation."""
     _require_object(doc, "group")

@@ -225,6 +225,9 @@ MALFORMED = {
     "mul-string": (["group", "show", "{doc}"], {"order": 4, "mul": "abcd"}),
     "order-bool": (["group", "show", "{doc}"], {"order": True, "mul": [[0]]}),
     "labels-int": (["group", "show", "{doc}"], {"order": 1, "mul": [[0]], "labels": 5}),
+    # str() would write these back as "None" and "1"
+    "labels-null": (["group", "make", "table", "{doc}"], {"order": 2, "mul": [[0, 1], [1, 0]], "labels": ["a", None]}),
+    "labels-number": (["group", "make", "table", "{doc}"], {"order": 2, "mul": [[0, 1], [1, 0]], "labels": ["a", 1]}),
     "entry-huge": (["group", "show", "{doc}"], {"order": 2, "mul": [[0, 1], [1, 2**70]]}),
     "entry-huge-negative": (["group", "show", "{doc}"], {"order": 2, "mul": [[0, 1], [1, -2**70]]}),
     "table-flat": (["group", "make", "table", "{doc}"], [1, 2]),

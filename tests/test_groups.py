@@ -127,6 +127,32 @@ def test_make_from_table_rejects_one_corrupted_entry_at_order_1024():
     assert table[table[x][y]][z] != table[x][table[y][z]]
 
 
+def test_associativity_witness_does_not_depend_on_block_size(monkeypatch):
+    # swapping 40*3 and 40*5 in WH(4,4) keeps the identity and the inverses;
+    # the first failing product is in row 40, past the first block of 1 or 10 rows
+    table = weyl_heisenberg_finite(4, 4).product.table.tolist()
+    table[40][3], table[40][5] = table[40][5], table[40][3]
+    for block in (1 << 18, 640, 64):
+        monkeypatch.setattr(groups, "_BLOCK", block)
+        with pytest.raises(ValidationError) as err:
+            make_from_table(table)
+        assert str(err.value) == (
+            "associativity fails at triple (40, 2, 1): (40*2)*1 = 43 but 40*(2*1) = 47"
+        )
+
+
+def test_associativity_check_memory_is_linear():
+    # two whole-table temporaries per generator peaked at 201 MB (tracemalloc)
+    g = weyl_heisenberg_finite(16, 16).product
+    tracemalloc.start()
+    try:
+        groups._check_associative(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_generating_set_is_greedy():
     g = weyl_heisenberg_finite(8, 8).product
     assert generating_set(g, range(g.order)) == [1, 8, 64]

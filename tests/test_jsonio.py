@@ -12,6 +12,9 @@ from covmod import (
     ValidationError,
     enumerate_characters,
     heisenberg_finite,
+    make_cyclic,
+    make_from_table,
+    make_product,
     random_function,
     t_xi,
     weyl_heisenberg_finite,
@@ -26,6 +29,7 @@ from covmod.jsonio import (
     function_to_json,
     group_from_json,
     group_id,
+    group_text,
     group_to_json,
     subgroup_from_json,
     subgroup_id,
@@ -81,6 +85,16 @@ def test_semidirect_split_is_invisible_to_identity():
     assert back == g and hash(back) == hash(g)
     assert back.fingerprint == g.fingerprint == "aefd8c6b75b4b33a"
     assert group_to_json(back) == doc
+
+
+def test_group_text_is_the_canonical_document(s3):
+    labelled = make_from_table([[0, 1], [1, 0]], ["e", "\u00e9"])
+    groups = [make_cyclic(1), make_product(s3, labelled), labelled,
+              weyl_heisenberg_finite(4, 4).product]
+    for g in groups:
+        assert group_text(g) == dumps(group_to_json(g))
+    assert group_text(make_cyclic(1)) == '{"order":1,"mul":[[0]]}'
+    assert group_text(labelled).endswith(',"labels":["e","\\u00e9"]}')
 
 
 def test_group_from_json_rejects_order_mismatch(z4):
