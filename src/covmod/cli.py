@@ -30,13 +30,13 @@ from .groups import (
 from .semidirect import heisenberg_finite, semidirect, weyl_heisenberg_finite
 
 
-def _read_json(path: str):
+def _read_json(path: str, parse=json.loads):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CovmodError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return parse(text)
     except json.JSONDecodeError as exc:
         raise CovmodError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -56,7 +56,15 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load_group(path: str):
-    return jsonio.group_from_json(_read_json(path))
+    return _read_json(path, jsonio.group_from_text)
+
+
+def _group_or_table(text: str):
+    """A group document through `group_from_text`; a bare array of rows,
+    which `group_from_json` refuses, through `make_from_table`."""
+    if text.lstrip(" \t\n\r").startswith("["):
+        return make_from_table(json.loads(text))
+    return jsonio.group_from_text(text)
 
 
 def _parse_members(text: str) -> list[int]:
@@ -74,8 +82,7 @@ def _cmd_group_make(args) -> int:
     elif args.kind == "product":
         g = make_product(_load_group(args.a), _load_group(args.b))
     elif args.kind == "table":
-        doc = _read_json(args.table)
-        g = make_from_table(doc) if isinstance(doc, list) else jsonio.group_from_json(doc)
+        g = _read_json(args.table, _group_or_table)
     elif args.kind == "heisenberg":
         g = heisenberg_finite(args.m).product
     elif args.kind == "weyl-heisenberg":

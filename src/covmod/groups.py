@@ -133,13 +133,16 @@ class FiniteGroup:
     @cached_property
     def fingerprint(self) -> str:
         """A short structural digest of the order and the table, computed once."""
-        h = hashlib.sha256()
-        h.update(b"covmod-group-v1:")
-        h.update(str(self.order).encode())
-        for row in self.decimal_rows():
-            h.update(b"|")
-            h.update(row.encode())
-        return h.hexdigest()[:16]
+        return table_digest(self.order, (f"|{row}".encode() for row in self.decimal_rows()))
+
+
+def table_digest(order: int, chunks: Iterable[bytes]) -> str:
+    """The fingerprint of a group of this order whose table rows' decimal text,
+    each row preceded by `|`, is the concatenation of `chunks`."""
+    h = hashlib.sha256(b"covmod-group-v1:%d" % order)
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -428,15 +431,9 @@ def _table_error(table: Sequence[Sequence[int]], n: int) -> ValidationError:
     raise AssertionError("no malformed row or entry to report")
 
 
-def make_from_table(
-    table: Sequence[Sequence[int]], labels: Sequence[str] | None = None
-) -> FiniteGroup:
-    """Build a group from an explicit multiplication table, validating the axioms.
-
-    The table must be a square list of rows of int entries in 0..n-1, possess
-    a two-sided identity and two-sided inverses, and be associative, which
-    Light's test checks exactly at every order in O(n^2) work per generator.
-    """
+def _table_array(table: Sequence[Sequence[int]]) -> np.ndarray:
+    """A square list of rows of int entries as one int64 array; ints too large
+    for int64 are out of range and fail here."""
     if not isinstance(table, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in table
     ):
@@ -447,14 +444,35 @@ def make_from_table(
         map(type, chain.from_iterable(table))
     ) != {int}:
         raise _table_error(table, n)
-    # Range-check on int64, where no entry wraps; larger ints fail to convert.
     try:
-        arr = np.array(table, dtype=np.int64)
+        return np.array(table, dtype=np.int64)
     except OverflowError:
         raise _table_error(table, n) from None
+
+
+def make_from_table(
+    table: Sequence[Sequence[int]], labels: Sequence[str] | None = None
+) -> FiniteGroup:
+    """Build a group from an explicit multiplication table, validating the axioms.
+
+    The table must be a square list of rows of int entries in 0..n-1, possess
+    a two-sided identity and two-sided inverses, and be associative, which
+    Light's test checks exactly at every order in O(n^2) work per generator.
+    """
+    # A temporary: no name in this frame keeps the int64 copy once it is narrowed.
+    return checked_group(_table_array(table), labels)
+
+
+def checked_group(arr: np.ndarray, labels: Sequence[str] | None = None) -> FiniteGroup:
+    """The group of an n x n integer array, after every check of `make_from_table`
+    that runs on the array: range, identity, inverses, labels and Light's test."""
+    n = len(arr)
     if arr.min() < 0 or arr.max() >= n:
-        raise _table_error(table, n)
-    arr = arr.astype(np.int32)
+        i, j = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
+        raise ValidationError(
+            f"entry mul({i},{j}) = {int(arr[i, j])} is not an element of 0..{n-1}"
+        )
+    arr = arr.astype(np.int32, copy=False)
 
     elements = np.arange(n)
     two_sided = np.all(arr == elements, axis=1) & np.all(arr.T == elements, axis=1)

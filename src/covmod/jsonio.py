@@ -12,6 +12,8 @@ from __future__ import annotations
 import cmath
 import hashlib
 import json
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +25,12 @@ from .groups import (
     FiniteGroup,
     GroupFunction,
     Subgroup,
+    _check_order,
+    checked_group,
     make_from_table,
     make_subgroup,
     quotient,
+    table_digest,
 )
 
 
@@ -123,6 +128,93 @@ def group_from_json(doc: dict) -> FiniteGroup:
             f"group document claims order {order} but has {group.order} table rows"
         )
     return group
+
+
+_HEAD = re.compile(r'\{"order":([1-9][0-9]{0,9}),"mul":\[\[')
+_LABELS = ']],"labels":'
+
+
+def group_from_text(text: str) -> FiniteGroup:
+    """`group_from_json(json.loads(text))`, reading the layout `group_text`
+    writes straight from its rows' decimal text.
+
+    Such a document, with trailing whitespace allowed, builds no int object per
+    entry: its rows are parsed once into an int32 array, and the fingerprint
+    is hashed from the rows' text.  Any other document (other whitespace or
+    key order, a repeated key, a bare array, anything malformed) goes through
+    `json.loads` and `group_from_json`.  Either route loads the same group and
+    fails with the same error.
+    """
+    read = _canonical_table(text)
+    if read is None:
+        return group_from_json(json.loads(text))
+    table, labels, digest = read
+    group = checked_group(table, labels)
+    vars(group)["fingerprint"] = digest  # seeds the cached property
+    return group
+
+
+def _canonical_table(text: str):
+    """The table, labels and fingerprint of a document in the exact layout of
+    `group_text`, or None for any other text."""
+    head = _HEAD.match(text) if text.isascii() else None
+    end = -1 if head is None else text.rfind("]]", head.end())
+    if end < 0:
+        return None
+    tail = text[end:].rstrip(" \t\n\r")
+    labels = None
+    if tail.startswith(_LABELS) and tail.endswith("}"):
+        try:
+            labels = json.loads(tail[len(_LABELS) : -1])
+        except json.JSONDecodeError:  # a repeated key or malformed labels
+            return None
+    elif tail != "]]}":
+        return None
+
+    # The rows' digits removed, the text is the separators of an n x n table;
+    # n is checked against the text's length before anything of size n^2 is built.
+    n = int(head[1])
+    rows = text[head.end() : end].encode()
+    seps = rows.translate(None, b"0123456789")
+    if len(seps) != (n - 1) * (n + 3):
+        return None
+    _check_order(n)
+    if seps != b"],[".join([b"," * (n - 1)] * n):
+        return None
+    del seps
+    parts = rows.split(b"],[")
+    del rows
+    digest = table_digest(n, (b"|" + part for part in parts))
+    flat = b",".join(parts)
+    del parts
+    # An empty token is missed or refused by the parse, and numpy before 2.0
+    # warns and returns what it read so far; the count catches both.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            table = np.fromstring(flat, dtype=np.int32, sep=",")
+        except ValueError:
+            return None
+    # Entries are in range and every token is the canonical decimal text of
+    # its entry (no leading zero, nothing wrapped past int32) exactly when the
+    # digits counted in the text match those of the entries.
+    if (
+        table.size != n * n
+        or table.min() < 0
+        or table.max() >= n
+        or len(flat) - (n * n - 1) != _digit_count(table)
+    ):
+        return None
+    return table.reshape(n, n), labels, digest
+
+
+def _digit_count(arr: np.ndarray) -> int:
+    """Digits in the decimal text of the non-negative entries of `arr`."""
+    count, power, top = arr.size, 10, int(arr.max())
+    while power <= top:
+        count += int(np.count_nonzero(arr >= power))
+        power *= 10
+    return count
 
 
 def _check_group_id(doc: dict, group: FiniteGroup, what: str) -> None:

@@ -216,6 +216,43 @@ def test_missing_file_is_exit_two():
     assert "error:" in res.stderr
 
 
+READ_COMMANDS = {
+    "txi": ["txi", "{group}", "{z4}", "--members", "0"],
+    "show": ["group", "show", "{group}"],
+    "table": ["group", "make", "table", "{group}"],
+}
+
+
+@pytest.mark.parametrize("command", READ_COMMANDS.values(), ids=READ_COMMANDS.keys())
+def test_unreadable_or_invalid_group_is_exit_two(tmp_path, capsys, command):
+    z4 = tmp_path / "z4.json"
+    z4.write_text(json.dumps({"values": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    missing = tmp_path / "missing.json"
+    assert main([arg.format(group=missing, z4=z4) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b'{"order":1,"mul":[[0]],"labels":["\xff"]}')
+    assert main([arg.format(group=undecodable, z4=z4) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {undecodable}: ")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"order":2,"mul":[[0,1],[1,0]]')
+    assert main([arg.format(group=invalid, z4=z4) for arg in command]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {invalid} is not valid JSON: "
+        "Expecting ',' delimiter: line 1 column 31 (char 30)\n"
+    )
+
+
+@pytest.mark.parametrize("order", [1 << 20, 1 << 40])
+def test_claimed_order_beyond_the_text_is_exit_two(tmp_path, capsys, order):
+    doc = tmp_path / "g.json"
+    doc.write_text('{"order":%d,"mul":[[0]]}\n' % order)
+    assert main(["group", "show", str(doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: group document claims order {order} but has 1 table rows\n"
+    )
+
+
 def test_bad_usage_is_exit_two():
     res = run("group")
     assert res.returncode == 2

@@ -107,6 +107,16 @@ def test_make_from_table_rejects_out_of_range():
         make_from_table([[0, 1], [1, 2]])
 
 
+def test_out_of_range_entry_is_named_in_row_order():
+    # the first bad entry of a row-by-row scan, with its value
+    table = [[0, 1, 9], [8, 2, 0], [2, 0, 1]]
+    with pytest.raises(ValidationError, match=re.escape("entry mul(0,2) = 9 is not an element of 0..2")):
+        make_from_table(table)
+    table[0][2] = 2**40
+    with pytest.raises(ValidationError, match=re.escape(f"entry mul(0,2) = {2**40} is not")):
+        make_from_table(table)
+
+
 def test_make_from_table_rejects_broken_row():
     table = [list(row) for row in make_cyclic(4).mul]
     table[1][2], table[1][3] = table[1][3], table[1][2]

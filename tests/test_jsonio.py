@@ -1,11 +1,17 @@
+import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covmod import jsonio
 from covmod import (
+    CovmodError,
     DomainMismatchError,
     GroupFunction,
     NormalityError,
@@ -16,6 +22,7 @@ from covmod import (
     make_from_table,
     make_product,
     random_function,
+    symmetric_3,
     t_xi,
     weyl_heisenberg_finite,
 )
@@ -28,6 +35,7 @@ from covmod.jsonio import (
     function_from_json,
     function_to_json,
     group_from_json,
+    group_from_text,
     group_id,
     group_text,
     group_to_json,
@@ -180,3 +188,119 @@ def test_covariant_rejects_non_normal_members(s3):
     }
     with pytest.raises(NormalityError):
         covariant_from_json(sub_doc, s3)
+
+
+CANONICAL = {
+    name: group_text(g)
+    for name, g in [
+        ("order-1", make_cyclic(1)),
+        ("z4", make_cyclic(4)),
+        ("s3-labelled", symmetric_3()),
+        ("wh-2-4", weyl_heisenberg_finite(2, 4).product),
+    ]
+}
+
+
+def _outcome(load, text):
+    try:
+        group = load(text)
+    except (CovmodError, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+    return group, group.labels, group.fingerprint
+
+
+def _assert_routes_agree(text):
+    """`group_from_text` loads what the JSON route loads, or fails as it fails;
+    the fingerprint the reader seeds equals the one computed from the table."""
+    fast = _outcome(group_from_text, text)
+    slow = _outcome(lambda t: group_from_json(json.loads(t)), text)
+    assert fast == slow
+
+
+READABLE = {
+    **CANONICAL,
+    **{f"{name}-newline": text + "\n" for name, text in CANONICAL.items()},
+    "escaped-label-whitespace": group_text(make_from_table([[0, 1], [1, 0]], ["e", "\u00e9"])) + " \r\n\t",
+}
+
+
+@pytest.mark.parametrize("text", READABLE.values(), ids=READABLE.keys())
+def test_group_from_text_reads_the_canonical_layout_without_json(monkeypatch, text):
+    expected = group_from_json(json.loads(text))
+    monkeypatch.setattr(jsonio, "group_from_json", None)
+    group = group_from_text(text)
+    assert "fingerprint" in vars(group)  # seeded from the rows' text
+    assert group == expected and group.labels == expected.labels
+    assert group.fingerprint == expected.fingerprint
+
+
+_EDIT_CHARS = '0123456789,[]{}" -.e\n'
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.sampled_from(list(CANONICAL.values())),
+    op=st.sampled_from(["insert", "delete", "replace"]),
+    where=st.floats(min_value=0, max_value=1, exclude_max=True),
+    char=st.sampled_from(_EDIT_CHARS),
+)
+def test_group_from_text_agrees_with_json_after_one_edit(text, op, where, char):
+    i = int(where * len(text))
+    if op == "insert":
+        text = text[:i] + char + text[i:]
+    elif op == "delete":
+        text = text[:i] + text[i + 1 :]
+    else:
+        text = text[:i] + char + text[i + 1 :]
+    _assert_routes_agree(text)
+
+
+Z2 = '{"order":2,"mul":[[0,1],[1,0]]'
+FIXED = {
+    "ragged-rows": '{"order":2,"mul":[[0,1,1],[0]]}',
+    "leading-zero": '{"order":2,"mul":[[0,01],[1,0]]}',
+    "minus-zero": '{"order":2,"mul":[[-0,1],[1,0]]}',
+    "float": '{"order":2,"mul":[[0,1.0],[1,0]]}',
+    "exponent": '{"order":2,"mul":[[0,1e0],[1,0]]}',
+    "out-of-range": '{"order":2,"mul":[[0,1],[1,7]]}',
+    "wraps-int32": '{"order":2,"mul":[[0,1],[1,4294967296]]}',
+    "wraps-to-int32-max": '{"order":2,"mul":[[0,1],[1,6442450943]]}',
+    "huge": '{"order":2,"mul":[[0,1],[1,%d]]}' % 2**70,
+    "empty-token": '{"order":2,"mul":[[0,],[1,0,1]]}',
+    "duplicate-mul": Z2 + ',"mul":[[0]]}',
+    "duplicate-order": Z2 + ',"order":3}',
+    "duplicate-order-after-labels": Z2 + ',"labels":["a","b"],"order":3}',
+    "labels-number": Z2 + ',"labels":["a",1]}',
+    "labels-short": Z2 + ',"labels":["a"]}',
+    "labels-null": Z2 + ',"labels":null}',
+    "labels-object": Z2 + ',"labels":{"a":"b"}}',
+    "trailing-newline": Z2 + "}\n",
+    "truncated": Z2,
+    "order-mismatch": '{"order":3,"mul":[[0,1],[1,0]]}',
+    "no-identity": '{"order":2,"mul":[[1,0],[0,1]]}',
+    "no-inverse": '{"order":2,"mul":[[0,1],[1,1]]}',
+    "not-associative": group_text(make_cyclic(4)).replace("[1,2,3,0]", "[1,3,2,0]", 1),
+    "bare-array": "[[0,1],[1,0]]",
+    "spaced": json.dumps({"order": 2, "mul": [[0, 1], [1, 0]]}),
+}
+
+
+@pytest.mark.parametrize("text", FIXED.values(), ids=FIXED.keys())
+def test_group_from_text_agrees_with_json_on_fixed_cases(text):
+    _assert_routes_agree(text)
+
+
+@pytest.mark.parametrize("order", [1 << 20, 1 << 40])
+def test_group_from_text_checks_the_claimed_order_before_allocating(order):
+    text = '{"order":%d,"mul":[[0]]}' % order
+    with pytest.raises(ValidationError) as slow:
+        group_from_json(json.loads(text))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as fast:
+            group_from_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(fast.value) == str(slow.value)
+    assert peak < 1 << 20
