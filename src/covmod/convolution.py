@@ -9,7 +9,7 @@ structure alone.
   transforms both functions, takes one sum over H per character and
   transforms back: |H|^2 |K| work for the sum plus O(|H| |K| log |K|) for
   the transforms, plus an integer table build on the group's first
-  convolution (`SemidirectSplit.fiber_tables`).  `module_action` takes it
+  convolution (`SemidirectGroup.fiber_tables`).  `module_action` takes it
   when N lies inside K: the transforms of psi and of the output vanish off
   the |K/N| characters above xi o theta_h^-1 at each h, so psi's is built
   from its section, the sum runs on those characters alone (|H|^2 |K/N|),

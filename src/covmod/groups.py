@@ -36,7 +36,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .semidirect import FiberAction, SemidirectSplit
+    from .semidirect import FiberAction, SemidirectGroup
 
 MAX_GROUP_ORDER = 1 << 20
 
@@ -83,9 +83,10 @@ class FiniteGroup:
     `table[x, y]` is the index of x*y and `inv[x]` the index of x^-1, both
     read-only arrays.  Groups compare equal when their orders, identities,
     labels and tables agree, and hash by `fingerprint`.  A product built by
-    `semidirect` also keeps its factors in `split`, which convolution reads;
-    it takes no part in equality, hashing or serialization, so a group read
-    back from its table is the same group without it.
+    `semidirect` also keeps the `SemidirectGroup` it came from in `split`,
+    which convolution reads; it takes no part in equality, hashing or
+    serialization, so a group read back from its table is the same group
+    without it.
     """
 
     order: int
@@ -93,7 +94,7 @@ class FiniteGroup:
     inv: np.ndarray = field(repr=False)
     identity: int
     labels: tuple[str, ...] | None = None
-    split: SemidirectSplit | None = field(default=None, compare=False, repr=False)
+    split: SemidirectGroup | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", *_frozen(np.ascontiguousarray(self.table, np.int32)))
@@ -198,7 +199,7 @@ class QuotientGroup:
     @cached_property
     def fiber_action(self) -> FiberAction | None:
         """The tables of the module action's fiber-Fourier route over this
-        quotient, or None where it does not apply (`SemidirectSplit.fiber_action`).
+        quotient, or None where it does not apply (`SemidirectGroup.fiber_action`).
         Built on first use and freed with the quotient."""
         split = self.parent.split
         return None if split is None else split.fiber_action(self)

@@ -2,16 +2,18 @@
 
 A semidirect product is built from two finite groups H and K and an action
 table theta, where theta[h] is the automorphism of K contributed by h.  The
-pair (h, k) is packed as index h * |K| + k.  Because every finite group is
-unimodular, the modulus of each theta[h] is identically 1; it is still kept
-explicit so the measure bookkeeping on products and their quotients stays
-visible.  The product group keeps its factors as a `SemidirectSplit`, which
-holds the fiber-Fourier convolution that `convolve` runs when K is abelian:
-an FFT along each cyclic factor of K (Cooley-Tukey, the separation of
-variables of Maslen & Rockmore), one sum over H per character of K, and
-the inverse FFT.  `FiberAction` runs the module action the same way for a
-normal subgroup inside K, on the characters above the covariance
-character only.
+pair (h, k) is packed as index h * |K| + k.  `SemidirectGroup` holds H, K,
+the action as one read-only int32 array and the product group, whose `split`
+is the `SemidirectGroup` itself.  Every finite group is unimodular, so the
+modulus of each theta[h] is identically 1; `delta_factor` still returns it,
+after checking that the subgroup it measures is invariant, so the measure
+bookkeeping on products and their quotients stays visible.  When K is
+abelian, `SemidirectGroup.fiber_convolve` is the convolution that `convolve`
+runs: an FFT along each cyclic factor of K (Cooley-Tukey, the separation of
+variables of Maslen & Rockmore), one sum over H per character of K, and the
+inverse FFT.  `FiberAction` runs the module action the same way for a
+normal subgroup inside K, on the characters above the covariance character
+only.
 
 One family gets a dedicated constructor: the shear groups on
 Z_M x (Z_M x Z_R), where h shears the circle coordinate by (R / M) h times
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -63,14 +65,72 @@ from .groups import (
 
 
 @dataclass(frozen=True, eq=False)
-class SemidirectSplit:
-    """How a product built by `semidirect` factors: H, K and the action as a
-    read-only array, `action[h, k]` = theta_h(k).  The product group keeps
-    it, so that `convolve` can work fiber by fiber when K is abelian."""
+class SemidirectGroup:
+    """H acting on K: the factors, the action as a read-only int32 array,
+    `action[h, k]` = theta_h(k), and the product group.  The product keeps
+    this object as its `split`, so that `convolve` can work fiber by fiber
+    when K is abelian.  `semidirect` validates the action and builds the
+    product."""
 
     h: FiniteGroup
     k: FiniteGroup
-    action: np.ndarray
+    action: np.ndarray = field(repr=False)
+
+    def pair_index(self, h: int, k: int) -> int:
+        return h * self.k.order + k
+
+    def split_index(self, x: int) -> tuple[int, int]:
+        return divmod(x, self.k.order)
+
+    @cached_property
+    def product(self) -> FiniteGroup:
+        """The group on the packed pairs: (h, k)(h', k') = (h h', k theta_h(k'))
+        and (h, k)^-1 = (h^-1, theta_{h^-1}(k^-1))."""
+        h, k, action = self.h, self.k, self.action
+        nh, nk = h.order, k.order
+        table = np.empty((nh, nk, nh, nk), dtype=np.int32)
+        for a in range(nh):   # table[a, k, b, k'] = (a b, k theta_a(k')), one H row at a time
+            np.add(h.table[a, :, None] * nk, k.table[:, None, action[a]], out=table[a])
+        inv = h.inv[:, None] * nk + action[h.inv][:, k.inv]
+        labels = None
+        if h.labels is not None and k.labels is not None:
+            labels = tuple(f"({lh},{lk})" for lh in h.labels for lk in k.labels)
+        order = nh * nk
+        return FiniteGroup(
+            order, table.reshape(order, order), inv.ravel(), h.identity * nk + k.identity, labels, self
+        )
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """`steps[a, h]` = a^-1 h in H."""
+        return _frozen(self.h.table[self.h.inv])[0]
+
+    @cached_property
+    def shear_parameters(self) -> tuple[int, int, int]:
+        """`_wh_parameters` of this group, validated on first use only."""
+        return _wh_parameters(self)
+
+    @cached_property
+    def fiber_index(self) -> tuple:
+        """Index tables of `conv_fast_full_k`, built once per group.
+
+        With the K fiber as normal subgroup, coset h is {h} x K and its
+        representative is (h, 0).  The tables are the fiber's members and
+        those representatives, then `twisted[a, k]` = theta_{a^-1}(k),
+        `anchor[h]`, the K index of (h, 0)^-1 * (h, e_K), so that
+        psi(h, e_K) = xi(anchor[h]) * section[h], and `out[a]` = theta_{a^-1}(0).
+        """
+        nh, nk = self.h.order, self.k.order
+        base = self.h.identity * nk
+        twisted = self.action[self.h.inv].astype(np.intp)   # numpy gathers by intp fastest
+        reps = np.arange(nh) * nk
+        g = self.product
+        anchor = g.table[g.inv[reps], reps + self.k.identity] - base
+        return (
+            tuple(range(base, base + nk)),
+            tuple(reps.tolist()),
+            *_frozen(twisted, anchor, twisted[:, 0]),
+        )
 
     @cached_property
     def dual_grid(self) -> tuple:
@@ -107,8 +167,7 @@ class SemidirectSplit:
         `dual_grid`, and `twist[a, h, omega]`, the flat index of
         (a^-1 h, chi_omega o theta_a) in an |H| x |K| array."""
         _, _, elem, pos, _, _, pulled = self.dual_grid
-        steps = self.h.table[self.h.inv]             # steps[a, h] = a^-1 h
-        twist = steps[:, :, None] * self.k.order + pulled[:, None, :]
+        twist = self.steps[:, :, None] * self.k.order + pulled[:, None, :]
         return (elem, pos, *_frozen(twist))
 
     def transform(self, grid: np.ndarray, fft=np.fft.fft) -> np.ndarray:
@@ -177,7 +236,7 @@ class FiberAction:
     and N^perp the characters trivial on N, where it is
     psi^(h, omega) = |N| sum over r of psi(h, r) conj(chi_omega(r)) over the
     representatives r of K / N.  So is the transform of f * psi, which the
-    sum of `SemidirectSplit.fiber_convolve` gives on S_h alone, in
+    sum of `SemidirectGroup.fiber_convolve` gives on S_h alone, in
     |H|^2 |K/N| work; the inverse transform is taken at the representatives
     only.  Writing omega in S_h as sigma_h nu with nu in N^perp splits every
     character table into an |H| x |K/N| part for xi and an |K/N| x |K/N|
@@ -186,25 +245,24 @@ class FiberAction:
     integer arithmetic, then read off exact roots of unity.
     """
 
-    def __init__(self, split: SemidirectSplit, members: np.ndarray, reps: np.ndarray) -> None:
-        _, coords, elem, pos, dual, exponent, pulled = split.dual_grid
-        nh, nkn = split.h.order, reps.size
-        gens = generating_set(split.k, members)
+    def __init__(self, sd: SemidirectGroup, members: np.ndarray, reps: np.ndarray) -> None:
+        _, coords, elem, pos, dual, exponent, pulled = sd.dual_grid
+        nh, nkn = sd.h.order, reps.size
+        gens = generating_set(sd.k, members)
         roots = _roots_of_unity(exponent)
         on_gens = dual @ coords[gens].T % exponent     # phases of each chi_omega on N's generators
         perp = np.flatnonzero(~on_gens.any(axis=1))
         table = dual[perp] @ coords[reps].T            # chi_nu(r) for nu in N^perp, over E
         perm = np.searchsorted(perp, pulled[:, perp])  # chi_nu o theta_a = the perm[a, nu]-th of N^perp
-        steps = split.h.table[split.h.inv]             # steps[a, h] = a^-1 h
-        self.split, self.roots, self.elem = split, roots, elem
+        self.sd, self.roots, self.elem = sd, roots, elem
         self.gen_slots = np.searchsorted(members, gens).tolist()
         self.on_gens, self.perp, self.member_coords, self.rep_coords = _frozen(
             on_gens, perp, coords[members].T, coords[reps].T
         )
         self.forward, self.inverse, self.twist = _frozen(
             members.size * roots[-table % exponent].T,
-            roots[table % exponent] / split.k.order,
-            (steps[:, :, None] * nkn + perm[:, None, :]).reshape(nh, nh * nkn),
+            roots[table % exponent] / sd.k.order,
+            (sd.steps[:, :, None] * nkn + perm[:, None, :]).reshape(nh, nh * nkn),
         )
         self._by_character: dict[int, tuple[weakref.ref, tuple | None]] = {}
 
@@ -223,8 +281,8 @@ class FiberAction:
         return entry[1]
 
     def _character_tables(self, char: Character) -> tuple | None:
-        split = self.split
-        _, _, _, pos, dual, exponent, pulled = split.dual_grid
+        sd = self.sd
+        _, _, _, pos, dual, exponent, pulled = sd.dual_grid
         target = []
         for slot in self.gen_slots:
             q = char.phases[slot]
@@ -237,8 +295,8 @@ class FiberAction:
             self.roots[dual[found[0]] @ self.member_coords % exponent], char.complex_values
         ):
             return None
-        sigma = pulled[split.h.inv, found[0]]           # sigma[h] = chi_omega0 o theta_h^-1
-        product = split.k.table[self.elem[sigma][:, None], self.elem[self.perp]]
+        sigma = pulled[sd.h.inv, found[0]]              # sigma[h] = chi_omega0 o theta_h^-1
+        product = sd.k.table[self.elem[sigma][:, None], self.elem[self.perp]]
         support = pos[product].ravel()                  # grid index of sigma_h nu
         phase = self.roots[-(dual[sigma] @ self.rep_coords) % exponent]
         return _frozen(support, phase, phase.conj())
@@ -247,61 +305,15 @@ class FiberAction:
         """The module action's sections along the last axis of a (..., |G|)
         array of weighted values and a (..., |G/N|) array of sections."""
         support, phase, unphase = tables
-        split = self.split
-        nh, nk, nkn = split.h.order, split.k.order, self.perp.size
+        sd = self.sd
+        nh, nk, nkn = sd.h.order, sd.k.order, self.perp.size
         grid = wf.reshape(*wf.shape[:-1], nh, nk).take(self.elem, axis=-1)
-        f_hat = split.transform(grid).take(support, axis=-1)    # f^(a, omega) at [..., a, (h, omega)]
+        f_hat = sd.transform(grid).take(support, axis=-1)    # f^(a, omega) at [..., a, (h, omega)]
         on_cosets = (section.reshape(-1, nh, nkn) * phase).reshape(-1, nkn)
         psi_hat = (on_cosets @ self.forward).reshape(section.shape)
         out_hat = np.einsum("...ax,...ax->...x", f_hat, psi_hat.take(self.twist, axis=-1))
         out = out_hat.reshape(-1, nkn) @ self.inverse
         return (out.reshape(-1, nh, nkn) * unphase).reshape(*out_hat.shape)
-
-
-@dataclass(frozen=True)
-class SemidirectGroup:
-    """H acting on K, with the packed product group and the action kept around."""
-
-    h: FiniteGroup
-    k: FiniteGroup
-    action: tuple[tuple[int, ...], ...]
-    product: FiniteGroup
-    delta: tuple[float, ...]
-
-    def pair_index(self, h: int, k: int) -> int:
-        return h * self.k.order + k
-
-    def split_index(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.k.order)
-
-    @cached_property
-    def shear_parameters(self) -> tuple[int, int, int]:
-        """`_wh_parameters` of this group, validated on first use only."""
-        return _wh_parameters(self)
-
-    @cached_property
-    def fiber_index(self) -> tuple:
-        """Index tables of `conv_fast_full_k`, built once per group.
-
-        With the K fiber as normal subgroup, coset h is {h} x K and its
-        representative is (h, 0).  The tables are the fiber's members and
-        those representatives, then `twisted[a, k]` = theta_{a^-1}(k),
-        `h_step[h, a]` = h^-1 * a, `anchor[h]`, the K index of
-        (h, 0)^-1 * (h, e_K), so that psi(h, e_K) = xi(anchor[h]) * section[h],
-        and `out[a]` = theta_{a^-1}(0).
-        """
-        nh, nk = self.h.order, self.k.order
-        base = self.h.identity * nk
-        hinv = self.h.inv
-        twisted = np.asarray(self.action)[hinv]
-        reps = np.arange(nh) * nk
-        g = self.product
-        anchor = g.table[g.inv[reps], reps + self.k.identity] - base
-        return (
-            tuple(range(base, base + nk)),
-            tuple(reps.tolist()),
-            *_frozen(twisted, self.h.table[hinv], anchor, twisted[:, 0]),
-        )
 
 
 def semidirect(
@@ -333,51 +345,25 @@ def semidirect(
                 )
         if sorted(row) != list(range(nk)):
             raise ValidationError(f"action row {h} is not a bijection of K")
-    rows = tuple(map(tuple, action))
-
-    if rows[h_group.identity] != tuple(range(nk)):
+    arr = np.array(action, dtype=np.int32)
+    if not np.array_equal(arr[h_group.identity], np.arange(nk)):
         raise ValidationError("the identity of H must act as the identity map on K")
 
-    arr = np.asarray(rows, dtype=np.int32)
     kmul = k_group.table
-    for h in range(nh):
-        row = arr[h]
-        left = row[kmul]                 # theta_h(k * k')
-        right = kmul[np.ix_(row, row)]   # theta_h(k) * theta_h(k')
-        if not np.array_equal(left, right):
-            k1, k2 = map(int, np.argwhere(left != right)[0])
-            raise ValidationError(
-                f"action row {h} is not multiplicative at pair ({k1}, {k2})"
-            )
-    hmul = h_group.table
-    for h in range(nh):
-        composed = arr[h][arr]           # composed[h'] = theta_h after theta_h'
-        if not np.array_equal(arr[hmul[h]], composed):
-            h2 = int(np.any(arr[hmul[h]] != composed, axis=1).argmax())
-            raise ValidationError(
-                f"action rows do not compose like H at pair ({h}, {h2})"
-            )
+    for h, row in enumerate(arr):
+        bad = row[kmul] != kmul[np.ix_(row, row)]   # theta_h(k * k') against theta_h(k) * theta_h(k')
+        if bad.any():
+            k1, k2 = np.argwhere(bad)[0]
+            raise ValidationError(f"action row {h} is not multiplicative at pair ({k1}, {k2})")
+    # theta_{h h'} against theta_h after theta_h', at [h, h']
+    bad = (arr[h_group.table] != arr[:, arr]).any(axis=2)
+    if bad.any():
+        h, h2 = np.argwhere(bad)[0]
+        raise ValidationError(f"action rows do not compose like H at pair ({h}, {h2})")
 
-    order = nh * nk
-    prod = np.empty((order, order), dtype=np.int32)
-    for h in range(nh):
-        block = kmul[:, arr[h]]          # block[k, k'] = k * theta_h(k')
-        for h2 in range(nh):
-            r0, c0 = h * nk, h2 * nk
-            prod[r0 : r0 + nk, c0 : c0 + nk] = hmul[h, h2] * nk + block
-
-    # (h, k)^-1 = (h^-1, theta_{h^-1}(k^-1))
-    hinv = h_group.inv
-    inv = (hinv[:, None] * nk + arr[hinv][:, k_group.inv]).ravel()
-    identity = h_group.identity * nk + k_group.identity
-    labels = None
-    if h_group.labels is not None and k_group.labels is not None:
-        labels = tuple(
-            f"({lh},{lk})" for lh in h_group.labels for lk in k_group.labels
-        )
-    split = SemidirectSplit(h_group, k_group, *_frozen(arr))
-    product = FiniteGroup(order, prod, inv, identity, labels, split)
-    return SemidirectGroup(h_group, k_group, rows, product, (1.0,) * nh)
+    sd = SemidirectGroup(h_group, k_group, *_frozen(arr))
+    sd.product  # the table is built here, with the call that asked for it
+    return sd
 
 
 def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:
@@ -392,14 +378,15 @@ def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:
         raise DomainMismatchError("subgroup does not live in the K factor")
     if not 0 <= h < sd.h.order:
         raise DomainMismatchError(f"element {h} is outside H")
-    mset = set(sub.members)
-    for hh, row in enumerate(sd.action):
-        for s in sub.members:
-            if row[s] not in mset:
-                raise NormalityError(
-                    f"subgroup is not preserved by the action: row {hh} moves "
-                    f"{s} to {row[s]}"
-                )
+    members = np.array(sub.members)
+    moved = ~np.isin(sd.action[:, members], members)
+    if moved.any():
+        hh, j = np.argwhere(moved)[0]               # the first in row-major order
+        s = int(members[j])
+        raise NormalityError(
+            f"subgroup is not preserved by the action: row {hh} moves "
+            f"{s} to {sd.action[hh, s]}"
+        )
     return 1.0
 
 
@@ -423,11 +410,8 @@ def quotient_action(
     """The induced action of H on K / N for an action-invariant normal N."""
     delta_factor(sd, sub, sd.h.identity)  # validates invariance
     qk = quotient(sd.k, sub)
-    act = tuple(
-        tuple(qk.proj[row[qk.reps[j]]] for j in range(qk.order))
-        for row in sd.action
-    )
-    return qk, act
+    act = np.asarray(qk.proj)[sd.action[:, qk.reps]].tolist()
+    return qk, tuple(map(tuple, act))
 
 
 def induced_semidirect(sd: SemidirectGroup, sub: Subgroup) -> SemidirectGroup:
@@ -491,7 +475,7 @@ def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int, int]:
         raise DomainMismatchError("K is not the standard Z_m x Z_r table")
     if r > 1 and not np.array_equal(sd.k.table[1], _std_rows(m, r)[2]):
         raise DomainMismatchError("K is not the standard Z_m x Z_r table")
-    if m > 1 and sd.action[1] != _std_rows(m, r)[3]:
+    if m > 1 and not np.array_equal(sd.action[1], _std_rows(m, r)[3]):
         raise DomainMismatchError("action is not the shear of step r/m")
     return m, r, step
 
@@ -595,13 +579,13 @@ def _full_k_sections(
 ) -> np.ndarray:
     """`conv_fast_full_k` along the last axis of a (..., |G|) array of values
     and a (..., |H|) array of sections."""
-    *_, twisted, h_step, anchor, out = sd.fiber_index
+    *_, twisted, anchor, out = sd.fiber_index
     cvals = char.complex_values  # indexed by K index: members are base + k in order
     fv = fv.reshape(fv.shape[:-1] + (sd.h.order, sd.k.order))
 
-    psi_h = cvals[anchor] * section                  # psi(h, e_K)
-    inner = fv @ np.conj(cvals)[twisted].T           # inner[..., h, a]
-    acc = (inner * psi_h[..., h_step]).sum(axis=-2)  # acc[..., a]
+    psi_h = cvals[anchor] * section                    # psi(h, e_K)
+    inner = fv @ np.conj(cvals)[twisted].T             # inner[..., h, a]
+    acc = (inner * psi_h[..., sd.steps]).sum(axis=-2)  # acc[..., a]
     return cvals[out] * acc
 
 

@@ -57,6 +57,7 @@ from .groups import (
     _p_norms,
     _weil_gaps,
     counting_measure,
+    full_subgroup,
     group_center,
     make_cyclic,
     make_from_table,
@@ -393,7 +394,7 @@ def check_covariance_shape(entry: CorpusEntry, seed: int, trials: int, tol: floa
     base = sd.h.identity * nk
     hs = np.arange(sd.h.order)
     members = np.array(entry.normal_in_k.members)
-    rows = np.asarray(sd.action)[sd.h.inv]           # rows[h] = theta_{h^-1}
+    rows = sd.action[sd.h.inv]                       # rows[h] = theta_{h^-1}
     anchors, points = hs * nk + sd.k.identity, hs[:, None] * nk + members
 
     def evaluate(char: Character, psi: np.ndarray) -> np.ndarray:
@@ -420,24 +421,24 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
         return None
     structural = []
 
-    k_full = make_subgroup(sd.k, range(sd.k.order))
     induced = induced_semidirect(sd, entry.normal_in_k)
-    for h in range(sd.h.order):
-        d_k = delta_factor(sd, k_full, h)
+    k_full, q_full = full_subgroup(sd.k), full_subgroup(induced.k)
+    d_k = [delta_factor(sd, k_full, h) for h in range(sd.h.order)]
+    for h, d in enumerate(d_k):
         d_n = delta_factor(sd, entry.normal_in_k, h)
-        d_q = induced.delta[h]
-        structural += [abs(d_k - d_n * d_q), abs(d_k - 1.0)]
+        d_q = delta_factor(induced, q_full, h)
+        structural += [abs(d - d_n * d_q), abs(d - 1.0)]
 
     mismatched = np.count_nonzero(entry.quot.table.table != induced.product.table)
     structural.append(float(mismatched))
 
     qk = quotient(sd.k, entry.normal_in_k)
 
-    # the quotient element at (h, K/N coset j), and its weight delta[h]
+    # the quotient element at (h, K/N coset j), and its weight d_k[h]
     cosets = [
         entry.quot.proj[sd.pair_index(h, rep)] for h in range(sd.h.order) for rep in qk.reps
     ]
-    deltas = np.repeat(sd.delta, qk.order)
+    deltas = np.repeat(d_k, qk.order)
 
     def evaluate(_: None, phi: np.ndarray) -> np.ndarray:
         direct = phi.sum(axis=-1)

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from covmod import (
@@ -35,6 +36,7 @@ from covmod import (
     trivial_character,
     weyl_heisenberg_finite,
 )
+from covmod.jsonio import group_from_text, group_text
 
 F = Fraction
 
@@ -65,6 +67,17 @@ def test_wh_action_oracle():
     # theta_1(l, t) = (l, t + 2 l)
     assert sd.action[1][1 * 4 + 0] == 1 * 4 + 2
     assert sd.action[1][0 * 4 + 3] == 0 * 4 + 3
+
+
+def test_product_split_is_the_semidirect_group():
+    sd = weyl_heisenberg_finite(2, 4)
+    assert sd.product.split is sd
+    assert sd.action.dtype == np.int32 and sd.action.shape == (2, 8)
+    with pytest.raises(ValueError):
+        sd.action[1, 0] = 1
+    # a table document carries the table alone: the group read back has no split
+    back = group_from_text(group_text(sd.product))
+    assert back == sd.product and back.split is None
 
 
 def test_wh_square_case_is_heisenberg():
@@ -133,7 +146,7 @@ def test_delta_factor_rejects_non_invariant():
     sd = weyl_heisenberg_finite(2, 4)
     # {(0,0), (1,0)} is a subgroup of K but the shear moves (1,0) to (1,2)
     sub = make_subgroup(sd.k, (0, 4))
-    with pytest.raises(NormalityError):
+    with pytest.raises(NormalityError, match="row 1 moves 4 to 6$"):
         delta_factor(sd, sub, 1)
 
 
@@ -154,7 +167,8 @@ def test_induced_semidirect_matches_quotient():
     q = quotient(sd.product, lifted)
     induced = induced_semidirect(sd, center_k)
     assert q.table.mul == induced.product.mul
-    assert induced.delta == (1.0, 1.0, 1.0)
+    q_full = full_subgroup(induced.k)
+    assert [delta_factor(induced, q_full, h) for h in range(3)] == [1.0, 1.0, 1.0]
 
 
 def test_fast_center_kernel_concrete():
