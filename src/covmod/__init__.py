@@ -3,7 +3,8 @@
 The package realizes, at finite scale and with explicit tolerances, the
 structure theory of functions that transform by a character under a normal
 subgroup: the averaging operator producing them, the convolution module
-they form, and closed-form convolutions on shear-type semidirect products.
+they form, and its action on semidirect products through the characters of
+the abelian fiber.
 Everything is checkable: `covmod verify` re-derives each identity on a
 corpus of groups with seeded random data.
 

@@ -1,4 +1,4 @@
-"""Timing comparison: structure-blind convolution against the closed-form kernels.
+"""Timing comparison: structure-blind convolution against the checked entry points.
 
 The baseline is the path a consumer would take without exploiting
 covariance at all: materialize the covariant function on the whole group
@@ -7,10 +7,11 @@ and convolve, at |G| squared scalar operations per call.  It is
 definition, never the fiber-Fourier routes of `convolve` and
 `module_action`.  `module_action`, one value per coset, is timed alongside
 for reference (the per-coset column; on these products it takes the
-fiber-Fourier route), and the closed-form shear-group kernels are the
-contenders.  Every kernel is
-checked for agreement on the exact inputs being timed before any clock
-starts, so a reported speedup cannot come from a wrong answer.
+fiber-Fourier route).  The contenders, `conv_fast_wh_center` and
+`conv_fast_wh_full`, are checks of shape, cosets and character before
+that same call.  Every one is checked for agreement on the exact inputs
+being timed before any clock starts, so a reported speedup cannot come
+from a wrong answer.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ def _run_variant(
     psi = from_section(random_function(quot.table, rng).values, char, quot)
 
     generic = module_action(f, psi)
-    closed = fast(sd, f, psi)
-    agreement = section_residual(closed, generic)
+    checked = fast(sd, f, psi)
+    agreement = section_residual(checked, generic)
     if agreement > AGREEMENT_TOL:
         raise ValidationError(
-            f"closed-form kernel disagrees with the generic action on variant "
+            f"entry point disagrees with the generic action on variant "
             f"{name!r} (residual {agreement:.3e}); refusing to time a wrong answer"
         )
 
@@ -84,9 +85,9 @@ def _run_variant(
             lambda: full_module_action(f, psi), repetitions
         ),
         "per_coset": _time_per_call(lambda: module_action(f, psi), repetitions),
-        "closed_form": _time_per_call(lambda: fast(sd, f, psi), repetitions),
+        "checked": _time_per_call(lambda: fast(sd, f, psi), repetitions),
     }
-    floor = max(seconds["closed_form"], 1e-12)
+    floor = max(seconds["checked"], 1e-12)
     return {
         "name": name,
         "normal_order": char.domain.order,
@@ -147,7 +148,7 @@ def bench_table(report: dict) -> str:
         f"(order {report['group_order']}), "
         f"{report['repetitions']} calls per timing, seed {report['seed']}"
     )
-    cols = ["variant", "|N|", "full-conv", "per-coset", "closed-form", "speedup"]
+    cols = ["variant", "|N|", "full-conv", "per-coset", "checked", "speedup"]
     rows = []
     for v in report["variants"]:
         s = v["seconds"]
@@ -157,7 +158,7 @@ def bench_table(report: dict) -> str:
                 str(v["normal_order"]),
                 f"{s['full_convolution']:.3e}s",
                 f"{s['per_coset']:.3e}s",
-                f"{s['closed_form']:.3e}s",
+                f"{s['checked']:.3e}s",
                 f"{v['speedup']:.1f}x",
             ]
         )

@@ -60,11 +60,12 @@ def _load_group(path: str):
 
 
 def _group_or_table(text: str):
-    """A group document through `group_from_text`; a bare array of rows,
-    which `group_from_json` refuses, through `make_from_table`."""
+    """A group document through `read_group`, with the text to write when
+    it is already the canonical document; a bare array of rows, which
+    `group_from_json` refuses, through `make_from_table`."""
     if text.lstrip(" \t\n\r").startswith("["):
-        return make_from_table(json.loads(text))
-    return jsonio.group_from_text(text)
+        return make_from_table(json.loads(text)), None
+    return jsonio.read_group(text)
 
 
 def _parse_members(text: str) -> list[int]:
@@ -77,12 +78,13 @@ def _parse_members(text: str) -> list[int]:
 
 
 def _cmd_group_make(args) -> int:
+    text = None
     if args.kind == "cyclic":
         g = make_cyclic(args.order)
     elif args.kind == "product":
         g = make_product(_load_group(args.a), _load_group(args.b))
     elif args.kind == "table":
-        g = _read_json(args.table, _group_or_table)
+        g, text = _read_json(args.table, _group_or_table)
     elif args.kind == "heisenberg":
         g = heisenberg_finite(args.m).product
     elif args.kind == "weyl-heisenberg":
@@ -94,7 +96,7 @@ def _cmd_group_make(args) -> int:
         g = semidirect(
             _load_group(args.h), _load_group(args.k), action
         ).product
-    _write(jsonio.group_text(g), args.out)
+    _write(jsonio.group_text(g) if text is None else text, args.out)
     return 0
 
 

@@ -12,10 +12,12 @@ structure alone.
   convolution (`SemidirectGroup.fiber_tables`).  `module_action` takes it
   when N lies inside K: the transforms of psi and of the output vanish off
   the |K/N| characters above xi o theta_h^-1 at each h, so psi's is built
-  from its section, the sum runs on those characters alone (|H|^2 |K/N|),
+  from its section, f is projected onto the union U of those characters
+  (one matrix product along N and psi's table along K / N, no transform
+  along all of K), the sum runs on those characters alone (|H|^2 |K/N|),
   and the output is transformed back at the coset representatives only
   (`semidirect.FiberAction`, whose tables are built on first use for each
-  quotient and character).
+  quotient, H-orbit of characters and character).
 - The table route serves every other group or quotient: groups read from a
   table document, which carry no split, products with a non-abelian K,
   plain groups, and normal subgroups outside K.  It reads the read-only
@@ -143,8 +145,10 @@ def module_action(
     The output is covariant for the same character, so only one value per
     coset is computed.  On a quotient of H x| K with K abelian by an N
     inside K, the fiber-Fourier route costs |H|^2 |K/N| for the sum, plus
-    O(|H| |K| log |K|) for transforming f and |H| |K/N|^2 for psi and the
-    output; on every other quotient the table route costs |G| * |G/N|.
+    |H| |K| o + |H| o |K/N|^2 for projecting f onto the characters of K
+    above the H-orbit of the character, o <= min(|H|, |N|) characters of
+    N, and |H| |K/N|^2 for psi and the output; on every other quotient the
+    table route costs |G| * |G/N|.
     """
     if f.group is not psi.group:
         raise DomainMismatchError("function and covariant function live on different groups")

@@ -21,6 +21,7 @@ from .groups import (
     GroupFunction,
     MeasureTriple,
     QuotientGroup,
+    _family,
     _p_norms,
     _require_exponent,
     _scaled,
@@ -98,7 +99,7 @@ def t_xi(
         quot = quotient(f.group, char.domain)
     elif not quot.normal.same_as(char.domain):
         raise DomainMismatchError("quotient was built for a different subgroup")
-    wN = None if measure is None else measure.wN
+    wN = None if measure is None else _family(measure, "wN", quot.normal.order)
     return CovariantFunction(quot, char, _averaged(f.values, char, quot, wN))
 
 

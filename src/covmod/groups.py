@@ -616,10 +616,20 @@ def _group_weights(weights: MeasureTriple | Sequence[float], order: int) -> np.n
     return w
 
 
+def _family(measure: MeasureTriple, name: str, size: int) -> np.ndarray:
+    """The family `name` of a triple, refused unless it has `size` weights."""
+    w = getattr(measure, name)
+    if w.size != size:
+        raise MeasureError(f"got {w.size} {name} weights where {size} are needed")
+    return w
+
+
 def weil_residual(f: GroupFunction, quot: QuotientGroup, measure: MeasureTriple) -> float:
     """|iterated coset sum - plain group sum| for one function and weight family."""
     if f.group is not quot.parent:
         raise DomainMismatchError("function lives on a different group")
+    for name, size in (("wG", quot.parent.order), ("wN", quot.normal.order), ("wQ", quot.order)):
+        _family(measure, name, size)
     return float(_weil_gaps(f.values, quot, measure))
 
 

@@ -107,10 +107,15 @@ def group_text(group: FiniteGroup) -> str:
     """`dumps(group_to_json(group))`, joined from the table's decimal rows
     without building |G| lists of ints."""
     rows = group.decimal_rows()
-    labels = "" if group.labels is None else ',"labels":' + dumps(list(group.labels))
     rows[0] = f'{{"order":{group.order},"mul":[[{rows[0]}'
-    rows[-1] += f"]]{labels}}}"
+    rows[-1] += _closing(group)
     return "],[".join(rows)
+
+
+def _closing(group: FiniteGroup) -> str:
+    """What `group_text` writes after the last row: the labels, if any."""
+    labels = "" if group.labels is None else ',"labels":' + dumps(list(group.labels))
+    return f"]]{labels}}}"
 
 
 def group_from_json(doc: dict) -> FiniteGroup:
@@ -132,36 +137,46 @@ def group_from_json(doc: dict) -> FiniteGroup:
 
 _HEAD = re.compile(r'\{"order":([1-9][0-9]{0,9}),"mul":\[\[')
 _LABELS = ']],"labels":'
+_SPACE = " \t\n\r"  # the trailing whitespace a canonical document may carry
 
 
 def group_from_text(text: str) -> FiniteGroup:
     """`group_from_json(json.loads(text))`, reading the layout `group_text`
-    writes straight from its rows' decimal text.
+    writes straight from its rows' decimal text; see `read_group`."""
+    return read_group(text)[0]
 
-    Such a document, with trailing whitespace allowed, builds no int object per
-    entry: its rows are parsed once into an int32 array, and the fingerprint
-    is hashed from the rows' text.  Any other document (other whitespace or
-    key order, a repeated key, a bare array, anything malformed) goes through
-    `json.loads` and `group_from_json`.  Either route loads the same group and
-    fails with the same error.
+
+def read_group(text: str) -> tuple[FiniteGroup, str | None]:
+    """The group of a document, and `text` with trailing whitespace stripped
+    when that is `group_text` of the group byte for byte, else None.
+
+    A document in `group_text`'s layout, with trailing whitespace allowed,
+    builds no int object per entry: its rows are parsed once into an int32
+    array, and the fingerprint is hashed from the rows' text; it is
+    canonical if its labels are also spelled as `dumps` writes them.  Any
+    other document (other whitespace or key order, a repeated key, a bare
+    array, anything malformed) goes through `json.loads` and
+    `group_from_json`.  Either route loads the same group and fails with
+    the same error.
     """
     read = _canonical_table(text)
     if read is None:
-        return group_from_json(json.loads(text))
-    table, labels, digest = read
+        return group_from_json(json.loads(text)), None
+    table, labels, digest, closing = read
     group = checked_group(table, labels)
     vars(group)["fingerprint"] = digest  # seeds the cached property
-    return group
+    return group, text.rstrip(_SPACE) if closing == _closing(group) else None
 
 
 def _canonical_table(text: str):
-    """The table, labels and fingerprint of a document in the exact layout of
-    `group_text`, or None for any other text."""
+    """The table, labels, fingerprint and the text after the last row of a
+    document in the exact layout of `group_text`, or None for any other
+    text."""
     head = _HEAD.match(text) if text.isascii() else None
     end = -1 if head is None else text.rfind("]]", head.end())
     if end < 0:
         return None
-    tail = text[end:].rstrip(" \t\n\r")
+    tail = text[end:].rstrip(_SPACE)
     labels = None
     if tail.startswith(_LABELS) and tail.endswith("}"):
         try:
@@ -205,7 +220,7 @@ def _canonical_table(text: str):
         or len(flat) - (n * n - 1) != _digit_count(table)
     ):
         return None
-    return table.reshape(n, n), labels, digest
+    return table.reshape(n, n), labels, digest, tail
 
 
 def _digit_count(arr: np.ndarray) -> int:

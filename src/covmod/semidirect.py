@@ -1,4 +1,4 @@
-"""Semidirect products and their specialized convolution kernels.
+"""Semidirect products, their fiber convolution and module action.
 
 A semidirect product is built from two finite groups H and K and an action
 table theta, where theta[h] is the automorphism of K contributed by h.  The
@@ -11,22 +11,20 @@ bookkeeping on products and their quotients stays visible.  When K is
 abelian, `SemidirectGroup.fiber_convolve` is the convolution that `convolve`
 runs: an FFT along each cyclic factor of K (Cooley-Tukey, the separation of
 variables of Maslen & Rockmore), one sum over H per character of K, and the
-inverse FFT.  `FiberAction` runs the module action the same way for a
-normal subgroup inside K, on the characters above the covariance character
-only.
+inverse FFT.  `FiberAction` runs the module action for a normal subgroup
+inside K on the characters above the covariance character only: f is
+projected onto those characters, along N with one matrix product and
+along K / N with the table psi's transform uses, with no transform along
+all of K.
 
 One family gets a dedicated constructor: the shear groups on
 Z_M x (Z_M x Z_R), where h shears the circle coordinate by (R / M) h times
-the first; R = M gives the discrete step (Heisenberg) groups.  Two closed
-forms of the convolution action against a covariant function live here,
-each checked against the generic kernels by the verification suite: one
-over the whole K fiber of any semidirect product, and one over the center
-of a shear group.  The shear-group K-fiber kernel is the first behind a
-check of the group's shape and of the character's indices.
-
-The closed-form kernels assume unit counting weights.  Under any other
-uniform weight w the convolution scales linearly, so multiply the output
-by w; there is no per-element weighting to restore.
+the first; R = M gives the discrete step (Heisenberg) groups.  Three entry
+points check that a covariant function is of a special shape and then call
+`module_action`: `conv_fast_full_k` for covariance over the whole K fiber
+of any semidirect product, `conv_fast_wh_center` for the center of a shear
+group, and `conv_fast_wh_full` for a named character of a shear group's K
+fiber.  They take unit counting weights, as `module_action` does by default.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import Character, phase_to_complex
+from .convolution import module_action
 from .covariant import CovariantFunction
 from .errors import (
     DiscretizationError,
@@ -60,6 +59,7 @@ from .groups import (
     make_subgroup,
     quotient,
     _check_order,
+    _distinct,
     _frozen,
 )
 
@@ -109,28 +109,6 @@ class SemidirectGroup:
     def shear_parameters(self) -> tuple[int, int, int]:
         """`_wh_parameters` of this group, validated on first use only."""
         return _wh_parameters(self)
-
-    @cached_property
-    def fiber_index(self) -> tuple:
-        """Index tables of `conv_fast_full_k`, built once per group.
-
-        With the K fiber as normal subgroup, coset h is {h} x K and its
-        representative is (h, 0).  The tables are the fiber's members and
-        those representatives, then `twisted[a, k]` = theta_{a^-1}(k),
-        `anchor[h]`, the K index of (h, 0)^-1 * (h, e_K), so that
-        psi(h, e_K) = xi(anchor[h]) * section[h], and `out[a]` = theta_{a^-1}(0).
-        """
-        nh, nk = self.h.order, self.k.order
-        base = self.h.identity * nk
-        twisted = self.action[self.h.inv].astype(np.intp)   # numpy gathers by intp fastest
-        reps = np.arange(nh) * nk
-        g = self.product
-        anchor = g.table[g.inv[reps], reps + self.k.identity] - base
-        return (
-            tuple(range(base, base + nk)),
-            tuple(reps.tolist()),
-            *_frozen(twisted, anchor, twisted[:, 0]),
-        )
 
     @cached_property
     def dual_grid(self) -> tuple:
@@ -241,8 +219,16 @@ class FiberAction:
     only.  Writing omega in S_h as sigma_h nu with nu in N^perp splits every
     character table into an |H| x |K/N| part for xi and an |K/N| x |K/N|
     part for N, and chi_omega o theta_a keeps the nu part's slot up to a
-    permutation of N^perp that depends on a alone.  Every table is built in
-    integer arithmetic, then read off exact roots of unity.
+    permutation of N^perp that depends on a alone.
+
+    f^ is read on U, the union of the S_h, alone: w N^perp for w one
+    extension of each of the o restrictions xi o theta_h^-1 (the H-orbit of
+    xi).  With k = r n, f^(a, w nu) = sum over r of conj(chi_w(r) chi_nu(r))
+    sum over n of f(a, r n) conj(chi_w(n)): one product along N, |H| |K| o
+    work, then `forward` along K / N, |H| o |K/N|^2, and no transform along
+    all of K.  Those tables of the w are kept once per orbit, for the
+    quotient.  Every table is built in integer arithmetic, then read off
+    exact roots of unity.
     """
 
     def __init__(self, sd: SemidirectGroup, members: np.ndarray, reps: np.ndarray) -> None:
@@ -256,6 +242,9 @@ class FiberAction:
         perm = np.searchsorted(perp, pulled[:, perp])  # chi_nu o theta_a = the perm[a, nu]-th of N^perp
         self.sd, self.roots, self.elem = sd, roots, elem
         self.gen_slots = np.searchsorted(members, gens).tolist()
+        # K in coset order, r n at [r, n]; None where that is K's own order
+        cosets = sd.k.table[np.ix_(reps, members)].astype(np.intp).ravel()
+        self.cosets = None if (cosets == np.arange(cosets.size)).all() else _frozen(cosets)[0]
         self.on_gens, self.perp, self.member_coords, self.rep_coords = _frozen(
             on_gens, perp, coords[members].T, coords[reps].T
         )
@@ -265,13 +254,14 @@ class FiberAction:
             (sd.steps[:, :, None] * nkn + perm[:, None, :]).reshape(nh, nh * nkn),
         )
         self._by_character: dict[int, tuple[weakref.ref, tuple | None]] = {}
+        self._by_orbit: dict[int, tuple] = {}
 
     def tables(self, char: Character) -> tuple | None:
         """The tables for `char`, built on its first use with this quotient:
-        the flat grid index of each (h, omega in S_h), and conj(chi_sigma_h(r))
-        with its conjugate.  None when `char` is not a character of N, so no
-        character of K extends it.  They are kept by the character's
-        identity, not its phases, until the character or the quotient goes."""
+        the slot in U of each (h, omega in S_h), conj(chi_sigma_h(r)) with
+        its conjugate, and its H-orbit's `_orbit_tables`, which stay with the
+        quotient; None when no character of K extends `char`.  The rest are
+        kept by the character's identity until the character or quotient goes."""
         key = id(char)
         entry = self._by_character.get(key)
         if entry is None or entry[0]() is not char:
@@ -296,22 +286,47 @@ class FiberAction:
         ):
             return None
         sigma = pulled[sd.h.inv, found[0]]              # sigma[h] = chi_omega0 o theta_h^-1
-        product = sd.k.table[self.elem[sigma][:, None], self.elem[self.perp]]
-        support = pos[product].ravel()                  # grid index of sigma_h nu
+        support = self._cosets_of(sigma)                # grid index of sigma_h nu at [h, nu]
+        first = _distinct(sd.k.order, support.min(axis=1))  # w: the least character of each S_h
+        key = int(first[0])                             # U's least character names the H-orbit
+        if key not in self._by_orbit:
+            self._by_orbit[key] = self._orbit_tables(first)
+        labels = self._cosets_of(first).ravel()         # U in the order of the projection
+        order = np.argsort(labels)
+        slot = order[np.searchsorted(labels, support.ravel(), sorter=order)]
         phase = self.roots[-(dual[sigma] @ self.rep_coords) % exponent]
-        return _frozen(support, phase, phase.conj())
+        return (*_frozen(slot, phase, phase.conj()), self._by_orbit[key])
+
+    def _cosets_of(self, omega: np.ndarray) -> np.ndarray:
+        """The grid index of chi_omega nu at [i, nu] for each omega[i]."""
+        _, _, _, pos, *_ = self.sd.dual_grid
+        return pos[self.sd.k.table[self.elem[omega][:, None], self.elem[self.perp]]]
+
+    def _orbit_tables(self, first: np.ndarray) -> tuple:
+        """The projection onto U = w N^perp, w in `first`: conj(chi_w(n)) / |N|
+        at [n, w] in `_real_form`, and conj(chi_w(r)) at [w, r]."""
+        _, _, _, _, dual, exponent, _ = self.sd.dual_grid
+        on_n = self.roots[-(dual[first] @ self.member_coords) % exponent]
+        on_r = self.roots[-(dual[first] @ self.rep_coords) % exponent]
+        return _frozen(_real_form(on_n.T / on_n.shape[1]), on_r)
 
     def act(self, wf: np.ndarray, section: np.ndarray, tables: tuple) -> np.ndarray:
         """The module action's sections along the last axis of a (..., |G|)
         array of weighted values and a (..., |G/N|) array of sections."""
-        support, phase, unphase = tables
+        slot, phase, unphase, (along_n, on_r) = tables
         sd = self.sd
         nh, nk, nkn = sd.h.order, sd.k.order, self.perp.size
-        grid = wf.reshape(*wf.shape[:-1], nh, nk).take(self.elem, axis=-1)
-        f_hat = sd.transform(grid).take(support, axis=-1)    # f^(a, omega) at [..., a, (h, omega)]
+        rows = wf.reshape(-1, nk)
+        if self.cosets is not None:
+            rows = rows.take(self.cosets, axis=-1)
+        rows = np.ascontiguousarray(rows, dtype=complex)
+        on_n = (rows.view(np.float64).reshape(-1, along_n.shape[0]) @ along_n).view(complex)
+        on_w = (on_n.reshape(-1, nkn, on_r.shape[0]).swapaxes(1, 2) * on_r).reshape(-1, nkn)
+        on_u = (on_w @ self.forward).reshape(*wf.shape[:-1], nh, on_r.size)
+        f_hat = on_u.take(slot, axis=-1)                     # f^(a, omega) at [..., a, (h, omega)]
         on_cosets = (section.reshape(-1, nh, nkn) * phase).reshape(-1, nkn)
         psi_hat = (on_cosets @ self.forward).reshape(section.shape)
-        out_hat = np.einsum("...ax,...ax->...x", f_hat, psi_hat.take(self.twist, axis=-1))
+        out_hat = (f_hat * psi_hat.take(self.twist, axis=-1)).sum(axis=-2)
         out = out_hat.reshape(-1, nkn) @ self.inverse
         return (out.reshape(-1, nh, nkn) * unphase).reshape(*out_hat.shape)
 
@@ -483,7 +498,8 @@ def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int, int]:
 @lru_cache(maxsize=None)
 def _std_rows(m: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Generator rows of the standard shear tables: H shift, both K shifts,
-    and the shear row, used to recognize the shape at closed-form call time."""
+    and the shear row, used to recognize the shape when an entry point is
+    called."""
     step = r // m
     return (
         tuple((1 + b) % m for b in range(m)),
@@ -493,16 +509,21 @@ def _std_rows(m: int, r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _real_form(table: np.ndarray) -> np.ndarray:
+    """The real (2n x 2u) form of a complex (n x u) matrix: z.view(float) @ it
+    is (z @ table).view(float).  It runs faster than the complex product and
+    is never one column, which OpenBLAS threads (5 ms stalls at |K| = 256)."""
+    n, u = table.shape
+    out = np.empty((n, 2, u, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = table.real
+    out[:, 0, :, 1] = table.imag
+    out[:, 1, :, 0] = -table.imag
+    return out.reshape(2 * n, 2 * u)
+
+
 @lru_cache(maxsize=None)
 def _roots_of_unity(n: int) -> np.ndarray:
     return _frozen(np.array([phase_to_complex(Fraction(j, n)) for j in range(n)]))[0]
-
-
-@lru_cache(maxsize=None)
-def _shift_index(m: int) -> np.ndarray:
-    """`index[a, b] = (a - b) mod m`, the cyclic difference table."""
-    a = np.arange(m)
-    return _frozen((a[:, None] - a) % m)[0]
 
 
 def _reduced(k: np.ndarray, r: int) -> tuple[tuple[int, int], ...]:
@@ -511,26 +532,21 @@ def _reduced(k: np.ndarray, r: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _center_tables(m: int, r: int, n: int) -> tuple:
-    """Tables of `conv_fast_wh_center` for one (m, r, n): the central members,
-    the coset representatives (m', l', 0), the character's phases
-    (n t mod r) / r, the t-sum row conj(xi_n(t)), the phase
-    w[m', d] = e(-n m' d / m) flattened over (m', d), and the two gathers
-    shift[m, (m', d)] = (m - m', d) of the section and
-    fold[(m', d), l] = (m', l - d) of the t-summed f, as flat indices."""
-    t, a = np.arange(r), np.arange(m)
-    k = (n * t) % r
-    diff = _shift_index(m)
+def _fiber_cosets(nh: int, nk: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """What `conv_fast_full_k` checks: the members of the K fiber, from
+    `base`, the index of (e_H, 0), and the coset representatives (h, 0)."""
+    return tuple(range(base, base + nk)), tuple(range(0, nh * nk, nk))
+
+
+@lru_cache(maxsize=None)
+def _center_cosets(m: int, r: int, n: int) -> tuple:
+    """What `conv_fast_wh_center` checks for one (m, r, n): the central
+    members, the coset representatives (m', l', 0) and the character's
+    phases (n t mod r) / r as reduced pairs."""
     return (
         tuple(range(r)),
         tuple(mm * m * r + ll * r for mm in range(m) for ll in range(m)),
-        _reduced(k, r),
-        *_frozen(
-            _roots_of_unity(r)[-k % r],
-            _roots_of_unity(m)[(-n * np.outer(a, a)) % m].ravel(),
-            (diff[:, :, None] * m + a).reshape(m, m * m),
-            (a[:, None, None] * m + diff.T).reshape(m * m, m),
-        ),
+        _reduced(n * np.arange(r) % r, r),
     )
 
 
@@ -548,83 +564,52 @@ def _require_phases(psi: CovariantFunction, expected: tuple, what: str) -> None:
         raise DomainMismatchError(f"character does not match the requested {what}")
 
 
-def _require_normal_members(psi: CovariantFunction, expected: tuple[int, ...], what: str) -> None:
-    if psi.quotient.normal.members != expected:
+def _require_covariance(
+    sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction, members: tuple, what: str
+) -> None:
+    if f.group is not sd.product:
+        raise DomainMismatchError("function does not live on the product group")
+    if psi.group is not sd.product:
+        raise DomainMismatchError("covariant function does not live on the product group")
+    if psi.quotient.normal.members != members:
         raise DomainMismatchError(f"covariant function is not covariant over {what}")
 
 
 def conv_fast_full_k(
     sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction
 ) -> CovariantFunction:
-    """Closed-form module action when the covariance subgroup is all of K.
+    """`module_action` when the covariance subgroup is all of K, behind a
+    check that it is, with the coset representatives (h, 0).
 
-    For each output coset (a, K) the double sum over (h, k) factors through
-    the character twisted by the action of a^-1, so the cost is
-    |H|^2 * |K| instead of the |G|^2 of the structure-blind path.
+    With K abelian f is projected onto the H-orbit of psi's character, at
+    most |H|^2 |K| work against the |G|^2 of the structure-blind path; any
+    other K takes the table route, |H|^2 |K| as well.
     """
-    if f.group is not sd.product:
-        raise DomainMismatchError("function does not live on the product group")
-    if psi.group is not sd.product:
-        raise DomainMismatchError("covariant function does not live on the product group")
-    members, reps, *_ = sd.fiber_index
-    _require_normal_members(psi, members, "the full K fiber")
+    members, reps = _fiber_cosets(sd.h.order, sd.k.order, sd.h.identity * sd.k.order)
+    _require_covariance(sd, f, psi, members, "the full K fiber")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with (h, 0)")
-    section = _full_k_sections(sd, f.values, psi.section, psi.character)
-    return CovariantFunction(psi.quotient, psi.character, section)
-
-
-def _full_k_sections(
-    sd: SemidirectGroup, fv: np.ndarray, section: np.ndarray, char: Character
-) -> np.ndarray:
-    """`conv_fast_full_k` along the last axis of a (..., |G|) array of values
-    and a (..., |H|) array of sections."""
-    *_, twisted, anchor, out = sd.fiber_index
-    cvals = char.complex_values  # indexed by K index: members are base + k in order
-    fv = fv.reshape(fv.shape[:-1] + (sd.h.order, sd.k.order))
-
-    psi_h = cvals[anchor] * section                    # psi(h, e_K)
-    inner = fv @ np.conj(cvals)[twisted].T             # inner[..., h, a]
-    acc = (inner * psi_h[..., sd.steps]).sum(axis=-2)  # acc[..., a]
-    return cvals[out] * acc
+    return module_action(f, psi)
 
 
 def conv_fast_wh_center(
     sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction, n: int
 ) -> CovariantFunction:
-    """Closed-form module action over the central fiber of a shear group.
+    """`module_action` over the central fiber of a shear group, behind a
+    check of the group's shape, the cosets and the character.
 
     The covariance character must be the n-th character of the center
-    {(0, 0, t)}.  The t-sum of f is taken once against that character, and
-    the remaining double sum over (m', l') carries only an m'(l'-l) phase,
-    so the cost is quadratic in the number of cosets rather than in |G|.
+    {(0, 0, t)}.  H fixes it, so the route takes m^2 r + m^3 work to project
+    f onto the m characters of K above it and m^3 for the sum, where the
+    structure-blind path takes |G|^2 = m^4 r^2.
     """
     m, r, _ = sd.shear_parameters
-    if f.group is not sd.product:
-        raise DomainMismatchError("function does not live on the product group")
-    if psi.group is not sd.product:
-        raise DomainMismatchError("covariant function does not live on the product group")
-    members, reps, phases, *_ = _center_tables(m, r, n % r)
-    _require_normal_members(psi, members, "the central fiber")
+    members, reps, phases = _center_cosets(m, r, n % r)
+    _require_covariance(sd, f, psi, members, "the central fiber")
     _require_phases(psi, phases, "central character index")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with t = 0")
-    section = _wh_center_sections(m, r, n, f.values, psi.section)
-    return CovariantFunction(psi.quotient, psi.character, section)
-
-
-def _wh_center_sections(m: int, r: int, n: int, fv: np.ndarray, section: np.ndarray) -> np.ndarray:
-    """`conv_fast_wh_center` on WH(m, r) along the last axis of a (..., |G|)
-    array of values and a (..., m^2) array of sections."""
-    *_, crow, w, shift, fold = _center_tables(m, r, n % r)
-    lead = fv.shape[:-1]
-    f1 = (fv.reshape(lead + (m, m, r)) @ crow).reshape(lead + (m * m,))   # f1[..., (m', l')]
-
-    # With d = (l - l') mod m and the section psec[m, l] at (m, l, 0), the sum is
-    # section[m, l] = sum over m', d of psec[m - m', d] * w[m', d] * f1[m', l - d],
-    # one (m x m^2) by (m^2 x m) matrix product.
-    out = (section.take(shift, axis=-1) * w) @ f1.take(fold, axis=-1)
-    return out.reshape(lead + (m * m,))
+    return module_action(f, psi)
 
 
 def conv_fast_wh_full(
@@ -634,7 +619,7 @@ def conv_fast_wh_full(
     y: int,
     n: int,
 ) -> CovariantFunction:
-    """Closed-form module action over the whole Z_m x Z_r fiber of a shear group.
+    """`module_action` over the whole Z_m x Z_r fiber of a shear group.
 
     The covariance character must be the (y, n) character of the fiber,
     (l, t) -> e(y l / m + n t / r).  Past the shape and phase checks this is

@@ -67,8 +67,6 @@ from .groups import (
 )
 from .semidirect import (
     SemidirectGroup,
-    _full_k_sections,
-    _wh_center_sections,
     _wh_parameters,
     delta_factor,
     heisenberg_finite,
@@ -451,53 +449,40 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
     )
 
 
-# The closed forms as (sd, f, section, char) -> sections over a trial axis.
-# The center form reads the character index n off the character's exact phases.
-
-def _wh_center(sd: SemidirectGroup, f: np.ndarray, psi: np.ndarray, char: Character) -> np.ndarray:
-    m, r, _ = sd.shear_parameters
-    n = int(char.phases[1] * r) if r > 1 else 0
-    return _wh_center_sections(m, r, n, f, psi)
-
-
-def _fast_rows_for_sd(
-    sd: SemidirectGroup,
-    entry_name: str,
+def _fast_rows(
+    name: str,
     quot: QuotientGroup,
     chars: Sequence[Character],
-    kernels: Sequence[Callable[[SemidirectGroup, np.ndarray, np.ndarray, Character], np.ndarray]],
     seed: int,
     trials: int,
     tol: float | None,
 ) -> dict:
-    """Compare each closed-form kernel against `module_action` on shared draws."""
+    """The route that the checked entry points `conv_fast_*` call,
+    `_module_action`, against the table route at the representatives, on
+    shared draws; `bench` and the tests run the entry points' checks."""
+    group = quot.parent
 
     def evaluate(char: Character, f: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        generic = _module_action(f, psi, char, quot)
-        return np.stack([_gaps(kernel(sd, f, psi, char), generic) for kernel in kernels], axis=-1)
+        table = _convolve_at(group, f, _on_group(psi, char, quot), quot.reps)
+        return _gaps(_module_action(f, psi, char, quot), table)
 
     return _trial_row(
-        "fast_kernels", entry_name, chars, seed, trials, tol,
-        (sd.product.order, quot.order), evaluate,
+        "fast_kernels", name, chars, seed, trials, tol, (group.order, quot.order), evaluate
     )
 
 
 def check_fast_kernels(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict | None:
-    """Closed-form kernels agree with the generic action on the corpus entry."""
-    sd = entry.sd
-    if sd is None or entry.normal_in_k is None:
+    """The module action agrees with the table route where an entry point
+    `conv_fast_*` applies: covariance over all of K, or over the first
+    |K| / |H| elements of K, the center of a shear group."""
+    sd, in_k = entry.sd, entry.normal_in_k
+    if sd is None or in_k is None:
         return None
-    if entry.normal_in_k.order == sd.k.order:
-        kernels = [_full_k_sections]
-    elif sd.k.order % sd.h.order == 0 and entry.normal_in_k.members == tuple(
-        range(sd.k.order // sd.h.order)
+    if in_k.order != sd.k.order and not (
+        sd.k.order % sd.h.order == 0 and in_k.members == tuple(range(sd.k.order // sd.h.order))
     ):
-        kernels = [_wh_center]
-    else:
         return None
-    return _fast_rows_for_sd(
-        sd, entry.name, entry.quot, entry.characters, kernels, seed, trials, tol
-    )
+    return _fast_rows(entry.name, entry.quot, entry.characters, seed, trials, tol)
 
 
 def fast_grid_rows(seed: int, trials: int, tol: float | None = None) -> list[dict]:
@@ -505,17 +490,12 @@ def fast_grid_rows(seed: int, trials: int, tol: float | None = None) -> list[dic
     rows = []
     for m, r in FAST_GRID:
         sd = weyl_heisenberg_finite(m, r)
-        for label, fiber, kernels in (
-            ("center", r, [_wh_center]),
-            ("K", m * r, [_full_k_sections]),
-        ):
+        for label, fiber in (("center", r), ("K", m * r)):
             start = time.perf_counter()
             normal = lift_subgroup(sd, make_subgroup(sd.k, range(fiber)))
             quot = quotient(sd.product, normal)
             chars = enumerate_characters(normal)
-            row = _fast_rows_for_sd(
-                sd, f"WH({m},{r})/{label}", quot, chars, kernels, seed, trials, tol
-            )
+            row = _fast_rows(f"WH({m},{r})/{label}", quot, chars, seed, trials, tol)
             rows.append({**row, "seconds": time.perf_counter() - start})
     return rows
 

@@ -43,12 +43,7 @@ from covmod.convolution import (
 )
 from covmod.covariant import _averaged, _on_group
 from covmod.groups import _draws, _p_norms, _weil_gaps
-from covmod.semidirect import (
-    _full_k_sections,
-    _wh_center_sections,
-    lift_subgroup,
-    weyl_heisenberg_finite,
-)
+from covmod.semidirect import lift_subgroup, weyl_heisenberg_finite
 from covmod.verify import FAST_GRID, builtin_corpus
 
 TRIALS = (0, 1, 3)
@@ -161,7 +156,7 @@ def test_array_functions_match_the_public_path(name, group, members, sd, form, r
 
         if sd is not None and form == "full_k":
             _agree(
-                _full_k_sections(sd, f, s, char),
+                _module_action(f, s, char, quot),
                 _stack([conv_fast_full_k(sd, a, x).section for a, x in zip(fs, psis)], (q,)),
                 f"conv_fast_full_k {tag}",
             )
@@ -169,7 +164,7 @@ def test_array_functions_match_the_public_path(name, group, members, sd, form, r
             m, r, _ = sd.shear_parameters
             k = int(char.phases[1] * r) if r > 1 else 0
             _agree(
-                _wh_center_sections(m, r, k, f, s),
+                _module_action(f, s, char, quot),
                 _stack([conv_fast_wh_center(sd, a, x, k).section for a, x in zip(fs, psis)], (q,)),
                 f"conv_fast_wh_center {tag}",
             )

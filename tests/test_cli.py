@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
+from covmod import jsonio, make_cyclic
 from covmod.cli import main
 from covmod.jsonio import group_id, group_to_json
-from covmod import make_cyclic
 
 
 def run(*args, cwd=None):
@@ -60,6 +60,25 @@ def test_group_make_table_from_bare_array(tmp_path):
     res = run("group", "make", "table", str(t))
     assert res.returncode == 0
     assert json.loads(res.stdout)["order"] == 2
+
+
+@pytest.mark.parametrize(
+    "spelled, passed_through",
+    [('"\\u00e9"', True), ('"\\u00E9"', False), ('"\u00e9"', False)],
+    ids=["as-written", "upper-escape", "raw"],
+)
+def test_group_make_table_writes_canonical_bytes(tmp_path, monkeypatch, spelled, passed_through):
+    # canonical text is written as read; any other spelling of the label is
+    # re-rendered, so the bytes are the same either way
+    rendered = []
+    group_text = jsonio.group_text
+    monkeypatch.setattr(jsonio, "group_text", lambda g: rendered.append(g) or group_text(g))
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    doc = '{"order":2,"mul":[[0,1],[1,0]],"labels":["e",' + spelled + "]}\n \n"
+    src.write_text(doc, encoding="utf-8")
+    assert main(["group", "make", "table", str(src), "--out", str(out)]) == 0
+    assert out.read_bytes() == b'{"order":2,"mul":[[0,1],[1,0]],"labels":["e","\\u00e9"]}\n'
+    assert bool(rendered) is not passed_through
 
 
 def test_group_make_semidirect(tmp_path):

@@ -8,6 +8,7 @@ over a leading trial axis of 0, 1 and 3 trials.
 
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import permutations
@@ -75,6 +76,18 @@ def _cases():
     flip = _flip_with_identities_at_1()
     yield "flip, identities at 1 / K", flip, range(3)
     yield "flip, identities at 1 / e", flip, [1]
+    # the swap moves a character of 2K: H-orbits of two, |K/N| = 4
+    yield "swap x| Z4 x Z4 / 2K", _swap_on_z4_squared(), [0, 2, 8, 10]
+
+
+def _inversion(n):
+    return semidirect(make_cyclic(2), make_cyclic(n), [list(range(n)), [-k % n for k in range(n)]])
+
+
+def _swap_on_z4_squared():
+    z4 = make_cyclic(4)
+    swap = [4 * (k % 4) + k // 4 for k in range(16)]
+    return semidirect(make_cyclic(2), make_product(z4, z4), [list(range(16)), swap])
 
 
 CASES = list(_cases())
@@ -199,3 +212,64 @@ def test_route_broadcasts_leading_axes():
         _close(one_f[i], _module_action(f, ss[i], char, quot), "one f")
         _close(one_s[i], _module_action(fs[i], s, char, quot), "one section")
         _close(stacked[1, i], _module_action(fs[i], ss[i], char, quot), "stacked")
+
+
+def test_characters_in_one_orbit_share_one_projection():
+    """On WH(16,16) each central character is its own H-orbit, and the 256
+    characters of the K fiber fall into 48 orbits.  The projection onto the
+    characters above an orbit is built once for the quotient, so the tables
+    of every character of both fibers fit in a few MB, where one projection
+    per character would take several times that."""
+    sd = weyl_heisenberg_finite(16, 16)
+    fibers = [_quotient(sd, range(n)) for n in (16, 256)]
+    chars = [enumerate_characters(normal) for normal, _ in fibers]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        routes = [quot.fiber_action for _, quot in fibers]
+        tables = [[route.tables(c) for c in cs] for route, cs in zip(routes, chars)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8e6, held
+
+    for (normal, _), route, cs, ts, orbits in zip(fibers, routes, chars, tables, (16, 48)):
+        # the H-orbit of a character, read off its phases: xi o theta_a on N
+        moved = sd.action[:, : normal.order]
+        keys = [min(tuple(c.phases[i] for i in row) for row in moved) for c in cs]
+        shared = {}
+        for key, t in zip(keys, ts):
+            assert shared.setdefault(key, t[-1]) is t[-1]   # one array for one orbit
+        assert len(shared) == orbits
+        assert len({id(p) for p in shared.values()}) == orbits  # and another for another
+        assert len(route._by_orbit) == orbits
+
+    # the per-character tables go with their characters; the projections stay
+    del cs, ts, chars, tables
+    gc.collect()
+    for route, orbits in zip(routes, (16, 48)):
+        assert not route._by_character and len(route._by_orbit) == orbits
+
+
+@pytest.mark.parametrize(
+    "sd, members",
+    [
+        (_inversion(256), [0, 128]),
+        (_inversion(256), [0]),
+        (weyl_heisenberg_finite(4, 4), range(0, 4, 2)),
+        (_swap_on_z4_squared(), [0, 2, 8, 10]),
+    ],
+    ids=["inversion / order 2", "inversion / e", "WH(4,4) / (0,2t)", "swap / 2K"],
+)
+def test_projection_tables_grow_with_n_and_the_orbit_not_with_k(sd, members):
+    """A small N leaves |K/N| close to |K|: the projection of f must not
+    hold a table of |K| rows per character of U, only |N| rows per
+    character of N in the orbit and one row of K / N per such character."""
+    normal, quot = _quotient(sd, members)
+    route = quot.fiber_action
+    n, nkn = normal.order, quot.order // sd.h.order
+    for char in enumerate_characters(normal):
+        *_, (along_n, on_r) = route.tables(char)
+        orbit = on_r.shape[0]
+        assert orbit <= min(sd.h.order, n)
+        assert along_n.shape == (2 * n, 2 * orbit) and on_r.shape == (orbit, nkn)

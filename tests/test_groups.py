@@ -475,3 +475,24 @@ def test_malformed_values_raise_package_errors(z4, z4_evens, z4_quot, kind, bad)
             build()
     with pytest.raises(CovmodError):
         MeasureTriple((1.0,) * 4, (1j,) * 2, (1.0,) * 2)  # complex weights
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((6, 2, 2), "got 2 wN weights where 3 are needed"),
+        ((6, 3, 5), "got 5 wQ weights where 2 are needed"),
+        ((5, 3, 2), "got 5 wG weights where 6 are needed"),
+    ],
+)
+def test_measure_families_of_the_wrong_length_raise_measure_errors(sizes, message):
+    z6 = make_cyclic(6)
+    normal = make_subgroup(z6, (0, 2, 4))
+    quot = quotient(z6, normal)
+    f = delta_function(z6, 1)
+    measure = MeasureTriple(*([1.0] * n for n in sizes))
+    with pytest.raises(MeasureError, match=message):
+        weil_residual(f, quot, measure)
+    if sizes[1] != normal.order:  # t_xi reads the wN family alone
+        with pytest.raises(MeasureError, match=message):
+            t_xi(f, enumerate_characters(normal)[1], measure, quot)

@@ -39,6 +39,7 @@ from covmod.jsonio import (
     group_id,
     group_text,
     group_to_json,
+    read_group,
     subgroup_from_json,
     subgroup_id,
     subgroup_to_json,
@@ -232,6 +233,30 @@ def test_group_from_text_reads_the_canonical_layout_without_json(monkeypatch, te
     assert "fingerprint" in vars(group)  # seeded from the rows' text
     assert group == expected and group.labels == expected.labels
     assert group.fingerprint == expected.fingerprint
+
+
+@pytest.mark.parametrize("text", READABLE.values(), ids=READABLE.keys())
+def test_read_group_reports_the_canonical_document(text):
+    group, canonical = read_group(text)
+    assert canonical == text.rstrip(" \t\n\r") == group_text(group)
+
+
+_PAIR = '{"order":2,"mul":[[0,1],[1,0]]'
+RESPELLED = {
+    "label-upper-escape": _PAIR + ',"labels":["e","\\u00E9"]}',
+    "label-raw": _PAIR + ',"labels":["e","\u00e9"]}',
+    "label-spaced": _PAIR + ',"labels":["e", "f"]}',
+    "labels-null": _PAIR + ',"labels":null}',
+    "pretty": json.dumps({"order": 2, "mul": [[0, 1], [1, 0]]}, indent=1),
+}
+
+
+@pytest.mark.parametrize("text", RESPELLED.values(), ids=RESPELLED.keys())
+def test_read_group_reports_other_spellings_as_not_canonical(text):
+    group, canonical = read_group(text)
+    assert canonical is None
+    expected = group_from_json(json.loads(text))
+    assert group == expected and group.labels == expected.labels
 
 
 _EDIT_CHARS = '0123456789,[]{}" -.e\n'

@@ -17,6 +17,7 @@ from covmod import (
     delta_function,
     enumerate_characters,
     from_section,
+    full_module_action,
     full_subgroup,
     group_center,
     heisenberg_finite,
@@ -32,6 +33,7 @@ from covmod import (
     random_function,
     section_residual,
     semidirect,
+    symmetric_3,
     t_xi,
     trivial_character,
     weyl_heisenberg_finite,
@@ -234,6 +236,25 @@ def test_fast_full_fiber_with_identities_off_zero():
             f = random_function(sd.product, rng)
             psi = from_section(random_function(q.table, rng).values, char, q)
             assert section_residual(conv_fast_full_k(sd, f, psi), module_action(f, psi)) <= 1e-12
+
+
+def test_fast_full_fiber_with_a_non_abelian_k():
+    # Z2 acting on S3 by conjugation with the transposition (01): K has no
+    # fiber route, so the entry point falls back to the table route
+    s3 = symmetric_3()
+    t = s3.labels.index("102")
+    conj = [int(s3.table[s3.table[t, x], t]) for x in range(6)]
+    sd = semidirect(make_cyclic(2), s3, [list(range(6)), conj])
+    lifted = lift_subgroup(sd, full_subgroup(sd.k))
+    q = quotient(sd.product, lifted)
+    assert q.fiber_action is None
+    rng = random.Random("non-abelian K")
+    for char in enumerate_characters(lifted):
+        for _ in range(5):
+            f = random_function(sd.product, rng)
+            psi = from_section(random_function(q.table, rng).values, char, q)
+            want = full_module_action(f, psi).values[list(q.reps)]
+            assert np.abs(conv_fast_full_k(sd, f, psi).section - want).max() <= 1e-12
 
 
 def test_fast_wh_full_fiber_kernel():

@@ -52,7 +52,7 @@ def test_fast_kernels_do_not_swallow_unexpected_errors(corpus, monkeypatch):
     def broken(*args):
         raise RuntimeError("kernel failed")
 
-    monkeypatch.setattr(verify, "_full_k_sections", broken)
+    monkeypatch.setattr(verify, "_module_action", broken)
     with pytest.raises(RuntimeError):
         check_fast_kernels(corpus["WH(2,4)/K"], 42, 1)
 
