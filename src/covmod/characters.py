@@ -23,6 +23,7 @@ from .groups import (
     Subgroup,
     _BLOCK,
     _frozen,
+    _real_form,
     element_orders,
     full_subgroup,
     generating_set,
@@ -64,6 +65,13 @@ class Character:
         as a read-only complex128 array."""
         values = np.array([phase_to_complex(q) for q in self.phases], dtype=complex)
         return _frozen(values)[0]
+
+    @cached_property
+    def conj_form(self) -> np.ndarray:
+        """`_real_form` of conj(values) as one column, (2|N| x 2) floats, kept
+        once: rows.view(float) @ it is sum over s of rows(s) conj(xi(s)) as
+        (real, imaginary), the averaging of `t_xi`."""
+        return _frozen(_real_form(self.complex_values.conj()[:, None]))[0]
 
     @cached_property
     def phase_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -23,6 +23,7 @@ from .groups import (
     QuotientGroup,
     _family,
     _p_norms,
+    _real_form,
     _require_exponent,
     _scaled,
     _vector,
@@ -109,14 +110,21 @@ def _averaged(
     quot: QuotientGroup,
     wN: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The sections of `t_xi` along the last axis of a (..., |G|) array."""
-    weights = char.complex_values.conj()
-    if wN is not None:
-        weights = weights * wN
-    # einsum, not a BLAS matrix-vector product: OpenBLAS splits a complex one
-    # of 4096 entries or more across threads, and waking a second thread
-    # costs more than the whole product.
-    return np.einsum("...ij,j->...i", values.take(quot.grid, axis=-1), weights)
+    """The sections of `t_xi` along the last axis of a (..., |G|) array.
+
+    One real product of the grid-shaped rows' float view against the
+    character's `conj_form`, for every row and leading index together.  The
+    form has two columns, not the one column of a complex matrix-vector
+    product, which OpenBLAS splits across threads from 4096 entries on (a
+    second thread costs more to wake than the whole product).
+    """
+    if wN is None:
+        form = char.conj_form
+    else:
+        form = _real_form((char.complex_values.conj() * wN)[:, None])
+    rows = np.ascontiguousarray(quot.on_grid(values), dtype=complex)
+    sums = rows.view(np.float64).reshape(-1, form.shape[0]) @ form
+    return sums.view(complex).reshape(rows.shape[:-1])
 
 
 def _on_group(section: np.ndarray, char: Character, quot: QuotientGroup) -> np.ndarray:

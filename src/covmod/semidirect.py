@@ -61,6 +61,7 @@ from .groups import (
     _check_order,
     _distinct,
     _frozen,
+    _real_form,
 )
 
 
@@ -103,7 +104,7 @@ class SemidirectGroup:
     @cached_property
     def steps(self) -> np.ndarray:
         """`steps[a, h]` = a^-1 h in H."""
-        return _frozen(self.h.table[self.h.inv])[0]
+        return _frozen(self.h.table[self.h.inv].astype(np.intp))[0]
 
     @cached_property
     def shear_parameters(self) -> tuple[int, int, int]:
@@ -142,10 +143,10 @@ class SemidirectGroup:
     @cached_property
     def fiber_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tables of `fiber_convolve`, built on first use: `elem` and `pos` of
-        `dual_grid`, and `twist[a, h, omega]`, the flat index of
+        `dual_grid`, and `twist[omega, h, a]`, the flat index of
         (a^-1 h, chi_omega o theta_a) in an |H| x |K| array."""
         _, _, elem, pos, _, _, pulled = self.dual_grid
-        twist = self.steps[:, :, None] * self.k.order + pulled[:, None, :]
+        twist = self.steps.T * self.k.order + pulled.T[:, None, :]
         return (elem, pos, *_frozen(twist))
 
     def transform(self, grid: np.ndarray, fft=np.fft.fft) -> np.ndarray:
@@ -172,18 +173,21 @@ class SemidirectGroup:
         transform along K that `numpy.fft` takes one cyclic axis at a time,
         the convolution becomes one sum over H per character:
         (f * v)^(h, omega) = sum over a of f^(a, omega) * v^(a^-1 h, chi_omega o theta_a),
-        and the inverse transform returns f * v on the grid.  Cost: |H|^2 |K|
-        for the sum plus O(|H| |K| log |K|) for the transforms, which run
-        once per axis for every leading index together.
+        and the inverse transform returns f * v on the grid.  v^ is gathered
+        by `twist` into one |H| x |H| matrix V^[omega] per character, so the
+        sum is one batched `matmul` of V^[omega] against the vector f^(., omega).
+        Cost: |H|^2 |K| for the sum plus O(|H| |K| log |K|) for the
+        transforms, which run once per axis for every leading index together.
         """
         elem, pos, twist = self.fiber_tables
         nh, nk = self.h.order, self.k.order
         lead = wf.shape[:-1]
         grid = np.stack((wf, v)).reshape(2, *lead, nh, nk).take(elem, axis=-1)
         f_hat, v_hat = self.transform(grid)
-        v_twisted = v_hat.reshape(*lead, nh * nk).take(twist, axis=-1)
-        out = np.einsum("...aj,...ahj->...hj", f_hat, v_twisted)
-        return self.transform(out, np.fft.ifft).take(pos, axis=-1).reshape(*lead, nh * nk)
+        v_twisted = v_hat.reshape(*lead, nh * nk).take(twist, axis=-1)   # [..., omega, h, a]
+        out = np.matmul(v_twisted, f_hat.swapaxes(-1, -2)[..., None])[..., 0]
+        out = self.transform(out.swapaxes(-1, -2), np.fft.ifft)
+        return out.take(pos, axis=-1).reshape(*lead, nh * nk)
 
     def fiber_action(self, quot: QuotientGroup) -> FiberAction | None:
         """The module action's tables over `quot`, a quotient of this product,
@@ -229,6 +233,12 @@ class FiberAction:
     all of K.  Those tables of the w are kept once per orbit, for the
     quotient.  Every table is built in integer arithmetic, then read off
     exact roots of unity.
+
+    The sum over H runs as one batched `matmul`, grouped by the slot u in U
+    that each output point (h, omega) reads f^ at: |H| / o points share a u,
+    and their psi^ terms form an (|H| / o) x |H| matrix against the vector
+    f^(., u), so the work stays |H|^2 |K/N|.  One gather back puts the sums
+    in (h, omega) order.
     """
 
     def __init__(self, sd: SemidirectGroup, members: np.ndarray, reps: np.ndarray) -> None:
@@ -248,20 +258,23 @@ class FiberAction:
         self.on_gens, self.perp, self.member_coords, self.rep_coords = _frozen(
             on_gens, perp, coords[members].T, coords[reps].T
         )
+        # twist[(h, nu), a]: the flat index in psi^ of (a^-1 h, perm[a, nu])
         self.forward, self.inverse, self.twist = _frozen(
             members.size * roots[-table % exponent].T,
             roots[table % exponent] / sd.k.order,
-            (sd.steps[:, :, None] * nkn + perm[:, None, :]).reshape(nh, nh * nkn),
+            (sd.steps.T[:, None, :] * nkn + perm.T).reshape(nh * nkn, nh),
         )
         self._by_character: dict[int, tuple[weakref.ref, tuple | None]] = {}
         self._by_orbit: dict[int, tuple] = {}
 
     def tables(self, char: Character) -> tuple | None:
         """The tables for `char`, built on its first use with this quotient:
-        the slot in U of each (h, omega in S_h), conj(chi_sigma_h(r)) with
-        its conjugate, and its H-orbit's `_orbit_tables`, which stay with the
-        quotient; None when no character of K extends `char`.  The rest are
-        kept by the character's identity until the character or quotient goes."""
+        `spread`, the index of psi^ at [u, j, a] for the j-th output point
+        (h, omega in S_h) that reads f^ at u, the position of each (h, omega)
+        among those points, conj(chi_sigma_h(r)) with its conjugate, and its
+        H-orbit's `_orbit_tables`, which stay with the quotient; None when no
+        character of K extends `char`.  The rest are kept by the character's
+        identity until the character or quotient goes."""
         key = id(char)
         entry = self._by_character.get(key)
         if entry is None or entry[0]() is not char:
@@ -294,8 +307,12 @@ class FiberAction:
         labels = self._cosets_of(first).ravel()         # U in the order of the projection
         order = np.argsort(labels)
         slot = order[np.searchsorted(labels, support.ravel(), sorter=order)]
+        points = np.argsort(slot, kind="stable")        # the (h, nu) reading each u, u by u
+        back = np.empty_like(points)
+        back[points] = np.arange(points.size)
+        spread = self.twist[points.reshape(labels.size, -1)]
         phase = self.roots[-(dual[sigma] @ self.rep_coords) % exponent]
-        return (*_frozen(slot, phase, phase.conj()), self._by_orbit[key])
+        return (*_frozen(spread, back, phase, phase.conj()), self._by_orbit[key])
 
     def _cosets_of(self, omega: np.ndarray) -> np.ndarray:
         """The grid index of chi_omega nu at [i, nu] for each omega[i]."""
@@ -313,7 +330,7 @@ class FiberAction:
     def act(self, wf: np.ndarray, section: np.ndarray, tables: tuple) -> np.ndarray:
         """The module action's sections along the last axis of a (..., |G|)
         array of weighted values and a (..., |G/N|) array of sections."""
-        slot, phase, unphase, (along_n, on_r) = tables
+        spread, back, phase, unphase, (along_n, on_r) = tables
         sd = self.sd
         nh, nk, nkn = sd.h.order, sd.k.order, self.perp.size
         rows = wf.reshape(-1, nk)
@@ -322,11 +339,11 @@ class FiberAction:
         rows = np.ascontiguousarray(rows, dtype=complex)
         on_n = (rows.view(np.float64).reshape(-1, along_n.shape[0]) @ along_n).view(complex)
         on_w = (on_n.reshape(-1, nkn, on_r.shape[0]).swapaxes(1, 2) * on_r).reshape(-1, nkn)
-        on_u = (on_w @ self.forward).reshape(*wf.shape[:-1], nh, on_r.size)
-        f_hat = on_u.take(slot, axis=-1)                     # f^(a, omega) at [..., a, (h, omega)]
+        on_u = (on_w @ self.forward).reshape(*wf.shape[:-1], nh, on_r.size)   # f^(a, u)
         on_cosets = (section.reshape(-1, nh, nkn) * phase).reshape(-1, nkn)
         psi_hat = (on_cosets @ self.forward).reshape(section.shape)
-        out_hat = (f_hat * psi_hat.take(self.twist, axis=-1)).sum(axis=-2)
+        by_u = np.matmul(psi_hat.take(spread, axis=-1), on_u.swapaxes(-1, -2)[..., None])
+        out_hat = by_u.reshape(*by_u.shape[:-3], back.size).take(back, axis=-1)
         out = out_hat.reshape(-1, nkn) @ self.inverse
         return (out.reshape(-1, nh, nkn) * unphase).reshape(*out_hat.shape)
 
@@ -507,18 +524,6 @@ def _std_rows(m: int, r: int) -> tuple[tuple[int, ...], ...]:
         tuple(l * r + (1 + t) % r for l in range(m) for t in range(r)),
         tuple(l * r + (t + step * l) % r for l in range(m) for t in range(r)),
     )
-
-
-def _real_form(table: np.ndarray) -> np.ndarray:
-    """The real (2n x 2u) form of a complex (n x u) matrix: z.view(float) @ it
-    is (z @ table).view(float).  It runs faster than the complex product and
-    is never one column, which OpenBLAS threads (5 ms stalls at |K| = 256)."""
-    n, u = table.shape
-    out = np.empty((n, 2, u, 2))
-    out[:, 0, :, 0] = out[:, 1, :, 1] = table.real
-    out[:, 0, :, 1] = table.imag
-    out[:, 1, :, 0] = -table.imag
-    return out.reshape(2 * n, 2 * u)
 
 
 @lru_cache(maxsize=None)

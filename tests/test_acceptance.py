@@ -126,7 +126,7 @@ def test_criterion_08_fast_kernels_match_and_win(corpus):
     speedups = [v["speedup"] for v in bench["variants"]]
     fast_enough = all(s >= 4.0 for s in speedups)
     _report(
-        "criterion 8 (closed-form kernels: agreement and speed)",
+        "criterion 8 (fiber route against the table route, and the entry points' speed)",
         agree and fast_enough,
         f"worst residual {worst:.2e} vs 1e-9; speedups "
         + ", ".join(f"{s:.1f}x" for s in speedups)
