@@ -28,29 +28,21 @@ from .errors import ValidationError
 from .groups import make_subgroup, quotient, random_function
 from .semidirect import (
     SemidirectGroup,
+    _center_cosets,
+    _fiber_cosets,
+    _fiber_phases,
     conv_fast_wh_center,
     conv_fast_wh_full,
-    lift_subgroup,
     weyl_heisenberg_finite,
 )
 
 AGREEMENT_TOL = 1e-9
 
 
-def _center_character(sd: SemidirectGroup, r: int, n: int) -> Character:
-    lifted = lift_subgroup(sd, make_subgroup(sd.k, range(r)))
-    phases = [Fraction(n * t, r) % 1 for t in range(r)]
-    return make_character(lifted, phases)
-
-
-def _fiber_character(sd: SemidirectGroup, m: int, r: int, y: int, n: int) -> Character:
-    lifted = lift_subgroup(sd, make_subgroup(sd.k, range(sd.k.order)))
-    phases = [
-        (Fraction(y * ell, m) + Fraction(n * t, r)) % 1
-        for ell in range(m)
-        for t in range(r)
-    ]
-    return make_character(lifted, phases)
+def _shear_character(sd: SemidirectGroup, members: tuple, pairs: tuple) -> Character:
+    """The character an entry point checks for: `pairs` are its phases as
+    reduced (numerator, denominator) pairs on the product's `members`."""
+    return make_character(make_subgroup(sd.product, members), [Fraction(*q) for q in pairs])
 
 
 def _time_per_call(fn, repetitions: int) -> float:
@@ -113,11 +105,13 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
 
     n = 1 % r
     y = 1 % m
+    center, _, center_phases = _center_cosets(m, r, n)
+    fiber = _fiber_cosets(m, sd.k.order, sd.h.identity * sd.k.order)[0]
     variants = [
         _run_variant(
             sd,
             f"center n={n}",
-            _center_character(sd, r, n),
+            _shear_character(sd, center, center_phases),
             lambda s, f, p: conv_fast_wh_center(s, f, p, n),
             rng,
             repetitions,
@@ -125,7 +119,7 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
         _run_variant(
             sd,
             f"fiber y={y} n={n}",
-            _fiber_character(sd, m, r, y, n),
+            _shear_character(sd, fiber, _fiber_phases(m, r, y, n)),
             lambda s, f, p: conv_fast_wh_full(s, f, p, y, n),
             rng,
             repetitions,

@@ -27,11 +27,10 @@ from .groups import (
     element_orders,
     full_subgroup,
     generating_set,
-    right_closure,
 )
 
-# Enumeration tries every phase assignment on a greedy generating set; this
-# cap keeps that search comfortably below a few seconds.
+# Enumeration checks at most one candidate per element on every member; this
+# cap keeps that quadratic search comfortably below a second.
 ENUMERATION_LIMIT = 1024
 
 
@@ -141,15 +140,11 @@ def trivial_character(domain: FiniteGroup | Subgroup) -> Character:
 def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     """All characters of the domain, ordered lexicographically by phase vector.
 
-    A character is determined by its phases on a generating set, and each
-    generator's phase must be a multiple of 1/order(generator).  Each member
-    is a word in the generators along one spanning tree, so every such
-    assignment gives all member phases at once, as an integer matrix product
-    over the common denominator of the generator orders.  An assignment is
-    kept only if it satisfies every (member, generator) edge, which makes it
-    a homomorphism, so each character comes out exactly once.  The search
-    tries every assignment, so its cost is the product of the generator
-    orders; the subgroup order is capped for that reason.
+    The candidates are the phase vectors on the generators of
+    `generating_set` that satisfy its relations, at most the subgroup order
+    of them, and its words give all member phases at once.  A candidate that
+    satisfies every (member, generator) edge is a homomorphism even where
+    the relations do not present a non-abelian domain.
     """
     sub = _as_subgroup(domain)
     if sub.order > ENUMERATION_LIMIT:
@@ -159,24 +154,34 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
         )
     group = sub.parent
     ms = np.array(sub.members)
-    gens = generating_set(group, sub.members)
-    orders = element_orders(group, gens)
-    den = math.lcm(*orders.tolist())
-    exps = right_closure(group, gens)[1][ms]     # members[i] is a word with exps[i, j] gens[j]
+    gens, words, relations, _ = generating_set(group, sub.members)
+    den = sub.order                       # every m_j divides it
+    words = words[ms]                     # members[i] is a word with words[i, j] gens[j]
     steps = np.searchsorted(ms, group.table[np.ix_(ms, gens)])   # position of members[i] * gens[j]
-    gen_slots = np.searchsorted(ms, gens)
 
-    count = math.prod(orders.tolist())
-    radix = count // np.cumprod(orders)     # assignment a has digit a // radix[j] % orders[j]
+    candidates = _solutions(relations, den)   # on the generators, whose words are unit vectors
     block = max(1, _BLOCK // (sub.order * max(len(gens), 1)))
     found = []
-    for start in range(0, count, block):
-        digits = np.arange(start, min(start + block, count))[:, None] // radix % orders
-        phases = digits * (den // orders) @ exps.T % den        # phases[a, i]
-        edges = phases[:, steps] == (phases[:, :, None] + phases[:, None, gen_slots]) % den
+    for start in range(0, len(candidates), block):
+        on_gens = candidates[start : start + block]
+        phases = on_gens @ words.T % den        # phases[a, i]
+        edges = phases[:, steps] == (phases[:, :, None] + on_gens[:, None]) % den
         found.extend(map(tuple, phases[edges.all(axis=(1, 2))].tolist()))
     fractions = [Fraction(j, den) for j in range(den)]
     return [Character(sub, tuple(fractions[j] for j in row)) for row in sorted(found)]
+
+
+def _solutions(relations: np.ndarray, den: int) -> np.ndarray:
+    """Every p with relations @ p = 0 mod den, one per row: m_j divides den,
+    so row j gives p_j m_j values when m_j divides phase(word_j), else none."""
+    found = np.zeros((1, 0), dtype=np.int64)
+    for j, row in enumerate(relations):
+        m = int(row[j])
+        rhs = -(found @ row[:j]) % den
+        solvable = rhs % m == 0
+        p = rhs[solvable, None] // m + np.arange(m) * (den // m)
+        found = np.column_stack((np.repeat(found[solvable], m, axis=0), p.ravel()))
+    return found
 
 
 def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Character:

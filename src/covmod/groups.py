@@ -302,51 +302,62 @@ def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(order, table, inv, a.identity * nb + b.identity, labels)
 
 
-def right_closure(
-    group: FiniteGroup, gens: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Everything reached from the identity by right multiplication by `gens`.
+def generating_set(
+    group: FiniteGroup, members: Iterable[int]
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy generators of the subgroup `members` generate, with a word for
+    each element and their relations: a polycyclic presentation (Holt, Eick
+    & O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
 
-    Walks one breadth-first level at a time.  Returns the mask of reached
-    elements, in a finite group the subgroup `gens` generate, and the walk's
-    spanning tree as exponents: x is a product in which gens[j] occurs
-    exps[x, j] times.
-    """
-    gens = np.asarray(gens, dtype=np.intp)
-    reached = np.zeros(group.order, dtype=bool)
-    exps = np.zeros((group.order, gens.size), dtype=np.int64)
-    reached[group.identity] = True
-    frontier = np.array([group.identity])
-    while frontier.size:
-        step = group.table[np.ix_(frontier, gens)].ravel()
-        fresh = np.flatnonzero(~reached[step])
-        targets, first = np.unique(step[fresh], return_index=True)
-        source, j = np.divmod(fresh[first], gens.size)
-        exps[targets] = exps[frontier[source]]
-        exps[targets, j] += 1
-        reached[targets] = True
-        frontier = targets
-    return reached, exps
-
-
-def generating_set(group: FiniteGroup, members: Iterable[int]) -> list[int]:
-    """Greedy generators of `members`: each is the smallest member not yet generated.
-
-    Each new generator extends the subgroup already reached, walking on
-    from all of it by right multiplication, so no closure starts over.
+    Returns (gens, words, relations, reached): x is a product in which
+    gens[j] occurs words[x, j] times; relations[j] holds m_j at column j and
+    minus the word of g_j^m_j, the first power of g_j in S = span(gens[:j]),
+    before it; `reached` masks the subgroup.  Each g_j is the smallest member
+    outside S.  The walk reaches the cosets S g_j^k, 0 < k < m_j, then goes
+    on breadth first by gens[:j+1], which finds more only where g_j does not
+    normalize S.  So the product of the m_j is at most the subgroup order,
+    and equal to it when it is abelian.  Every step is a right
+    multiplication, so on a table not yet known to be associative (Light's
+    test) the walk still ends, and only `gens` and `reached` mean anything.
     """
     ms = _distinct(group.order, np.fromiter(members, dtype=np.intp))
     gens: list[int] = []
+    powers: list[int] = []      # g_j^m_j, whose words stay as they are once reached
+    orders: list[int] = []      # m_j
+    words = np.zeros((group.order, 0), dtype=np.int64)
     reached = np.zeros(group.order, dtype=bool)
     reached[group.identity] = True
     while not reached[ms].all():
-        gens.append(int(ms[reached[ms].argmin()]))
-        cols, frontier = np.array(gens), np.flatnonzero(reached)
+        g = int(ms[reached[ms].argmin()])
+        gens.append(g)
+        words = np.concatenate((words, np.zeros((group.order, 1), dtype=np.int64)), axis=1)
+        span = np.flatnonzero(reached)
+        at = np.searchsorted(span, group.identity)    # level[at] is the power g^k
+        level, cosets = group.table[span, g], []
+        while not reached[level[at]]:                 # each pass reaches one more power
+            reached[level] = True
+            cosets.append(level)
+            level = group.table[level, g]
+        powers.append(int(level[at]))
+        orders.append(len(cosets) + 1)
+        cosets = np.array(cosets)                     # S g^k at row k - 1
+        words[cosets] = words[span]
+        words[cosets, -1] = np.arange(1, len(cosets) + 1)[:, None]
+        frontier = cosets.ravel()
         while frontier.size:
-            step = group.table[frontier[:, None], cols].ravel()
-            frontier = _distinct(group.order, step[~reached[step]])
-            reached[frontier] = True
-    return gens
+            found = []
+            for c, x in enumerate(gens):   # in a group, right multiplication by x is injective
+                step = group.table[frontier, x]
+                fresh = ~reached[step]
+                new = step[fresh]
+                words[new] = words[frontier[fresh]]
+                words[new, c] += 1
+                reached[new] = True
+                found.append(new)
+            frontier = np.concatenate(found)
+    relations = -words[powers]
+    relations[np.diag_indices(len(gens))] = orders
+    return gens, words, relations, reached
 
 
 def _distinct(order: int, xs: np.ndarray) -> np.ndarray:
@@ -375,25 +386,15 @@ def cyclic_coordinates(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the orders d, each above 1, and coords[x, i], the coordinate of
     x along factor i; x -> coords[x] is an isomorphism onto the product.
-    Greedy generators g_j need not be independent, so the first power
-    g_j^m_j inside the span of the earlier generators is written as a word
-    in them.  These relations span all relations among the g_j, and
-    unimodular column operations V that diagonalize their matrix (Smith's
-    reduction) send each exponent vector e of the spanning tree to
-    coordinates e V mod d.  The arithmetic is exact integer arithmetic.
+    In an abelian group the relations of `generating_set` span all others,
+    so the unimodular column operations V that diagonalize them (Smith's
+    reduction, in exact integers) send each word e to coordinates e V mod d.
     """
-    gens = generating_set(group, range(group.order))
-    rel = np.zeros((len(gens), len(gens)), dtype=object)
-    for j, g in enumerate(gens):
-        spanned, exps = right_closure(group, gens[:j])
-        power, m = g, 1
-        while not spanned[power]:
-            power, m = group.table[power, g], m + 1
-        rel[j, :j], rel[j, j] = (-exps[power]).tolist(), m
-    d, cols = _diagonal_form(rel)
+    _, words, relations, _ = generating_set(group, range(group.order))
+    d, cols = _diagonal_form(relations.astype(object))
     keep = d > 1
     d, cols = d[keep], (cols[:, keep] % d[keep]).astype(np.int64)
-    return d, right_closure(group, gens)[1] @ cols % d
+    return d, words @ cols % d
 
 
 def _diagonal_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,7 +429,7 @@ def _check_associative(group: FiniteGroup) -> None:
     """
     arr = group.table
     step = max(1, _BLOCK // group.order)
-    for s in generating_set(group, range(group.order)):
+    for s in generating_set(group, range(group.order))[0]:
         col = arr[:, s]
         for start in range(0, group.order, step):
             rows = arr[start : start + step]

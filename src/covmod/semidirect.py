@@ -244,7 +244,7 @@ class FiberAction:
     def __init__(self, sd: SemidirectGroup, members: np.ndarray, reps: np.ndarray) -> None:
         _, coords, elem, pos, dual, exponent, pulled = sd.dual_grid
         nh, nkn = sd.h.order, reps.size
-        gens = generating_set(sd.k, members)
+        gens = generating_set(sd.k, members)[0]
         roots = _roots_of_unity(exponent)
         on_gens = dual @ coords[gens].T % exponent     # phases of each chi_omega on N's generators
         perp = np.flatnonzero(~on_gens.any(axis=1))

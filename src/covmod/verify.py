@@ -52,18 +52,17 @@ from .groups import (
     FiniteGroup,
     QuotientGroup,
     Subgroup,
-    _distinct,
     _draws,
     _p_norms,
     _weil_gaps,
     counting_measure,
     full_subgroup,
+    generating_set,
     group_center,
     make_cyclic,
     make_from_table,
     make_subgroup,
     quotient,
-    right_closure,
 )
 from .semidirect import (
     SemidirectGroup,
@@ -108,8 +107,12 @@ class CorpusEntry:
     group: FiniteGroup
     normal: Subgroup
     quot: QuotientGroup
-    sd: SemidirectGroup | None = None
     normal_in_k: Subgroup | None = None
+
+    @property
+    def sd(self) -> SemidirectGroup | None:
+        """The semidirect product the group was built as, if any."""
+        return self.group.split
 
     @cached_property
     def characters(self) -> tuple[Character, ...]:
@@ -139,17 +142,13 @@ def _lifted_center_entry(name: str, sd: SemidirectGroup) -> CorpusEntry:
         k_members.append(k)
     in_k = make_subgroup(sd.k, k_members)
     normal = make_subgroup(sd.product, center.members)
-    return CorpusEntry(
-        name, sd.product, normal, quotient(sd.product, normal), sd, in_k
-    )
+    return CorpusEntry(name, sd.product, normal, quotient(sd.product, normal), in_k)
 
 
 def _full_k_entry(name: str, sd: SemidirectGroup) -> CorpusEntry:
     in_k = make_subgroup(sd.k, range(sd.k.order))
     normal = lift_subgroup(sd, in_k)
-    return CorpusEntry(
-        name, sd.product, normal, quotient(sd.product, normal), sd, in_k
-    )
+    return CorpusEntry(name, sd.product, normal, quotient(sd.product, normal), in_k)
 
 
 def builtin_corpus() -> list[CorpusEntry]:
@@ -235,7 +234,7 @@ def check_weil(entry: CorpusEntry, seed: int, trials: int, tol: float | None = N
 def _abelianization_order(sub: Subgroup) -> int:
     table, inv, ms = sub.parent.table, sub.parent.inv, np.array(sub.members)
     comms = table[table[table[np.ix_(ms, ms)], inv[ms][:, None]], inv[ms]]   # s t s^-1 t^-1
-    return sub.order // int(right_closure(sub.parent, _distinct(sub.parent.order, comms))[0].sum())
+    return sub.order // int(generating_set(sub.parent, comms.ravel())[3].sum())
 
 
 def check_characters(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict:

@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +19,13 @@ from covmod import (
     heisenberg_finite,
     make_character,
     make_cyclic,
+    make_from_table,
     make_product,
     make_subgroup,
     pullback,
     trivial_character,
 )
+from covmod.groups import generating_set
 
 F = Fraction
 
@@ -190,6 +193,32 @@ def test_enumeration_rejects_assignments_on_a_nonabelian_group():
     assert all(a < b for a, b in zip(phases, phases[1:]))
     for c in chars:
         assert make_character(g, c.phases) == c
+
+
+def test_enumeration_tries_only_solutions_of_the_relations(monkeypatch):
+    # Z2 x Z64 with (1,1) at index 1 and (0,1) at 2: greedy generators [1, 2]
+    # of order 64 each, whose 4096 phase assignments hold 128 characters
+    z2z64 = make_product(make_cyclic(2), make_cyclic(64))
+    order = [0, 65, 1] + [x for x in range(128) if x not in (0, 65, 1)]
+    g = make_from_table(np.argsort(order)[z2z64.table[np.ix_(order, order)]].tolist())
+    assert generating_set(g, range(g.order))[0] == [1, 2]
+    tried, solve = [], characters._solutions
+
+    def counted(*args):
+        out = solve(*args)
+        tried.append(len(out))
+        return out
+
+    monkeypatch.setattr(characters, "_solutions", counted)
+    chars = enumerate_characters(g)
+    assert tried == [g.order]
+    # the dual of Z2 x Z64 written out: (a, b) -> e(x a / 2 + y b / 64)
+    dual = sorted(
+        tuple((F(x * (e // 64), 2) + F(y * (e % 64), 64)) % 1 for e in order)
+        for x in range(2)
+        for y in range(64)
+    )
+    assert [c.phases for c in chars] == dual
 
 
 def test_enumeration_limit_guard():

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from covmod import (
     random_function,
     weil_measure,
     weil_residual,
+    symmetric_3,
     weyl_heisenberg_finite,
     CovariantFunction,
     CovmodError,
@@ -151,6 +153,24 @@ def test_associativity_witness_does_not_depend_on_block_size(monkeypatch):
         )
 
 
+def _self_inverse_loop(n):
+    """x * x = e and x * y = y otherwise: each greedy generator reaches only
+    itself, so the walk needs n - 1 of them, more than any group of order n."""
+    return [[y if x == 0 else x if y == 0 else 0 if x == y else y for y in range(n)]
+            for x in range(n)]
+
+
+@pytest.mark.parametrize("table, message", [
+    # the powers of 1 stay at 1 and never come back to the identity
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "(2, 1, 1): (2*1)*1 = 1 but 2*(1*1) = 0"),
+    (_self_inverse_loop(8), "(1, 2, 1): (1*2)*1 = 1 but 1*(2*1) = 0"),
+])
+def test_generating_set_ends_on_tables_that_are_not_groups(table, message):
+    with pytest.raises(ValidationError) as err:
+        make_from_table(table)
+    assert str(err.value) == f"associativity fails at triple {message}"
+
+
 def test_associativity_check_memory_is_linear():
     # two whole-table temporaries per generator peaked at 201 MB (tracemalloc)
     g = weyl_heisenberg_finite(16, 16).product
@@ -165,16 +185,77 @@ def test_associativity_check_memory_is_linear():
 
 def test_generating_set_is_greedy():
     g = weyl_heisenberg_finite(8, 8).product
-    assert generating_set(g, range(g.order)) == [1, 8, 64]
+    assert generating_set(g, range(g.order))[0] == [1, 8, 64]
+
+
+def _dependent_z2z4():
+    """Z2 x Z4 with (1,1) at index 1 and (0,1) at 2, whose greedy generators
+    [1, 2] both have order 4, so their exponents alone are not coordinates."""
+    z2z4, order = make_product(make_cyclic(2), make_cyclic(4)), [0, 5, 1, 2, 3, 4, 6, 7]
+    return make_from_table(np.argsort(order)[z2z4.table[np.ix_(order, order)]].tolist())
+
+
+_PRESENTED = {
+    "Z12": lambda: make_cyclic(12),
+    "Z2 x Z4": _dependent_z2z4,
+    "Z4 x Z4": lambda: weyl_heisenberg_finite(4, 4).k,
+    "S3": symmetric_3,
+    "WH(4,4)": lambda: weyl_heisenberg_finite(4, 4).product,
+}
+
+
+def _sign(label):
+    return sum(a > b for i, a in enumerate(label) for b in label[i + 1 :]) % 2
+
+
+# the 1-dimensional characters of the non-abelian cases, written out: the
+# sign of S3, and e((a h + b l) / 4) at x = (h, l, t) of WH(4,4)
+_CHARACTERS = {
+    "S3": lambda g: [[Fraction(_sign(g.label(x)), 2) for x in range(6)]],
+    "WH(4,4)": lambda g: [[Fraction(a * (x // 16) + b * (x // 4 % 4), 4) for x in range(64)]
+                          for a in range(4) for b in range(4)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESENTED))
+def test_generating_set_presents_the_group(name):
+    g = _PRESENTED[name]()
+    gens, words, relations, reached = generating_set(g, range(g.order))
+    r = len(gens)
+    assert reached.all() and words.shape == (g.order, r) and relations.shape == (r, r)
+    # row j: m_j at column j, the least power of g_j inside span(gens[:j]),
+    # and minus that power's word before it
+    for j, x in enumerate(gens):
+        spanned, powers = generating_set(g, gens[:j])[3], [x]
+        while not spanned[powers[-1]]:
+            powers.append(g.table[powers[-1], x])
+        assert relations[j, j] == len(powers) and not relations[j, j + 1 :].any()
+        assert (words[powers[-1]] + relations[j] == np.eye(r, dtype=int)[j] * len(powers)).all()
+    m = math.prod(np.diagonal(relations).tolist())
+    assert m == g.order if g.is_abelian else m <= g.order
+    # each word is its element, and each relation holds: multiplied out and
+    # on the coordinates in an abelian group, on the characters of the others
+    if g.is_abelian:
+        product = np.full(g.order, g.identity)
+        for j, x in enumerate(gens):
+            for k in range(words[:, j].max()):
+                product = np.where(words[:, j] > k, g.table[product, x], product)
+        assert (product == np.arange(g.order)).all()
+        d, coords = cyclic_coordinates(g)
+        assert not (relations @ coords[gens] % d).any()
+    else:
+        for phases in _CHARACTERS[name](g):
+            char = make_character(g, phases)
+            on_gens = [char.phases[x] for x in gens]
+            assert [sum(n * q for n, q in zip(row, on_gens)) % 1
+                    for row in words.tolist()] == list(char.phases)
+            assert not any(sum(n * q for n, q in zip(row, on_gens)) % 1
+                           for row in relations.tolist())
 
 
 def test_cyclic_coordinates_are_an_isomorphism():
-    # Z2 x Z4 with (1,1) at index 1 and (0,1) at 2, whose greedy generators
-    # [1, 2] both have order 4, so their exponents alone are not coordinates
-    z2z4, order = make_product(make_cyclic(2), make_cyclic(4)), [0, 5, 1, 2, 3, 4, 6, 7]
-    dependent = make_from_table(np.argsort(order)[z2z4.table[np.ix_(order, order)]].tolist())
     shapes = {}
-    for name, g in [("Z1", make_cyclic(1)), ("Z12", make_cyclic(12)), ("Z2 x Z4", dependent),
+    for name, g in [("Z1", make_cyclic(1)), ("Z12", make_cyclic(12)), ("Z2 x Z4", _dependent_z2z4()),
                     ("Z4 x Z4", weyl_heisenberg_finite(4, 4).k)]:
         d, coords = cyclic_coordinates(g)
         shapes[name] = sorted(d.tolist())
