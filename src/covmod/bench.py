@@ -30,7 +30,7 @@ from .semidirect import (
     SemidirectGroup,
     _center_cosets,
     _fiber_cosets,
-    _fiber_phases,
+    _shear_phases,
     conv_fast_wh_center,
     conv_fast_wh_full,
     weyl_heisenberg_finite,
@@ -95,8 +95,9 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
 
     Two covariance configurations are measured: a character of the central
     cyclic factor (n = 1 when r > 1) and a character of the whole abelian
-    fiber (y = n = 1 where the sizes allow).  Returns a report dict; render
-    it with `bench_table`.
+    fiber (y = n = 1 where the sizes allow), both with the phases
+    `_shear_phases` gives and the entry points check for.  Returns a report
+    dict; render it with `bench_table`.
     """
     if repetitions < 1:
         raise ValidationError(f"repetitions must be positive, got {repetitions}")
@@ -105,13 +106,13 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
 
     n = 1 % r
     y = 1 % m
-    center, _, center_phases = _center_cosets(m, r, n)
+    center = _center_cosets(m, r)[0]
     fiber = _fiber_cosets(m, sd.k.order, sd.h.identity * sd.k.order)[0]
     variants = [
         _run_variant(
             sd,
             f"center n={n}",
-            _shear_character(sd, center, center_phases),
+            _shear_character(sd, center, _shear_phases(1, r, 0, n)),
             lambda s, f, p: conv_fast_wh_center(s, f, p, n),
             rng,
             repetitions,
@@ -119,7 +120,7 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
         _run_variant(
             sd,
             f"fiber y={y} n={n}",
-            _shear_character(sd, fiber, _fiber_phases(m, r, y, n)),
+            _shear_character(sd, fiber, _shear_phases(m, r, y, n)),
             lambda s, f, p: conv_fast_wh_full(s, f, p, y, n),
             rng,
             repetitions,

@@ -152,11 +152,7 @@ def cov_norm(
     full-group p-norm exactly by the factor |N| ** (1/p).
     """
     _require_exponent(p)
-    wQ = None if measure is None else measure.wQ
-    if wQ is not None and wQ.size != psi.quotient.order:
-        raise DomainMismatchError(
-            f"got {wQ.size} quotient weights for {psi.quotient.order} cosets"
-        )
+    wQ = None if measure is None else _family(measure, "wQ", psi.quotient.order)
     return float(_p_norms(psi.section, p, wQ))
 
 

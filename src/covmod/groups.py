@@ -125,7 +125,11 @@ class FiniteGroup:
         return self.labels[x] if self.labels is not None else str(x)
 
     def element_order(self, x: int) -> int:
-        return int(element_orders(self, [x])[0])
+        """The least k >= 1 with x^k the identity."""
+        power, order = x, 1
+        while power != self.identity:
+            power, order = int(self.table[power, x]), order + 1
+        return order
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
@@ -369,16 +373,6 @@ def _distinct(order: int, xs: np.ndarray) -> np.ndarray:
     seen = np.zeros(order, dtype=bool)
     seen[xs] = True
     return np.flatnonzero(seen)
-
-
-def element_orders(group: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
-    """The order of each element of `xs`: the least k >= 1 with x^k the identity."""
-    xs = np.asarray(xs, dtype=np.intp)
-    power, orders = xs.copy(), np.ones(xs.shape, dtype=np.int64)
-    while (live := power != group.identity).any():
-        power[live] = group.table[power[live], xs[live]]
-        orders[live] += 1
-    return orders
 
 
 def cyclic_coordinates(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:

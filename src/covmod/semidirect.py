@@ -19,12 +19,16 @@ all of K.
 
 One family gets a dedicated constructor: the shear groups on
 Z_M x (Z_M x Z_R), where h shears the circle coordinate by (R / M) h times
-the first; R = M gives the discrete step (Heisenberg) groups.  Three entry
-points check that a covariant function is of a special shape and then call
-`module_action`: `conv_fast_full_k` for covariance over the whole K fiber
-of any semidirect product, `conv_fast_wh_center` for the center of a shear
-group, and `conv_fast_wh_full` for a named character of a shear group's K
-fiber.  They take unit counting weights, as `module_action` does by default.
+the first; R = M gives the discrete step (Heisenberg) groups.  The family is
+written down once: `_shear_action` builds the action, `_wh_parameters`
+recognizes a shear group by comparing H, K and the action whole against
+the standard ones, and `_shear_phases` gives the characters of its fiber
+and center.  Three entry points check that a covariant function is of a
+special shape and then call `module_action`: `conv_fast_full_k` for
+covariance over the whole K fiber of any semidirect product,
+`conv_fast_wh_center` for the center of a shear group, and
+`conv_fast_wh_full` for a named character of a shear group's K fiber.
+They take unit counting weights, as `module_action` does by default.
 """
 
 from __future__ import annotations
@@ -465,8 +469,9 @@ def weyl_heisenberg_finite(m: int, r: int) -> SemidirectGroup:
     """Z_m acting on Z_m x Z_r by the shear of step r/m; requires m to divide r.
 
     The Z_r factor discretizes the circle: t stands for the phase t/r, and
-    h = x shears (l, t) to (l, t + (r/m)*x*l).  With r = m this is exactly
-    the plain step-1 shear group.
+    h = x shears (l, t) along the circle by (r/m) x l steps, as
+    `_shear_action` writes out.  With r = m this is exactly the plain
+    step-1 shear group.
     """
     _check_order(m)
     _check_order(r)
@@ -474,56 +479,43 @@ def weyl_heisenberg_finite(m: int, r: int) -> SemidirectGroup:
         raise DiscretizationError(
             f"the circle resolution {r} must be a multiple of the base order {m}"
         )
-    step = r // m
-    h = make_cyclic(m)
     k = make_product(make_cyclic(m), make_cyclic(r))
-    action = tuple(
-        tuple(l * r + (t + step * x * l) % r for l in range(m) for t in range(r))
-        for x in range(m)
-    )
-    return semidirect(h, k, action)
+    return semidirect(make_cyclic(m), k, _shear_action(m, r).tolist())
+
+
+def _shear_action(m: int, r: int) -> np.ndarray:
+    """The shear of step r/m as an (m, m r) array:
+    action[x, l r + t] = l r + (t + (r/m) x l) mod r."""
+    x, l, t = np.ogrid[:m, :m, :r]
+    return (l * r + (t + (r // m) * x * l) % r).reshape(m, m * r)
 
 
 def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int, int]:
-    """Recover (m, r, step) from a shear-shaped product, validating the shape.
+    """Recover (m, r, step) from a shear group, refusing any other product.
 
-    The factor tables were validated as groups when the product was built, so
-    checking the generator rows pins the whole structure: a valid table whose
-    row at 1 is the unit shift is the standard cyclic table, and the action
-    row at 1 determines every row through the composition law.
+    H, K and the action must equal those of `weyl_heisenberg_finite(m, r)`
+    entry for entry; labels are not compared.
     """
     m = sd.h.order
     if sd.k.order % m != 0:
         raise DomainMismatchError("K does not factor as Z_m x Z_r")
     r = sd.k.order // m
     if r % m != 0:
-        raise DomainMismatchError(f"circle resolution {r} is not a multiple of {m}")
-    step = r // m
-    if sd.h.identity != 0 or sd.k.identity != 0:
-        raise DomainMismatchError("factors are not in standard form (identity at 0)")
-    if m > 1 and not np.array_equal(sd.h.table[1], _std_rows(m, r)[0]):
-        raise DomainMismatchError("H is not the standard cyclic table")
-    if m > 1 and not np.array_equal(sd.k.table[r], _std_rows(m, r)[1]):
-        raise DomainMismatchError("K is not the standard Z_m x Z_r table")
-    if r > 1 and not np.array_equal(sd.k.table[1], _std_rows(m, r)[2]):
-        raise DomainMismatchError("K is not the standard Z_m x Z_r table")
-    if m > 1 and not np.array_equal(sd.action[1], _std_rows(m, r)[3]):
-        raise DomainMismatchError("action is not the shear of step r/m")
-    return m, r, step
-
-
-@lru_cache(maxsize=None)
-def _std_rows(m: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Generator rows of the standard shear tables: H shift, both K shifts,
-    and the shear row, used to recognize the shape when an entry point is
-    called."""
-    step = r // m
-    return (
-        tuple((1 + b) % m for b in range(m)),
-        tuple(((1 + l) % m) * r + t for l in range(m) for t in range(r)),
-        tuple(l * r + (1 + t) % r for l in range(m) for t in range(r)),
-        tuple(l * r + (t + step * l) % r for l in range(m) for t in range(r)),
-    )
+        raise DomainMismatchError(f"K's circle resolution {r} is not a multiple of {m}")
+    k = make_product(make_cyclic(m), make_cyclic(r))
+    for part, got, want in (
+        ("H", sd.h.table, make_cyclic(m).table),
+        ("K", sd.k.table, k.table),
+        ("the action", sd.action, _shear_action(m, r)),
+    ):
+        differs = got != want
+        if differs.any():
+            at = tuple(np.argwhere(differs)[0].tolist())
+            raise DomainMismatchError(
+                f"{part} differs from the shear group's at entry {at}: "
+                f"{got[at]} where {want[at]} is expected"
+            )
+    return m, r, r // m
 
 
 @lru_cache(maxsize=None)
@@ -531,9 +523,19 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return _frozen(np.array([phase_to_complex(Fraction(j, n)) for j in range(n)]))[0]
 
 
-def _reduced(k: np.ndarray, r: int) -> tuple[tuple[int, int], ...]:
-    """The fractions k / r as reduced (numerator, denominator) pairs."""
-    return tuple((q.numerator, q.denominator) for q in (Fraction(int(j), r) for j in k))
+@lru_cache(maxsize=None)
+def _shear_phases(m: int, r: int, y: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Phases of the (y, n) character of the Z_m x Z_r fiber as reduced
+    (numerator, denominator) pairs: (y l / m + n t / r) mod 1 =
+    ((y l r/m + n t) mod r) / r at index l r + t.  The center's n-th
+    character is the row l = 0 at y = 0, all of `_shear_phases(1, r, 0, n)`.
+    The r distinct pairs are shared by every entry."""
+    l, t = np.ogrid[:m, :r]
+    over_r = (y * (r // m) * l + n * t) % r
+    j = np.arange(r)
+    g = np.gcd(j, r)
+    reduced = list(zip((j // g).tolist(), (r // g).tolist()))   # j / r in lowest terms
+    return tuple(map(reduced.__getitem__, over_r.ravel().tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -544,23 +546,10 @@ def _fiber_cosets(nh: int, nk: int, base: int) -> tuple[tuple[int, ...], tuple[i
 
 
 @lru_cache(maxsize=None)
-def _center_cosets(m: int, r: int, n: int) -> tuple:
-    """What `conv_fast_wh_center` checks for one (m, r, n): the central
-    members, the coset representatives (m', l', 0) and the character's
-    phases (n t mod r) / r as reduced pairs."""
-    return (
-        tuple(range(r)),
-        tuple(mm * m * r + ll * r for mm in range(m) for ll in range(m)),
-        _reduced(n * np.arange(r) % r, r),
-    )
-
-
-@lru_cache(maxsize=None)
-def _fiber_phases(m: int, r: int, y: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Phases of the (y, n) character of the Z_m x Z_r fiber as reduced pairs:
-    (y l / m + n t / r) mod 1 = ((y l r/m + n t) mod r) / r at index l r + t."""
-    t, a = np.arange(r), np.arange(m)
-    return _reduced((y * (r // m) * a[:, None] + n * t).ravel() % r, r)
+def _center_cosets(m: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """What `conv_fast_wh_center` checks of the cosets: the central members
+    and the coset representatives (m', l', 0)."""
+    return tuple(range(r)), tuple(mm * m * r + ll * r for mm in range(m) for ll in range(m))
 
 
 def _require_phases(psi: CovariantFunction, expected: tuple, what: str) -> None:
@@ -609,9 +598,9 @@ def conv_fast_wh_center(
     structure-blind path takes |G|^2 = m^4 r^2.
     """
     m, r, _ = sd.shear_parameters
-    members, reps, phases = _center_cosets(m, r, n % r)
+    members, reps = _center_cosets(m, r)
     _require_covariance(sd, f, psi, members, "the central fiber")
-    _require_phases(psi, phases, "central character index")
+    _require_phases(psi, _shear_phases(1, r, 0, n % r), "central character index")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with t = 0")
     return module_action(f, psi)
@@ -626,10 +615,10 @@ def conv_fast_wh_full(
 ) -> CovariantFunction:
     """`module_action` over the whole Z_m x Z_r fiber of a shear group.
 
-    The covariance character must be the (y, n) character of the fiber,
-    (l, t) -> e(y l / m + n t / r).  Past the shape and phase checks this is
+    The covariance character must be the (y, n) character of the fiber, the
+    one `_shear_phases` gives.  Past the shape and phase checks this is
     `conv_fast_full_k`.
     """
     m, r, _ = sd.shear_parameters
-    _require_phases(psi, _fiber_phases(m, r, y % m, n % r), "(y, n) character indices")
+    _require_phases(psi, _shear_phases(m, r, y % m, n % r), "(y, n) character indices")
     return conv_fast_full_k(sd, f, psi)

@@ -66,6 +66,7 @@ from .groups import (
 )
 from .semidirect import (
     SemidirectGroup,
+    _shear_phases,
     _wh_parameters,
     delta_factor,
     heisenberg_finite,
@@ -501,37 +502,28 @@ def fast_grid_rows(seed: int, trials: int, tol: float | None = None) -> list[dic
 
 def check_pullback_shift(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict | None:
     """On step-1 shear groups, composing a fiber character with the action of x
-    shifts its first index by x times the second index."""
+    shifts its first index by x times the second index: chi_{z,nu} o theta_x =
+    chi_{z+nu x,nu}, both as `_shear_phases` gives them."""
     del seed, trials
     sd = entry.sd
     if sd is None:
         return None
     m = sd.h.order
-    if sd.k.order != m * m:
+    if sd.k.order != m * m:   # with m | r, this forces r = m
         return None
     try:
-        _, r, step = _wh_parameters(sd)
+        _wh_parameters(sd)
     except DomainMismatchError:
-        return None
-    if r != m or step != 1:
         return None
 
     k_full = make_subgroup(sd.k, range(m * m))
     mismatches = 0
     for z in range(m):
         for nu in range(m):
-            phases = [
-                Fraction(z * yy + nu * s, m) % 1 for yy in range(m) for s in range(m)
-            ]
-            char = make_character(k_full, phases)
+            char = make_character(k_full, [Fraction(*q) for q in _shear_phases(m, m, z, nu)])
             for x in range(m):
                 moved = pullback(char, sd.action[x])
-                want = [
-                    Fraction(((z + nu * x) % m) * yy + nu * s, m) % 1
-                    for yy in range(m)
-                    for s in range(m)
-                ]
-                if list(moved.phases) != want:
+                if moved.phase_pairs != _shear_phases(m, m, (z + nu * x) % m, nu):
                     mismatches += 1
     return _row("pullback_shift", entry.name, float(mismatches), tol)
 

@@ -80,6 +80,13 @@ def test_make_character_rejects_wrong_order_phase(z4, z4_evens):
         make_character(z4_evens, [F(0), F(1, 3)])
 
 
+@pytest.mark.parametrize("phase", [F(1, 3), F(1, 2**70)])
+def test_make_character_names_the_pair_where_an_order_is_broken(phase):
+    # 1 + 1 = 0 in Z2, so phase(1) must be a half-integer; the law check says where
+    with pytest.raises(ValidationError, match=r"pair \(1, 1\)"):
+        make_character(make_cyclic(2), [F(0), phase])
+
+
 def test_make_character_rejects_length_mismatch(z4, z4_evens):
     with pytest.raises(ValidationError):
         make_character(z4_evens, [F(0)])

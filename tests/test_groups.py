@@ -14,6 +14,7 @@ from covmod import (
     conv_fast_full_k,
     conv_fast_wh_center,
     conv_fast_wh_full,
+    cov_norm,
     enumerate_characters,
     make_character,
     module_action,
@@ -577,3 +578,6 @@ def test_measure_families_of_the_wrong_length_raise_measure_errors(sizes, messag
     if sizes[1] != normal.order:  # t_xi reads the wN family alone
         with pytest.raises(MeasureError, match=message):
             t_xi(f, enumerate_characters(normal)[1], measure, quot)
+    if sizes[2] != quot.order:  # cov_norm reads the wQ family alone
+        with pytest.raises(MeasureError, match=message):
+            cov_norm(t_xi(f, enumerate_characters(normal)[1], quot=quot), 2, measure)

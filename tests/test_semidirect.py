@@ -39,6 +39,7 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod.jsonio import group_from_text, group_text
+from covmod.semidirect import _shear_phases, _wh_parameters
 
 F = Fraction
 
@@ -91,6 +92,53 @@ def test_wh_requires_divisibility():
     with pytest.raises(DiscretizationError):
         weyl_heisenberg_finite(2, 3)
     assert weyl_heisenberg_finite(3, 6).product.order == 54
+
+
+SHEAR_SIZES = [(1, 1), (2, 2), (2, 4), (4, 4), (3, 9), (4, 8)]
+
+
+@pytest.mark.parametrize("m, r", SHEAR_SIZES)
+def test_the_recognizer_accepts_every_shear_group(m, r):
+    assert _wh_parameters(weyl_heisenberg_finite(m, r)) == (m, r, r // m)
+    # every (y, n) character in integer gcds against the Fraction formula
+    for y in range(m):
+        for n in range(r):
+            want = [(F(y * l, m) + F(n * t, r)) % 1 for l in range(m) for t in range(r)]
+            assert _shear_phases(m, r, y, n) == tuple((q.numerator, q.denominator) for q in want)
+
+
+def _relabelled_k(m, r):
+    """WH(m, r) with K's elements (0, 1) and (0, 2) swapped: the same group
+    under other indices."""
+    sd = weyl_heisenberg_finite(m, r)
+    p = np.arange(m * r)
+    p[[1, 2]] = [2, 1]                       # an involution, its own inverse
+    k = make_from_table(p[sd.k.table[np.ix_(p, p)]].tolist())
+    return semidirect(sd.h, k, p[sd.action[:, p]].tolist())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # Z2 x Z4 with the trivial action: (1, 0) is not sheared
+        (
+            lambda: semidirect(make_cyclic(2), weyl_heisenberg_finite(2, 4).k, [list(range(8))] * 2),
+            "the action differs from the shear group's at entry (1, 4): 4 where 6 is expected",
+        ),
+        (lambda: _relabelled_k(2, 4), "K differs from the shear group's at entry (1, 1): 0 where 2 is expected"),
+        # S3 as Z2 acting on Z3 by inversion
+        (
+            lambda: semidirect(make_cyclic(2), make_cyclic(3), ((0, 1, 2), (0, 2, 1))),
+            "K does not factor as Z_m x Z_r",
+        ),
+    ],
+)
+def test_the_recognizer_names_the_part_that_differs(build, message):
+    sd = build()
+    with pytest.raises(DomainMismatchError, match=re.escape(message)):
+        _wh_parameters(sd)
+    with pytest.raises(DomainMismatchError, match=re.escape(message)):
+        sd.shear_parameters
 
 
 def test_central_quotient_of_heis2_is_klein_four():
