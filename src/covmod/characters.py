@@ -115,10 +115,10 @@ def make_character(
         [q.numerator * (den // q.denominator) for q in qs],
         dtype=np.int64 if den < 2**62 else object,
     )
-    table, step = group.table, max(1, _BLOCK // len(ms))
+    step = max(1, _BLOCK // len(ms))
     for start in range(0, len(ms), step):
         rows = slice(start, start + step)
-        product = num[np.searchsorted(ms, table[np.ix_(ms[rows], ms)])]
+        product = num[np.searchsorted(ms, group.multiply(ms[rows, None], ms))]
         failing = np.argwhere(product != (num[rows, None] + num) % den)
         if failing.size:
             s, t = ms[start + failing[0, 0]], ms[failing[0, 1]]
@@ -154,7 +154,8 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     gens, words, relations, _ = generating_set(group, sub.members)
     den = sub.order                       # every m_j divides it
     words = words[ms]                     # members[i] is a word with words[i, j] gens[j]
-    steps = np.searchsorted(ms, group.table[np.ix_(ms, gens)])   # position of members[i] * gens[j]
+    at = group.multiply(ms[:, None], np.array(gens, dtype=np.intp))
+    steps = np.searchsorted(ms, at)       # position of members[i] * gens[j]
 
     candidates = _solutions(relations, den)   # on the generators, whose words are unit vectors
     block = max(1, _BLOCK // (sub.order * max(len(gens), 1)))
@@ -202,11 +203,11 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
     image, ms = np.array(image), np.array(sub.members)
     if not np.array_equal(np.sort(image), ms):
         raise ValidationError("map is not a bijection of the subgroup onto itself")
-    table, step = sub.parent.table, max(1, _BLOCK // len(ms))
+    multiply, step = sub.parent.multiply, max(1, _BLOCK // len(ms))
     for start in range(0, len(ms), step):
         rows = slice(start, start + step)
-        mapped_product = image[np.searchsorted(ms, table[np.ix_(ms[rows], ms)])]
-        failing = np.argwhere(mapped_product != table[np.ix_(image[rows], image)])
+        mapped_product = image[np.searchsorted(ms, multiply(ms[rows, None], ms))]
+        failing = np.argwhere(mapped_product != multiply(image[rows, None], image))
         if failing.size:
             s, t = ms[start + failing[0, 0]], ms[failing[0, 1]]
             raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")

@@ -234,10 +234,11 @@ def covariance_residual(psi: GroupFunction, char: Character) -> float:
 def _covariance_gaps(values: np.ndarray, char: Character) -> np.ndarray:
     """`covariance_residual` along the last axis of a (..., |G|) array, one
     subgroup member at a time, so memory stays that of `values`."""
-    table = char.domain.parent.table
+    group = char.domain.parent
+    elements = np.arange(group.order)
     worst = np.zeros(values.shape[:-1])
     for s, xi in zip(char.domain.members, char.complex_values.tolist()):
-        moved = values.take(table[:, s], axis=-1)   # psi(x s) at every x
+        moved = values.take(group.multiply(elements, s), axis=-1)   # psi(x s) at every x
         worst = np.maximum(worst, _gaps(moved, values * xi))
     return worst
 

@@ -27,7 +27,6 @@ from .groups import (
     _require_exponent,
     _scaled,
     _vector,
-    quotient,
 )
 
 
@@ -55,7 +54,7 @@ class CovariantFunction:
         """The function's value at any group element, extended by covariance."""
         q = self.quotient
         i = q.proj[x]
-        s = int(q.parent.table[q.parent.inv[q.reps[i]], x])
+        s = int(q.parent.multiply(q.parent.inv[q.reps[i]], x))
         return self.character.value(s) * complex(self.section[i])
 
     def full(self) -> GroupFunction:
@@ -91,13 +90,13 @@ def t_xi(
 
     The output section at a representative r is
     sum over s in N of wN(s) * f(r * s) * conj(xi(s)), and the result is
-    covariant for xi by construction.  Passing a precomputed quotient skips
-    re-deriving the coset structure.
+    covariant for xi by construction.  Without `quot` it reads the quotient
+    the subgroup keeps (`Subgroup.quotient`), built on the first such call.
     """
     if char.domain.parent is not f.group:
         raise DomainMismatchError("character domain is not a subgroup of f's group")
     if quot is None:
-        quot = quotient(f.group, char.domain)
+        quot = char.domain.quotient
     elif not quot.normal.same_as(char.domain):
         raise DomainMismatchError("quotient was built for a different subgroup")
     wN = None if measure is None else _family(measure, "wN", quot.normal.order)

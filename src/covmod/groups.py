@@ -1,11 +1,15 @@
-"""Finite groups as dense index tables, with subgroups, quotients, and compatible weights.
+"""Finite groups as index tables, with subgroups, quotients, and compatible weights.
 
 Elements of a group of order n are the integers 0..n-1.  All types are
-immutable once constructed.  A group keeps its multiplication table as one
-read-only int32 array and its inverses as one read-only index array; subgroup
-checks, closures and the kernels all gather rows and blocks from them.
-Function values and weights are read-only complex128 and float64 arrays,
-converted once from any sequence of numbers.
+immutable once constructed.  A group keeps its inverses as one read-only
+index array and its multiplication table as one read-only int32 array.  A
+product built by `semidirect` keeps its factors instead and builds that
+table on first read.  Every product of elements in subgroup checks,
+normality, quotients, coset grids, the generator walk and character
+enumeration goes through `FiniteGroup.multiply`, which reads the table when
+the group has one and the factors otherwise.  Function values and weights
+are read-only complex128 and float64 arrays, converted once from any
+sequence of numbers.
 
 An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
@@ -99,18 +103,41 @@ class FiniteGroup:
     which convolution reads; it takes no part in equality, hashing or
     serialization, so a group read back from its table is the same group
     without it.
+
+    Such a product is made with no table (`table` None).  `multiply` then
+    computes products from the factors, and the first read of `table`
+    builds the dense table (`SemidirectGroup.dense_table`): equality, the
+    fingerprint, `is_abelian`, `group_center`, Light's test, documents and
+    the table route of the kernels read it.
     """
 
     order: int
-    table: np.ndarray = field(repr=False)
+    table: np.ndarray | None = field(repr=False)
     inv: np.ndarray = field(repr=False)
     identity: int
     labels: tuple[str, ...] | None = None
     split: SemidirectGroup | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", *_frozen(np.ascontiguousarray(self.table, np.int32)))
+        if self.table is None and self.split is not None:
+            object.__delattr__(self, "table")   # `__getattr__` builds it on first read
+        else:
+            object.__setattr__(self, "table", *_frozen(np.ascontiguousarray(self.table, np.int32)))
         object.__setattr__(self, "inv", *_frozen(np.ascontiguousarray(self.inv, np.intp)))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: an unbuilt table
+        if name != "table":
+            raise AttributeError(name)
+        object.__setattr__(self, "table", *_frozen(self.split.dense_table()))
+        return self.table
+
+    def multiply(self, x, y) -> np.ndarray:
+        """x*y for broadcastable arrays of element indices: a gather from the
+        table when the group has one, otherwise from the factors of `split`."""
+        if "table" in vars(self):
+            return self.table[x, y]
+        return self.split.multiply(x, y)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteGroup) and (
@@ -128,7 +155,7 @@ class FiniteGroup:
         """The least k >= 1 with x^k the identity."""
         power, order = x, 1
         while power != self.identity:
-            power, order = int(self.table[power, x]), order + 1
+            power, order = int(self.multiply(power, x)), order + 1
         return order
 
     @cached_property
@@ -181,6 +208,12 @@ class Subgroup:
     def same_as(self, other: "Subgroup") -> bool:
         return self is other or (self.parent is other.parent and self.members == other.members)
 
+    @cached_property
+    def quotient(self) -> QuotientGroup:
+        """`quotient(parent, self)`, built on first read and kept; raises
+        `NormalityError` on every read when the subgroup is not normal."""
+        return quotient(self.parent, self)
+
 
 @dataclass(frozen=True)
 class QuotientGroup:
@@ -204,7 +237,7 @@ class QuotientGroup:
     @cached_property
     def grid(self) -> np.ndarray:
         """`grid[i, j]` is reps[i] * members[j]: row i lists coset i in member order."""
-        grid = self.parent.table[np.ix_(self.reps, self.normal.members)]
+        grid = self.parent.multiply(np.array(self.reps)[:, None], self.normal.members)
         return _frozen(grid.astype(np.intp))[0]
 
     @cached_property
@@ -337,11 +370,11 @@ def generating_set(
         words = np.concatenate((words, np.zeros((group.order, 1), dtype=np.int64)), axis=1)
         span = np.flatnonzero(reached)
         at = np.searchsorted(span, group.identity)    # level[at] is the power g^k
-        level, cosets = group.table[span, g], []
+        level, cosets = group.multiply(span, g), []
         while not reached[level[at]]:                 # each pass reaches one more power
             reached[level] = True
             cosets.append(level)
-            level = group.table[level, g]
+            level = group.multiply(level, g)
         powers.append(int(level[at]))
         orders.append(len(cosets) + 1)
         cosets = np.array(cosets)                     # S g^k at row k - 1
@@ -351,7 +384,7 @@ def generating_set(
         while frontier.size:
             found = []
             for c, x in enumerate(gens):   # in a group, right multiplication by x is injective
-                step = group.table[frontier, x]
+                step = group.multiply(frontier, x)
                 fresh = ~reached[step]
                 new = step[fresh]
                 words[new] = words[frontier[fresh]]
@@ -545,7 +578,7 @@ def make_subgroup(group: FiniteGroup, members: Iterable[int]) -> Subgroup:
         raise ValidationError(f"subgroup is missing the inverse of element {missing[0]}")
     step = max(1, _BLOCK // len(ms))
     for start in range(0, len(ms), step):
-        products = group.table[np.ix_(index[start : start + step], index)]
+        products = group.multiply(index[start : start + step, None], index)
         outside = np.argwhere(~inside[products])
         if outside.size:
             i, j = outside[0]
@@ -569,14 +602,20 @@ def group_center(group: FiniteGroup) -> Subgroup:
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
-    """Whether the subgroup is stable under conjugation by every group element."""
+    """Whether the subgroup is stable under conjugation by every group element.
+
+    Conjugation by x is an automorphism, so x N x^-1 lies in N as soon as
+    the conjugates of N's generators (`generating_set`) do: |G| r products
+    for r generators, not |G| |N|.
+    """
     if sub.parent is not group:
         raise DomainMismatchError("subgroup belongs to a different group")
-    table = group.table
     inside = np.zeros(group.order, dtype=bool)
     inside[list(sub.members)] = True
-    # conjugates[x, j] = x * s_j * x^-1
-    conjugates = table[table.take(sub.members, axis=1), group.inv[:, None]]
+    gens = np.array(generating_set(group, sub.members)[0], dtype=np.intp)
+    # conjugates[x, j] = x * g_j * x^-1
+    elements = np.arange(group.order)[:, None]
+    conjugates = group.multiply(group.multiply(elements, gens), group.inv[elements])
     return bool(inside[conjugates].all())
 
 
@@ -590,11 +629,14 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
         raise NormalityError(
             "cannot form the quotient: subgroup is not normal in the group"
         )
-    table = group.table
-    smallest = table.take(normal.members, axis=1).min(axis=1)   # smallest member of x N
-    reps = np.flatnonzero(smallest == np.arange(group.order))
+    elements, step = np.arange(group.order), max(1, _BLOCK // normal.order)
+    smallest = np.concatenate([                                   # smallest member of x N
+        group.multiply(elements[start : start + step, None], normal.members).min(axis=1)
+        for start in range(0, group.order, step)
+    ])
+    reps = np.flatnonzero(smallest == elements)
     proj = np.searchsorted(reps, smallest).astype(np.int32)
-    qtable = proj[table[np.ix_(reps, reps)]]
+    qtable = proj[group.multiply(reps[:, None], reps)]
     quot = FiniteGroup(len(reps), qtable, proj[group.inv[reps]], int(proj[group.identity]))
     return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()), quot)
 

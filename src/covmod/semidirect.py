@@ -4,7 +4,12 @@ A semidirect product is built from two finite groups H and K and an action
 table theta, where theta[h] is the automorphism of K contributed by h.  The
 pair (h, k) is packed as index h * |K| + k.  `SemidirectGroup` holds H, K,
 the action as one read-only int32 array and the product group, whose `split`
-is the `SemidirectGroup` itself.  Every finite group is unimodular, so the
+is the `SemidirectGroup` itself.  The product keeps no table of its own at
+first: its products of elements come from the factors
+(`SemidirectGroup.multiply`), and it builds the dense |G| x |G| table
+(`dense_table`) on the first read of `product.table`, which equality, the
+fingerprint, `is_abelian`, `group_center`, Light's test, documents and the
+kernels' table route make.  Every finite group is unimodular, so the
 modulus of each theta[h] is identically 1; `delta_factor` still returns it,
 after checking that the subgroup it measures is invariant, so the measure
 bookkeeping on products and their quotients stays visible.  When K is
@@ -73,9 +78,9 @@ from .groups import (
 class SemidirectGroup:
     """H acting on K: the factors, the action as a read-only int32 array,
     `action[h, k]` = theta_h(k), and the product group.  The product keeps
-    this object as its `split`, so that `convolve` can work fiber by fiber
-    when K is abelian.  `semidirect` validates the action and builds the
-    product."""
+    this object as its `split`, so that it multiplies from the factors and
+    `convolve` can work fiber by fiber when K is abelian.  `semidirect`
+    validates the action."""
 
     h: FiniteGroup
     k: FiniteGroup
@@ -90,20 +95,39 @@ class SemidirectGroup:
     @cached_property
     def product(self) -> FiniteGroup:
         """The group on the packed pairs: (h, k)(h', k') = (h h', k theta_h(k'))
-        and (h, k)^-1 = (h^-1, theta_{h^-1}(k^-1))."""
-        h, k, action = self.h, self.k, self.action
-        nh, nk = h.order, k.order
-        table = np.empty((nh, nk, nh, nk), dtype=np.int32)
-        for a in range(nh):   # table[a, k, b, k'] = (a b, k theta_a(k')), one H row at a time
-            np.add(h.table[a, :, None] * nk, k.table[:, None, action[a]], out=table[a])
-        inv = h.inv[:, None] * nk + action[h.inv][:, k.inv]
+        and (h, k)^-1 = (h^-1, theta_{h^-1}(k^-1)), with no table until one
+        is read."""
+        h, k = self.h, self.k
+        nk = k.order
+        inv = h.inv[:, None] * nk + self.action[h.inv][:, k.inv]
         labels = None
         if h.labels is not None and k.labels is not None:
             labels = tuple(f"({lh},{lk})" for lh in h.labels for lk in k.labels)
-        order = nh * nk
-        return FiniteGroup(
-            order, table.reshape(order, order), inv.ravel(), h.identity * nk + k.identity, labels, self
-        )
+        return FiniteGroup(h.order * nk, None, inv.ravel(), h.identity * nk + k.identity, labels, self)
+
+    def multiply(self, x, y) -> np.ndarray:
+        """The packed index of x*y for broadcastable arrays of packed indices:
+        (h_x h_y, k_x theta_{h_x}(k_y)), three flat gathers from the factors."""
+        nh, nk = self.h.order, self.k.order
+        hx, kx = np.divmod(x, nk)
+        hy, ky = np.divmod(y, nk)
+        h_scaled, action, k_table = self.flat_tables
+        return h_scaled.take(hx * nh + hy) + k_table.take(kx * nk + action.take(hx * nk + ky))
+
+    @cached_property
+    def flat_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """H's table times |K|, the action and K's table, each flattened, for
+        `multiply`."""
+        return _frozen((self.h.table * self.k.order).ravel(), self.action.ravel(), self.k.table.ravel())
+
+    def dense_table(self) -> np.ndarray:
+        """The product's |G| x |G| int32 table, one H row at a time."""
+        h, k, action = self.h, self.k, self.action
+        nh, nk = h.order, k.order
+        table = np.empty((nh, nk, nh, nk), dtype=np.int32)
+        for a in range(nh):   # table[a, k, b, k'] = (a b, k theta_a(k'))
+            np.add(h.table[a, :, None] * nk, k.table[:, None, action[a]], out=table[a])
+        return table.reshape(nh * nk, nh * nk)
 
     @cached_property
     def steps(self) -> np.ndarray:
@@ -361,7 +385,8 @@ def semidirect(
 
     Each row of `action` must be an automorphism of K, the row of H's
     identity must be the identity map, and rows must compose like H does:
-    action[h * h'] = action[h] after action[h'].
+    action[h * h'] = action[h] after action[h'].  The product group keeps
+    the factors; its dense table is built on its first read.
     """
     nh, nk = h_group.order, k_group.order
     _check_order(nh * nk)
@@ -397,9 +422,7 @@ def semidirect(
         h, h2 = np.argwhere(bad)[0]
         raise ValidationError(f"action rows do not compose like H at pair ({h}, {h2})")
 
-    sd = SemidirectGroup(h_group, k_group, *_frozen(arr))
-    sd.product  # the table is built here, with the call that asked for it
-    return sd
+    return SemidirectGroup(h_group, k_group, *_frozen(arr))
 
 
 def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:

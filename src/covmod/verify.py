@@ -233,8 +233,8 @@ def check_weil(entry: CorpusEntry, seed: int, trials: int, tol: float | None = N
 
 
 def _abelianization_order(sub: Subgroup) -> int:
-    table, inv, ms = sub.parent.table, sub.parent.inv, np.array(sub.members)
-    comms = table[table[table[np.ix_(ms, ms)], inv[ms][:, None]], inv[ms]]   # s t s^-1 t^-1
+    multiply, inv, ms = sub.parent.multiply, sub.parent.inv, np.array(sub.members)
+    comms = multiply(multiply(multiply(ms[:, None], ms), inv[ms][:, None]), inv[ms])   # s t s^-1 t^-1
     return sub.order // int(generating_set(sub.parent, comms.ravel())[3].sum())
 
 

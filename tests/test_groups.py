@@ -175,6 +175,7 @@ def test_generating_set_ends_on_tables_that_are_not_groups(table, message):
 def test_associativity_check_memory_is_linear():
     # two whole-table temporaries per generator peaked at 201 MB (tracemalloc)
     g = weyl_heisenberg_finite(16, 16).product
+    g.table  # the product builds its table on first read; trace the check alone
     tracemalloc.start()
     try:
         groups._check_associative(g)

@@ -1,0 +1,211 @@
+"""A product built by `semidirect` multiplies from its factors and builds its
+dense table only when something reads all of it.
+
+Every routine that goes through `FiniteGroup.multiply` must give the same
+results and the same errors on a fresh product as on one whose table was
+read first, and `multiply` must agree with the table on every pair.
+"""
+
+import random
+import tracemalloc
+from itertools import permutations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covmod import (
+    conv_fast_full_k,
+    conv_fast_wh_center,
+    conv_fast_wh_full,
+    convolve,
+    enumerate_characters,
+    group_center,
+    heisenberg_finite,
+    is_normal,
+    lift_subgroup,
+    make_cyclic,
+    make_from_table,
+    make_product,
+    make_subgroup,
+    module_action,
+    quotient,
+    random_function,
+    semidirect,
+    symmetric_3,
+    t_xi,
+    weyl_heisenberg_finite,
+)
+from covmod.characters import ENUMERATION_LIMIT
+from covmod.errors import NormalityError
+from covmod.groups import generating_set
+from covmod.verify import FAST_GRID
+
+
+def _s3_on_v4():
+    v4 = make_product(make_cyclic(2), make_cyclic(2))
+    perms = sorted(permutations(range(3)))
+    return semidirect(symmetric_3(), v4, [[0] + [p[i] + 1 for i in range(3)] for p in perms])
+
+
+def _flip_with_identities_at_1():
+    h = make_from_table([[1, 0], [0, 1]])
+    k = make_from_table([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    return semidirect(h, k, ((2, 1, 0), (0, 1, 2)))
+
+
+PRODUCTS = {
+    **{f"WH({m},{r})": (lambda m=m, r=r: weyl_heisenberg_finite(m, r)) for m, r in FAST_GRID},
+    "Heis2": lambda: heisenberg_finite(2),
+    "Heis3": lambda: heisenberg_finite(3),
+    "S3 x| V4": _s3_on_v4,
+    "flip": lambda: semidirect(make_cyclic(2), make_cyclic(3), ((0, 1, 2), (0, 2, 1))),
+    "flip, identities at 1": _flip_with_identities_at_1,
+    "Z2 x S3": lambda: semidirect(make_cyclic(2), symmetric_3(), [list(range(6))] * 2),
+}
+
+
+def _outcome(fn):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # every error must match, whatever its type
+        return "error", type(exc).__name__, str(exc)
+
+
+def _quotient_parts(q):
+    return (q.reps, q.proj, q.table.table.tolist(), q.table.inv.tolist(),
+            q.table.identity, q.grid.tolist())
+
+
+def _results(g, candidates):
+    """Everything the routines on `multiply` give for each candidate member set."""
+    out = []
+    for members in candidates:
+        sub = _outcome(lambda: make_subgroup(g, members))
+        gens = generating_set(g, members)
+        row = [sub[:1] + (sub[1].members,) if sub[0] == "ok" else sub,
+               (gens[0], gens[1].tolist(), gens[2].tolist(), gens[3].tolist())]
+        if sub[0] == "ok":
+            s = sub[1]
+            row.append(is_normal(g, s))
+            row.append(_outcome(lambda: _quotient_parts(quotient(g, s))))
+            if s.order <= ENUMERATION_LIMIT:
+                row.append([c.phases for c in enumerate_characters(s)])
+        out.append(row)
+    return out
+
+
+def _candidates(g, rng):
+    """The K fiber, the trivial group, the whole group, the center, every
+    cyclic subgroup (normal or not, inside K or not) and some sets that are
+    not closed."""
+    nk = g.split.k.order
+    base = g.split.h.identity * nk
+    cyclic = [np.flatnonzero(generating_set(g, [x])[3]).tolist() for x in range(g.order)]
+    loose = []
+    for _ in range(8):
+        x, y = rng.randrange(g.order), rng.randrange(g.order)
+        loose.append(sorted({g.identity, x, int(g.inv[x]), y, int(g.inv[y])}))
+    return [list(range(base, base + nk)), [g.identity], list(range(g.order)),
+            *cyclic, *loose]
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_multiply_is_the_table_on_every_pair(name):
+    g = PRODUCTS[name]().product
+    x = np.arange(g.order)
+    got = g.multiply(x[:, None], x)
+    assert "table" not in vars(g)
+    assert np.array_equal(got, g.table)
+    assert [int(g.multiply(a, b)) for a in x for b in x] == g.table.ravel().tolist()
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_a_fresh_product_gives_what_its_table_gives(name):
+    fresh, read = PRODUCTS[name]().product, PRODUCTS[name]().product
+    read.table
+    center = group_center(read).members
+    candidates = [*_candidates(read, random.Random(name)), list(center)]
+    got = _results(fresh, candidates)
+    assert "table" not in vars(fresh)
+    assert got == _results(read, candidates)
+    assert fresh == read
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_normality_from_generators_is_conjugation_by_every_element(name):
+    g = PRODUCTS[name]().product
+    table = g.table
+    for x in range(g.order):
+        members = np.flatnonzero(generating_set(g, [x])[3])
+        inside = np.zeros(g.order, dtype=bool)
+        inside[members] = True
+        every = inside[table[table[:, members], g.inv[:, None]]].all()
+        assert is_normal(g, make_subgroup(g, members.tolist())) == every
+
+
+def _by_inversion(k):
+    return semidirect(make_cyclic(2), k, [list(range(k.order)), k.inv.tolist()])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    orders=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_inversion_products_agree_fresh_and_read(orders, data):
+    k = make_cyclic(1)
+    for n in orders:
+        k = make_product(k, make_cyclic(n))
+    order = data.draw(st.permutations(range(k.order)))   # the identity can land anywhere
+    at = np.argsort(order)
+    k = make_from_table(at[k.table[np.ix_(order, order)]].tolist())
+    fresh, read = _by_inversion(k).product, _by_inversion(k).product
+    read.table
+    x = np.arange(fresh.order)
+    assert np.array_equal(fresh.multiply(x[:, None], x), read.table)
+    candidates = _candidates(read, random.Random(str(orders)))
+    assert _results(fresh, candidates) == _results(read, candidates)
+    assert "table" not in vars(fresh)
+
+
+def test_t_xi_reuses_the_subgroups_quotient():
+    sd = weyl_heisenberg_finite(4, 4)
+    k = lift_subgroup(sd, make_subgroup(sd.k, range(16)))
+    char = enumerate_characters(k)[5]
+    f = random_function(sd.product, random.Random("reuse"))
+    first, second = t_xi(f, char), t_xi(f, char)
+    assert first.quotient is second.quotient is k.quotient
+    assert np.array_equal(first.section, t_xi(f, char, quot=quotient(sd.product, k)).section)
+    off_k = make_subgroup(sd.product, np.flatnonzero(generating_set(sd.product, [16])[3]).tolist())
+    for _ in range(2):
+        with pytest.raises(NormalityError):
+            off_k.quotient
+
+
+def test_the_library_path_at_order_4096_leaves_the_table_unbuilt():
+    # the dense table alone is 64 MiB; the parent traced 80 MB here
+    tracemalloc.start()
+    try:
+        sd = weyl_heisenberg_finite(16, 16)
+        g = sd.product
+        center = lift_subgroup(sd, make_subgroup(sd.k, range(16)))
+        k = lift_subgroup(sd, make_subgroup(sd.k, range(256)))
+        qc, qk = quotient(g, center), quotient(g, k)
+        xc, xk = enumerate_characters(center)[1], enumerate_characters(k)[17]
+        rng = random.Random("order-4096")
+        f, h = random_function(g, rng), random_function(g, rng)
+        pc, pk = t_xi(h, xc, quot=qc), t_xi(h, xk, quot=qk)
+        module_action(f, pc)
+        module_action(f, pk)
+        convolve(f, h)
+        conv_fast_wh_center(sd, f, pc, int(xc.phases[1] * 16))
+        conv_fast_wh_full(sd, f, pk, int(xk.phases[16] * 16), int(xk.phases[1] * 16))
+        conv_fast_full_k(sd, f, pk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "table" not in vars(g)
+    assert peak < 32 * 2**20
