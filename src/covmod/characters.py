@@ -25,7 +25,6 @@ from .groups import (
     _frozen,
     _real_form,
     full_subgroup,
-    generating_set,
 )
 
 # Enumeration checks at most one candidate per element on every member; this
@@ -97,9 +96,10 @@ def make_character(
     """Validate the homomorphism law exactly and return the character.
 
     Input phases are reduced mod 1.  The law is checked on integer
-    numerators over the common denominator.  It already makes every stored
-    value an exact root of unity: ord(s) q(s) = q(e) = 0 mod 1, so each
-    phase's denominator divides its element's order.
+    numerators over the common denominator, on the edges q(g s) = q(g) + q(s)
+    of `Subgroup.walk`, naming the first failing edge.  It already makes
+    every stored value an exact root of unity: ord(s) q(s) = q(e) = 0 mod 1,
+    so each phase's denominator divides its element's order.
     """
     sub = _as_subgroup(domain)
     qs = tuple(Fraction(q) % 1 for q in phases)
@@ -107,7 +107,6 @@ def make_character(
         raise ValidationError(
             f"got {len(qs)} phases for a subgroup of order {sub.order}"
         )
-    group = sub.parent
     ms = np.array(sub.members)
     den = math.lcm(*(q.denominator for q in qs))
     # a sum of two numerators stays below 2^63; past that, exact Python integers
@@ -115,17 +114,17 @@ def make_character(
         [q.numerator * (den // q.denominator) for q in qs],
         dtype=np.int64 if den < 2**62 else object,
     )
-    step = max(1, _BLOCK // len(ms))
-    for start in range(0, len(ms), step):
-        rows = slice(start, start + step)
-        product = num[np.searchsorted(ms, group.multiply(ms[rows, None], ms))]
-        failing = np.argwhere(product != (num[rows, None] + num) % den)
-        if failing.size:
-            s, t = ms[start + failing[0, 0]], ms[failing[0, 1]]
-            raise ValidationError(
-                f"homomorphism law fails at pair ({s}, {t}): "
-                f"phase({s}*{t}) != phase({s}) + phase({t}) mod 1"
-            )
+    gens, _, _, at = sub.walk
+    if not gens.size:         # the trivial subgroup: its one pair is (e, e)
+        gens, at = ms, np.zeros((1, 1), dtype=np.intp)
+    on_gens = num[np.searchsorted(ms, gens)]
+    failing = np.argwhere(num[at] != (on_gens[:, None] + num) % den)
+    if failing.size:
+        s, t = gens[failing[0, 0]], ms[failing[0, 1]]
+        raise ValidationError(
+            f"homomorphism law fails at pair ({s}, {t}): "
+            f"phase({s}*{t}) != phase({s}) + phase({t}) mod 1"
+        )
     return Character(sub, qs)
 
 
@@ -138,9 +137,9 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     """All characters of the domain, ordered lexicographically by phase vector.
 
     The candidates are the phase vectors on the generators of
-    `generating_set` that satisfy its relations, at most the subgroup order
+    `Subgroup.walk` that satisfy its relations, at most the subgroup order
     of them, and its words give all member phases at once.  A candidate that
-    satisfies every (member, generator) edge is a homomorphism even where
+    satisfies every (generator, member) edge is a homomorphism even where
     the relations do not present a non-abelian domain.
     """
     sub = _as_subgroup(domain)
@@ -149,13 +148,8 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
             f"character enumeration supports subgroups of order up to "
             f"{ENUMERATION_LIMIT}, got {sub.order}"
         )
-    group = sub.parent
-    ms = np.array(sub.members)
-    gens, words, relations, _ = generating_set(group, sub.members)
+    gens, words, relations, at = sub.walk   # members[i] is a word with words[i, j] gens[j]
     den = sub.order                       # every m_j divides it
-    words = words[ms]                     # members[i] is a word with words[i, j] gens[j]
-    at = group.multiply(ms[:, None], np.array(gens, dtype=np.intp))
-    steps = np.searchsorted(ms, at)       # position of members[i] * gens[j]
 
     candidates = _solutions(relations, den)   # on the generators, whose words are unit vectors
     block = max(1, _BLOCK // (sub.order * max(len(gens), 1)))
@@ -163,7 +157,7 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     for start in range(0, len(candidates), block):
         on_gens = candidates[start : start + block]
         phases = on_gens @ words.T % den        # phases[a, i]
-        edges = phases[:, steps] == (phases[:, :, None] + on_gens[:, None]) % den
+        edges = phases[:, at] == (on_gens[:, :, None] + phases[:, None]) % den
         found.extend(map(tuple, phases[edges.all(axis=(1, 2))].tolist()))
     fractions = [Fraction(j, den) for j in range(den)]
     return [Character(sub, tuple(fractions[j] for j in row)) for row in sorted(found)]
@@ -187,8 +181,8 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
 
     `theta` maps member indices to member indices, either as a mapping or as
     a dense sequence indexed by parent element.  It is validated to be a
-    bijective homomorphism of the domain; the result is again an exact
-    character, with phases simply permuted.
+    bijective homomorphism on the edges of `Subgroup.walk`, naming the first
+    failing edge; the result is again an exact character, phases permuted.
     """
     sub = char.domain
     image = []
@@ -203,14 +197,12 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
     image, ms = np.array(image), np.array(sub.members)
     if not np.array_equal(np.sort(image), ms):
         raise ValidationError("map is not a bijection of the subgroup onto itself")
-    multiply, step = sub.parent.multiply, max(1, _BLOCK // len(ms))
-    for start in range(0, len(ms), step):
-        rows = slice(start, start + step)
-        mapped_product = image[np.searchsorted(ms, multiply(ms[rows, None], ms))]
-        failing = np.argwhere(mapped_product != multiply(image[rows, None], image))
-        if failing.size:
-            s, t = ms[start + failing[0, 0]], ms[failing[0, 1]]
-            raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")
+    gens, _, _, at = sub.walk
+    on_gens = image[np.searchsorted(ms, gens)]
+    failing = np.argwhere(image[at] != sub.parent.multiply(on_gens[:, None], image))
+    if failing.size:
+        s, t = gens[failing[0, 0]], ms[failing[0, 1]]
+        raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")
     qs = tuple(char.phases[i] for i in np.searchsorted(ms, image).tolist())
     return Character(sub, qs)
 

@@ -1,11 +1,12 @@
 """Semidirect products, their fiber convolution and module action.
 
 A semidirect product is built from two finite groups H and K and an action
-table theta, where theta[h] is the automorphism of K contributed by h.  The
-pair (h, k) is packed as index h * |K| + k.  `SemidirectGroup` holds H, K,
-the action as one read-only int32 array and the product group, whose `split`
-is the `SemidirectGroup` itself.  The product keeps no table of its own at
-first: its products of elements come from the factors
+table theta, where theta[h] is the automorphism of K contributed by h,
+checked in |H| r_K |K| + |H| r_H |K| work for r_K and r_H generators of K
+and H.  The pair (h, k) is packed as index h * |K| + k.  `SemidirectGroup`
+holds H, K, the action as one read-only int32 array and the product group,
+whose `split` is the `SemidirectGroup` itself.  The product keeps no table
+of its own at first: its products of elements come from the factors
 (`SemidirectGroup.multiply`), and it builds the dense |G| x |G| table
 (`dense_table`) on the first read of `product.table`, which equality, the
 fingerprint, `is_abelian`, `group_center`, Light's test, documents and the
@@ -62,7 +63,7 @@ from .groups import (
     QuotientGroup,
     Subgroup,
     cyclic_coordinates,
-    generating_set,
+    full_subgroup,
     make_cyclic,
     make_product,
     make_subgroup,
@@ -230,7 +231,8 @@ class SemidirectGroup:
         reps = np.array(quot.reps).reshape(nh, -1) - nk * np.arange(nh)[:, None]
         if not (reps == reps[0]).all():
             return None
-        return FiberAction(self, members, reps[0])
+        # k -> (e_H, k) keeps the order, so N's walk in G is its walk in K
+        return FiberAction(self, members, reps[0], quot.normal.walk[0] - self.h.identity * nk)
 
 
 class FiberAction:
@@ -269,10 +271,11 @@ class FiberAction:
     in (h, omega) order.
     """
 
-    def __init__(self, sd: SemidirectGroup, members: np.ndarray, reps: np.ndarray) -> None:
+    def __init__(
+        self, sd: SemidirectGroup, members: np.ndarray, reps: np.ndarray, gens: np.ndarray
+    ) -> None:
         _, coords, elem, pos, dual, exponent, pulled = sd.dual_grid
         nh, nkn = sd.h.order, reps.size
-        gens = generating_set(sd.k, members)[0]
         roots = _roots_of_unity(exponent)
         on_gens = dual @ coords[gens].T % exponent     # phases of each chi_omega on N's generators
         perp = np.flatnonzero(~on_gens.any(axis=1))
@@ -385,8 +388,10 @@ def semidirect(
 
     Each row of `action` must be an automorphism of K, the row of H's
     identity must be the identity map, and rows must compose like H does:
-    action[h * h'] = action[h] after action[h'].  The product group keeps
-    the factors; its dense table is built on its first read.
+    action[h * h'] = action[h] after action[h'].  Both laws are checked on
+    the edges of `Subgroup.walk`, |H| r_K |K| + |H| r_H |K| work, naming the
+    first failing row and edge.  The product keeps the factors; its dense
+    table is built on its first read.
     """
     nh, nk = h_group.order, k_group.order
     _check_order(nh * nk)
@@ -410,17 +415,18 @@ def semidirect(
     if not np.array_equal(arr[h_group.identity], np.arange(nk)):
         raise ValidationError("the identity of H must act as the identity map on K")
 
-    kmul = k_group.table
-    for h, row in enumerate(arr):
-        bad = row[kmul] != kmul[np.ix_(row, row)]   # theta_h(k * k') against theta_h(k) * theta_h(k')
-        if bad.any():
-            k1, k2 = np.argwhere(bad)[0]
-            raise ValidationError(f"action row {h} is not multiplicative at pair ({k1}, {k2})")
-    # theta_{h h'} against theta_h after theta_h', at [h, h']
-    bad = (arr[h_group.table] != arr[:, arr]).any(axis=2)
+    gens, _, _, at = full_subgroup(k_group).walk
+    # theta_h(g_j k) against theta_h(g_j) theta_h(k) at [h, j, k], for K's generators
+    bad = arr[:, at] != k_group.table[arr[:, gens, None], arr[:, None]]
     if bad.any():
-        h, h2 = np.argwhere(bad)[0]
-        raise ValidationError(f"action rows do not compose like H at pair ({h}, {h2})")
+        h, j, k = np.argwhere(bad)[0]
+        raise ValidationError(f"action row {h} is not multiplicative at pair ({gens[j]}, {k})")
+    gens, _, _, at = full_subgroup(h_group).walk
+    # theta_{g_j h} against theta_{g_j} after theta_h at [j, h], for H's generators
+    bad = (arr[at] != arr[gens][:, arr]).any(axis=2)
+    if bad.any():
+        j, h = np.argwhere(bad)[0]
+        raise ValidationError(f"action rows do not compose like H at pair ({gens[j]}, {h})")
 
     return SemidirectGroup(h_group, k_group, *_frozen(arr))
 
