@@ -44,7 +44,7 @@ if TYPE_CHECKING:
 
 MAX_GROUP_ORDER = 1 << 20
 
-# Entries per block of Light's test, coset minima and character enumeration.
+# Entries per block of Light's test and character enumeration.
 _BLOCK = 1 << 18
 
 
@@ -164,6 +164,14 @@ class FiniteGroup:
         return tuple(tuple(elements[row].tolist()) for row in self.table)
 
     @cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gens, words, relations) of `generating_set` on the whole group, kept
+        once as arrays: Light's test, `cyclic_coordinates` and the walk of every
+        subgroup holding all elements (`full_subgroup`) read it."""
+        gens, words, relations, _ = generating_set(self, range(self.order))
+        return _frozen(np.array(gens, dtype=np.intp), words, relations)
+
+    @cached_property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
@@ -209,8 +217,9 @@ class Subgroup:
         generators' span with gens * S inside S, checked here, is closed.
         Failures name the first failing edge: generators in walk order, then members."""
         ms = np.array(self.members)
-        gens, words, relations, _ = generating_set(self.parent, ms)
-        gens = np.array(gens, dtype=np.intp)
+        whole = ms.size == self.parent.order       # the whole group's walk is kept
+        gens, words, relations = self.parent.walk if whole else generating_set(self.parent, ms)[:3]
+        gens = np.asarray(gens, dtype=np.intp)
         products = self.parent.multiply(gens[:, None], ms)
         at = np.searchsorted(ms, products).clip(max=ms.size - 1)
         outside = np.argwhere(ms[at] != products)
@@ -246,14 +255,14 @@ class QuotientGroup:
 
     Cosets are enumerated in increasing order of their smallest member, and
     each coset's representative is that smallest member.  `proj[x]` is the
-    coset index of element x; `table` is the quotient as a plain FiniteGroup.
+    coset index of element x; `table` is the quotient as a plain FiniteGroup,
+    built on first read from |G/N|^2 products of representatives.
     """
 
     parent: FiniteGroup
     normal: Subgroup
     reps: tuple[int, ...]
     proj: tuple[int, ...]
-    table: FiniteGroup
 
     def __hash__(self) -> int:
         return hash((self.normal, self.reps))
@@ -261,6 +270,13 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return len(self.reps)
+
+    @cached_property
+    def table(self) -> FiniteGroup:
+        """G/N as a FiniteGroup: coset i * coset j is the coset of reps[i] * reps[j]."""
+        reps, proj = np.array(self.reps), np.array(self.proj)
+        qtable = proj[self.parent.multiply(reps[:, None], reps)]
+        return FiniteGroup(len(reps), qtable, proj[self.parent.inv[reps]], self.proj[self.parent.identity])
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -445,7 +461,7 @@ def cyclic_coordinates(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     so the unimodular column operations V that diagonalize them (Smith's
     reduction, in exact integers) send each word e to coordinates e V mod d.
     """
-    _, words, relations, _ = generating_set(group, range(group.order))
+    _, words, relations = group.walk
     d, cols = _diagonal_form(relations.astype(object))
     keep = d > 1
     d, cols = d[keep], (cols[:, keep] % d[keep]).astype(np.int64)
@@ -484,7 +500,7 @@ def _check_associative(group: FiniteGroup) -> None:
     """
     arr = group.table
     step = max(1, _BLOCK // group.order)
-    for s in generating_set(group, range(group.order))[0]:
+    for s in group.walk[0]:
         col = arr[:, s]
         for start in range(0, group.order, step):
             rows = arr[start : start + step]
@@ -640,25 +656,40 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
 
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
-    """Left cosets of a normal subgroup with the induced multiplication.
+    """Left cosets of a normal subgroup; the induced group is `QuotientGroup.table`.
 
     Cosets appear in increasing order of their smallest member, which also
     serves as the coset representative, so the construction is canonical.
+    The minima come from the generators g of `normal.walk`, not from all
+    |G| |N| products: starting from label(x) = x, each g takes label(x) to
+    min(label(x), label(x p)) for p = g, g^2, g^4, ... until a power repeats,
+    and the generators are swept again until a sweep changes nothing.  Each
+    label stays in its own coset, as x p lies in x N.  At the fixpoint,
+    label(x) <= label(x g) for every generator g, so the labels are equal
+    round each cycle x, x g, x g^2, ..., and, the generators reaching all of
+    x N from x, on the whole coset; as each label is at most its own index,
+    it is the coset minimum.  Each doubling step costs |G| products: about
+    |G| (log2 m_1 + ... + log2 m_r) per sweep for generator orders m_j, and
+    one more sweep confirms the fixpoint.
     """
     if not is_normal(group, normal):
         raise NormalityError(
             "cannot form the quotient: subgroup is not normal in the group"
         )
-    elements, step = np.arange(group.order), max(1, _BLOCK // normal.order)
-    smallest = np.concatenate([                                   # smallest member of x N
-        group.multiply(elements[start : start + step, None], normal.members).min(axis=1)
-        for start in range(0, group.order, step)
-    ])
+    smallest = elements = np.arange(group.order)    # smallest[x]: a member of x N, at most x
+    while True:
+        swept = smallest
+        for g in normal.walk[0].tolist():
+            seen, power = {group.identity}, g
+            while power not in seen:
+                seen.add(power)
+                smallest = np.minimum(smallest, smallest[group.multiply(elements, power)])
+                power = int(group.multiply(power, power))
+        if np.array_equal(smallest, swept):
+            break
     reps = np.flatnonzero(smallest == elements)
-    proj = np.searchsorted(reps, smallest).astype(np.int32)
-    qtable = proj[group.multiply(reps[:, None], reps)]
-    quot = FiniteGroup(len(reps), qtable, proj[group.inv[reps]], int(proj[group.identity]))
-    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()), quot)
+    proj = np.searchsorted(reps, smallest)
+    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()))
 
 
 def weil_measure(

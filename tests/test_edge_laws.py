@@ -41,7 +41,7 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod import groups
-from covmod.groups import full_subgroup, generating_set
+from covmod.groups import cyclic_coordinates, full_subgroup, generating_set
 from covmod.semidirect import _shear_action
 
 
@@ -486,6 +486,26 @@ def test_one_walk_serves_every_reader_of_a_subgroup(monkeypatch):
         module_action(f, psi)
         assert psi.quotient.fiber_action is not None
     assert "table" not in vars(g)
+
+
+def test_one_walk_serves_every_reader_of_a_whole_group(monkeypatch):
+    g = make_from_table(make_product(make_cyclic(4), make_cyclic(6)).table.tolist())
+    h, k = make_cyclic(2), make_cyclic(3)
+    flip = ((0, 1, 2), (0, 2, 1))
+    semidirect(h, k, flip)    # Light's test walked g; this walks each factor
+
+    def walked_again(*args):
+        raise AssertionError("a group was walked a second time")
+
+    monkeypatch.setattr(groups, "generating_set", walked_again)
+    chars = enumerate_characters(g)
+    for char in chars[5:8]:
+        assert make_character(g, char.phases).phases == char.phases
+    assert np.prod(cyclic_coordinates(g)[0]) == 24
+    assert full_subgroup(g).walk[0].tolist() == g.walk[0].tolist()
+    semidirect(h, k, flip)
+    # arrays only: a kept Subgroup would tie the group into a reference cycle
+    assert all(isinstance(part, np.ndarray) for part in vars(g)["walk"])
 
 
 def test_hashing_leaves_the_product_table_unbuilt():

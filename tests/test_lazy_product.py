@@ -4,6 +4,8 @@ dense table only when something reads all of it.
 Every routine that goes through `FiniteGroup.multiply` must give the same
 results and the same errors on a fresh product as on one whose table was
 read first, and `multiply` must agree with the table on every pair.
+`quotient`, which takes the coset minima along N's generators, must give
+what all |G| |N| products give, and leave both tables unbuilt.
 """
 
 import random
@@ -38,9 +40,9 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod.characters import ENUMERATION_LIMIT
-from covmod.errors import NormalityError
+from covmod.errors import NormalityError, ValidationError
 from covmod.groups import generating_set
-from covmod.verify import FAST_GRID
+from covmod.verify import FAST_GRID, builtin_corpus
 
 
 def _s3_on_v4():
@@ -209,3 +211,76 @@ def test_the_library_path_at_order_4096_leaves_the_table_unbuilt():
         tracemalloc.stop()
     assert "table" not in vars(g)
     assert peak < 32 * 2**20
+
+
+def _coset_minima(g, members):
+    """reps, proj and G/N's table, inverses and identity from all |G| |N|
+    products, the induced group read off every product of G."""
+    x = np.arange(g.order)
+    smallest = g.multiply(x[:, None], np.array(members)).min(axis=1)
+    reps = np.flatnonzero(smallest == x)
+    proj = np.searchsorted(reps, smallest)
+    on_cosets = proj[g.multiply(x[:, None], x)]
+    table = np.full((reps.size, reps.size), -1)
+    table[proj[:, None], proj] = on_cosets
+    assert (table[proj[:, None], proj] == on_cosets).all()   # well defined on cosets
+    inv = np.full(reps.size, -1)
+    inv[proj] = proj[g.inv]
+    return (tuple(reps.tolist()), tuple(proj.tolist()), table.tolist(), inv.tolist(),
+            int(proj[g.identity]))
+
+
+def _parts(q):
+    return q.reps, q.proj, q.table.table.tolist(), q.table.inv.tolist(), q.table.identity
+
+
+def test_quotient_is_the_coset_minima_on_the_verify_corpus():
+    for entry in builtin_corpus():
+        expected = _coset_minima(entry.group, entry.normal.members)
+        assert _parts(quotient(entry.group, entry.normal)) == expected, entry.name
+        assert _parts(entry.quot) == expected, entry.name
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_quotient_is_the_coset_minima_on_every_normal_subgroup(name):
+    # the candidates hold the K fiber, the trivial group and the whole group:
+    # Heis3 / Heis3, S3 x| V4 / V4 and S3 x| V4 / S3 x| V4 among them
+    g = PRODUCTS[name]().product
+    normal = 0
+    for members in _candidates(g, random.Random(name)):
+        try:
+            sub = make_subgroup(g, members)
+        except ValidationError:
+            continue
+        if not is_normal(g, sub):
+            with pytest.raises(NormalityError):
+                quotient(g, sub)
+            continue
+        normal += 1
+        expected = _coset_minima(g, sub.members)
+        q = quotient(g, sub)
+        assert (q.reps, q.proj) == expected[:2]
+        assert "table" not in vars(q)
+        assert _parts(q) == expected
+    assert normal >= 3 or g.order == 1
+    assert "table" not in vars(g)
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_quotient_runs_in_linear_memory():
+    # all |G| |N| products in row blocks and an eager G/N table peaked at
+    # 4.2 MiB (WH(16,16) by K) and 16.7 MiB (WH(32,32) by its center)
+    sd = weyl_heisenberg_finite(16, 16)
+    k = lift_subgroup(sd, make_subgroup(sd.k, range(256)))
+    assert _peak_mib(lambda: quotient(sd.product, k)) < 1.5
+    sd = weyl_heisenberg_finite(32, 32)
+    center = lift_subgroup(sd, make_subgroup(sd.k, range(32)))
+    assert _peak_mib(lambda: quotient(sd.product, center)) < 6
