@@ -1,18 +1,20 @@
 """One-dimensional characters with exact rational phases.
 
 A character stores, for each member s of its domain, the rational q(s) in
-[0, 1) with value(s) = exp(2*pi*i*q(s)).  The homomorphism law
-q(s*t) = q(s) + q(t) (mod 1) is validated in exact arithmetic, so character
-identities (orthogonality, root-of-unity values) carry no floating error.
+[0, 1) with value(s) = exp(2*pi*i*q(s)), as one read-only int64 row of
+numerators over a common denominator.  The homomorphism law
+q(s*t) = q(s) + q(t) (mod 1) is validated in exact integer arithmetic, so
+character identities (orthogonality, root-of-unity values) carry no
+floating error.  The phases as `Fraction`s, the reduced pairs and the
+complex values are derived from the row when first read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,14 +23,13 @@ from .errors import DomainMismatchError, ResourceError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _BLOCK,
     _frozen,
     _real_form,
     full_subgroup,
 )
 
-# Enumeration checks at most one candidate per element on every member; this
-# cap keeps that quadratic search comfortably below a second.
+# Enumeration holds every character's integer phases at once, an |N| x |N|
+# matrix (8 MiB of int64 at the cap); the cap bounds that matrix.
 ENUMERATION_LIMIT = 1024
 
 
@@ -49,19 +50,83 @@ def phase_to_complex(q: Fraction) -> complex:
     return cmath.exp(2j * cmath.pi * float(q))
 
 
-@dataclass(frozen=True)
-class Character:
-    """An exact character of a subgroup, phases aligned with `domain.members`."""
+@lru_cache(maxsize=None)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """phase_to_complex(j / n) at index j, read-only."""
+    return _frozen(np.array([phase_to_complex(Fraction(j, n)) for j in range(n)]))[0]
 
-    domain: Subgroup
-    phases: tuple[Fraction, ...]
+
+@lru_cache(maxsize=None)
+def _fractions(n: int) -> tuple[Fraction, ...]:
+    """Fraction(j, n) at index j, shared by every character over n."""
+    return tuple(Fraction(j, n) for j in range(n))
+
+
+def _over_common(phases: Sequence[Fraction | int]) -> tuple[tuple[Fraction, ...], list[int], int]:
+    """The phases reduced mod 1, their numerators over the least common
+    denominator, and that denominator."""
+    qs = tuple(Fraction(q) % 1 for q in phases)
+    den = math.lcm(*(q.denominator for q in qs))
+    return qs, [q.numerator * (den // q.denominator) for q in qs], den
+
+
+class Character:
+    """An exact character of a subgroup, phases aligned with `domain.members`.
+
+    `Character(domain, phases)` stores any phases without a check;
+    `make_character` validates them.  The stored form is `numerators`, a
+    read-only int64 row, over `denominator`: the domain's order |N| when
+    every phase's denominator divides it, as each does for a character (it
+    divides its element's order), and otherwise the least common one.  So
+    equal phases have one stored form, and equality and hashing read it.
+    `phases`, `phase_pairs` and `complex_values` are built from it on first
+    read.
+    """
+
+    def __init__(self, domain: Subgroup, phases: Sequence[Fraction | int]) -> None:
+        qs, nums, den = _over_common(phases)
+        if den >= 2**62:
+            raise ValidationError(f"phase denominator {den} is past the int64 range")
+        nums, den = _stored_form(domain.order, np.array(nums, dtype=np.int64), den)
+        vars(self).update(domain=domain, numerators=nums, denominator=den, phases=qs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a Character is read-only; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Character):
+            return NotImplemented
+        same_domain = self.domain is other.domain or self.domain == other.domain
+        return same_domain and self.same_phases(other)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.denominator, self.numerators.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Character(domain={self.domain!r}, phases={self.phases!r})"
+
+    def same_phases(self, other: Character) -> bool:
+        """Whether the two phase vectors are equal, whatever the domains."""
+        return self.denominator == other.denominator and np.array_equal(
+            self.numerators, other.numerators
+        )
+
+    @cached_property
+    def phases(self) -> tuple[Fraction, ...]:
+        """The phases as reduced `Fraction`s in [0, 1), built on first read."""
+        nums, den = self.numerators.tolist(), self.denominator
+        if den == self.domain.order:
+            return tuple(map(_fractions(den).__getitem__, nums))
+        return tuple(Fraction(j, den) for j in nums)
 
     @cached_property
     def complex_values(self) -> np.ndarray:
         """Phases converted to unit complex numbers, once, in member order,
-        as a read-only complex128 array."""
-        values = np.array([phase_to_complex(q) for q in self.phases], dtype=complex)
-        return _frozen(values)[0]
+        as a read-only complex128 array: `phase_to_complex` of each phase,
+        gathered from one table of the |N|-th roots of unity."""
+        if self.denominator == self.domain.order:
+            return _frozen(_roots_of_unity(self.denominator)[self.numerators])[0]
+        return _frozen(np.array([phase_to_complex(q) for q in self.phases], dtype=complex))[0]
 
     @cached_property
     def conj_form(self) -> np.ndarray:
@@ -72,13 +137,14 @@ class Character:
 
     @cached_property
     def phase_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Each phase as its reduced (numerator, denominator), for exact
-        comparison against an expected tuple in one step."""
-        return tuple((q.numerator, q.denominator) for q in self.phases)
+        """Each phase as its reduced (numerator, denominator), as documents
+        write them."""
+        g = np.gcd(self.numerators, self.denominator)
+        return tuple(zip((self.numerators // g).tolist(), (self.denominator // g).tolist()))
 
     @property
     def is_trivial(self) -> bool:
-        return all(q == 0 for q in self.phases)
+        return not self.numerators.any()
 
     def value(self, s: int) -> complex:
         """The character's value at a parent element index."""
@@ -90,6 +156,24 @@ class Character:
             ) from None
 
 
+def _character(domain: Subgroup, numerators: np.ndarray, denominator: int) -> Character:
+    """A character from its stored form, taken as given: read-only
+    `numerators` in [0, denominator), over |N| when every phase's
+    denominator divides it."""
+    char = object.__new__(Character)
+    vars(char).update(domain=domain, numerators=numerators, denominator=denominator)
+    return char
+
+
+def _stored_form(order: int, numerators: np.ndarray, denominator: int) -> tuple[np.ndarray, int]:
+    """Numerators in [0, denominator) over the least common denominator, or
+    over `order` when that divides it: read-only numerators and denominator."""
+    g = math.gcd(denominator, int(np.gcd.reduce(numerators, initial=0)))
+    den = denominator // g
+    scale = order // den if order % den == 0 else 1
+    return _frozen(numerators // g * scale)[0], den * scale
+
+
 def make_character(
     domain: FiniteGroup | Subgroup, phases: Sequence[Fraction | int]
 ) -> Character:
@@ -99,21 +183,17 @@ def make_character(
     numerators over the common denominator, on the edges q(g s) = q(g) + q(s)
     of `Subgroup.walk`, naming the first failing edge.  It already makes
     every stored value an exact root of unity: ord(s) q(s) = q(e) = 0 mod 1,
-    so each phase's denominator divides its element's order.
+    so each phase's denominator divides its element's order, and so |N|.
     """
     sub = _as_subgroup(domain)
-    qs = tuple(Fraction(q) % 1 for q in phases)
+    qs, nums, den = _over_common(phases)
     if len(qs) != sub.order:
         raise ValidationError(
             f"got {len(qs)} phases for a subgroup of order {sub.order}"
         )
     ms = np.array(sub.members)
-    den = math.lcm(*(q.denominator for q in qs))
     # a sum of two numerators stays below 2^63; past that, exact Python integers
-    num = np.array(
-        [q.numerator * (den // q.denominator) for q in qs],
-        dtype=np.int64 if den < 2**62 else object,
-    )
+    num = np.array(nums, dtype=np.int64 if den < 2**62 else object)
     gens, _, _, at = sub.walk
     if not gens.size:         # the trivial subgroup: its one pair is (e, e)
         gens, at = ms, np.zeros((1, 1), dtype=np.intp)
@@ -125,22 +205,35 @@ def make_character(
             f"homomorphism law fails at pair ({s}, {t}): "
             f"phase({s}*{t}) != phase({s}) + phase({t}) mod 1"
         )
-    return Character(sub, qs)
+    char = _character(sub, _frozen(num * (sub.order // den))[0], sub.order)
+    vars(char)["phases"] = qs
+    return char
 
 
 def trivial_character(domain: FiniteGroup | Subgroup) -> Character:
     sub = _as_subgroup(domain)
-    return Character(sub, (Fraction(0),) * sub.order)
+    return _character(sub, _frozen(np.zeros(sub.order, dtype=np.int64))[0], sub.order)
 
 
 def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
     """All characters of the domain, ordered lexicographically by phase vector.
 
-    The candidates are the phase vectors on the generators of
-    `Subgroup.walk` that satisfy its relations, at most the subgroup order
-    of them, and its words give all member phases at once.  A candidate that
-    satisfies every (generator, member) edge is a homomorphism even where
-    the relations do not present a non-abelian domain.
+    The candidates are the phase vectors p on the generators of
+    `Subgroup.walk` that satisfy its relations, at most |N| of them, and
+    its words give all member phases at once, numerators over |N|.  On the
+    edge (g_j, s_i) the law reads p . delta = 0 mod |N|, with
+    delta = words[g_j s_i] - words[s_i] - e_j, so each candidate is checked
+    once against each distinct delta, of which an abelian domain has a
+    handful.  A candidate that satisfies every edge is a homomorphism even
+    where the relations do not present a non-abelian domain.  The accepted
+    phases form one (characters x |N|) int64 matrix; each character holds
+    one row.
+
+    The candidates come in lexicographic order, and so do their rows: g_j
+    is the least member outside span(g_0 .. g_j-1), so the members before
+    it take phases fixed by p_0 .. p_j-1, and g_j itself, whose word is
+    e_j, takes p_j.  Two candidates first differing at p_j thus have rows
+    that first differ at g_j, in the same order, and no sort is needed.
     """
     sub = _as_subgroup(domain)
     if sub.order > ENUMERATION_LIMIT:
@@ -149,30 +242,34 @@ def enumerate_characters(domain: FiniteGroup | Subgroup) -> list[Character]:
             f"{ENUMERATION_LIMIT}, got {sub.order}"
         )
     gens, words, relations, at = sub.walk   # members[i] is a word with words[i, j] gens[j]
-    den = sub.order                       # every m_j divides it
+    if not gens.size:
+        return [trivial_character(sub)]
+    den, r = sub.order, gens.size           # every m_j divides |N|
 
-    candidates = _solutions(relations, den)   # on the generators, whose words are unit vectors
-    block = max(1, _BLOCK // (sub.order * max(len(gens), 1)))
-    found = []
-    for start in range(0, len(candidates), block):
-        on_gens = candidates[start : start + block]
-        phases = on_gens @ words.T % den        # phases[a, i]
-        edges = phases[:, at] == (on_gens[:, :, None] + phases[:, None]) % den
-        found.extend(map(tuple, phases[edges.all(axis=(1, 2))].tolist()))
-    fractions = [Fraction(j, den) for j in range(den)]
-    return [Character(sub, tuple(fractions[j] for j in row)) for row in sorted(found)]
+    # on the generators, whose words are unit vectors
+    candidates = _solutions(relations, den)
+    delta = (words[at] - words - np.eye(r, dtype=np.int64)[:, None]).reshape(r * den, r)
+    delta = delta[np.lexsort(delta.T)]
+    distinct = np.concatenate((delta[:1], delta[1:][(delta[1:] != delta[:-1]).any(axis=1)]))
+    accepted = candidates[(candidates @ distinct.T % den == 0).all(axis=1)]
+
+    rows = accepted @ words.T
+    np.remainder(rows, den, out=rows)
+    _frozen(rows)                           # each row a read-only view
+    return [_character(sub, row, den) for row in rows]
 
 
 def _solutions(relations: np.ndarray, den: int) -> np.ndarray:
-    """Every p with relations @ p = 0 mod den, one per row: m_j divides den,
-    so row j gives p_j m_j values when m_j divides phase(word_j), else none."""
-    found = np.zeros((1, 0), dtype=np.int64)
-    for j, row in enumerate(relations):
-        m = int(row[j])
-        rhs = -(found @ row[:j]) % den
+    """Every p with relations @ p = 0 mod den, one per row, in lexicographic
+    order: m_j divides den, so row j gives p_j m_j values when m_j divides
+    phase(word_j), else none.  At least one relation; row 0 is m_0 p_0 = 0."""
+    orders = relations.diagonal().tolist()
+    found = np.arange(0, den, den // orders[0], dtype=np.int64)[:, None]
+    for j, m in enumerate(orders[1:], 1):
+        rhs = -(found @ relations[j, :j]) % den
         solvable = rhs % m == 0
-        p = rhs[solvable, None] // m + np.arange(m) * (den // m)
-        found = np.column_stack((np.repeat(found[solvable], m, axis=0), p.ravel()))
+        p = rhs[solvable, None] // m + np.arange(0, den, den // m)
+        found = np.concatenate((found[solvable].repeat(m, axis=0), p.reshape(-1, 1)), axis=1)
     return found
 
 
@@ -203,22 +300,24 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
     if failing.size:
         s, t = gens[failing[0, 0]], ms[failing[0, 1]]
         raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")
-    qs = tuple(char.phases[i] for i in np.searchsorted(ms, image).tolist())
-    return Character(sub, qs)
+    moved = _frozen(char.numerators[np.searchsorted(ms, image)])[0]
+    return _character(sub, moved, char.denominator)
 
 
 def char_mul(a: Character, b: Character) -> Character:
     if not a.domain.same_as(b.domain):
         raise DomainMismatchError("characters live on different subgroups")
-    return Character(a.domain, tuple((qa + qb) % 1 for qa, qb in zip(a.phases, b.phases)))
+    den = math.lcm(a.denominator, b.denominator)
+    nums = a.numerators * (den // a.denominator) + b.numerators * (den // b.denominator)
+    return _character(a.domain, *_stored_form(a.domain.order, nums % den, den))
 
 
 def char_conj(a: Character) -> Character:
-    return Character(a.domain, tuple((-q) % 1 for q in a.phases))
+    return _character(a.domain, _frozen(-a.numerators % a.denominator)[0], a.denominator)
 
 
 def char_inner(a: Character, b: Character) -> int:
-    """Exact inner product sum_s a(s) * conj(b(s)), certified in rational arithmetic.
+    """Exact inner product sum_s a(s) * conj(b(s)), certified in integer arithmetic.
 
     The summand is itself a character; its phase multiset must consist of
     the m-th roots of unity each taken |N|/m times (m the lcm of the phase
@@ -226,17 +325,12 @@ def char_inner(a: Character, b: Character) -> int:
     otherwise.  A violation would mean the inputs are not characters.
     """
     prod = char_mul(a, char_conj(b))
-    n = prod.domain.order
-    m = 1
-    for q in prod.phases:
-        m = m * q.denominator // math.gcd(m, q.denominator)
+    n, nums, den = prod.domain.order, prod.numerators, prod.denominator
+    g = math.gcd(den, int(np.gcd.reduce(nums, initial=0)))
+    m = den // g                        # the phases are the j / m, at j = nums / g
     if m == 1:
         return n
-    counts: dict[Fraction, int] = {}
-    for q in prod.phases:
-        counts[q] = counts.get(q, 0) + 1
-    expected = {Fraction(j, m) % 1: n // m for j in range(m)}
-    if n % m != 0 or counts != expected:
+    if n % m != 0 or not (np.bincount(nums // g, minlength=m) == n // m).all():
         raise ValidationError(
             "phase multiset is not equidistributed over the roots of unity; "
             "inputs are not both characters"

@@ -1,7 +1,9 @@
 """Command line front end: build groups, average, convolve, verify, bench.
 
 Exit codes: 0 on success, 1 when `verify` finds a failing check, 2 on bad
-input (malformed files, invalid tables, unknown names, usage errors).
+input (malformed files, invalid tables, unknown names, usage errors), and
+141 when the reader of standard output closed it early (`| head`), the
+status a shell gives a process that SIGPIPE ends.
 `verify` and `bench` are imported by their own commands only, so the other
 commands do not load them.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -322,10 +325,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # so a closed pipe shows here, not at interpreter exit
+        return status
     except CovmodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Stop quietly; the interpreter's own flush at exit would fail again
+        # on the closed pipe, so standard output goes to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE

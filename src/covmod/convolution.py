@@ -214,7 +214,7 @@ def section_residual(a: CovariantFunction, b: CovariantFunction) -> float:
         and a.quotient.normal.same_as(b.quotient.normal)
     ):
         raise DomainMismatchError("sections live over different quotients")
-    if a.character.phases != b.character.phases:
+    if not a.character.same_phases(b.character):
         raise DomainMismatchError("sections are covariant for different characters")
     return float(_gaps(a.section, b.section))
 

@@ -66,7 +66,7 @@ class CovariantFunction:
             if not (
                 other.quotient.parent is self.quotient.parent
                 and other.character.domain.same_as(self.character.domain)
-                and other.character.phases == self.character.phases
+                and other.character.same_phases(self.character)
             ):
                 raise DomainMismatchError(
                     "cannot add covariant functions with different covariance data"

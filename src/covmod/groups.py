@@ -106,8 +106,8 @@ class FiniteGroup:
     Such a product is made with no table (`table` None).  `multiply` then
     computes products from the factors, and the first read of `table`
     builds the dense table (`SemidirectGroup.dense_table`): equality, the
-    fingerprint, `is_abelian`, `group_center`, Light's test, documents and
-    the table route of the kernels read it.
+    fingerprint, `group_center`, Light's test, documents and the table
+    route of the kernels read it.
     """
 
     order: int
@@ -173,7 +173,11 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        """Whether the generators of `walk` commute pairwise: r^2 products,
+        exact for a group, since every element is a product of them."""
+        gens = self.walk[0]
+        products = self.multiply(gens[:, None], gens)
+        return bool(np.array_equal(products, products.T))
 
     def decimal_rows(self) -> list[str]:
         """Each table row as its decimal text, `"x*0,x*1,..."`: the bytes that

@@ -9,8 +9,8 @@ whose `split` is the `SemidirectGroup` itself.  The product keeps no table
 of its own at first: its products of elements come from the factors
 (`SemidirectGroup.multiply`), and it builds the dense |G| x |G| table
 (`dense_table`) on the first read of `product.table`, which equality, the
-fingerprint, `is_abelian`, `group_center`, Light's test, documents and the
-kernels' table route make.  Every finite group is unimodular, so the
+fingerprint, `group_center`, Light's test, documents and the kernels' table
+route make.  Every finite group is unimodular, so the
 modulus of each theta[h] is identically 1; `delta_factor` still returns it,
 after checking that the subgroup it measures is invariant, so the measure
 bookkeeping on products and their quotients stays visible.  When K is
@@ -42,13 +42,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .characters import Character, phase_to_complex
+from .characters import Character, _character, _roots_of_unity
 from .convolution import module_action
 from .covariant import CovariantFunction
 from .errors import (
@@ -317,16 +316,16 @@ class FiberAction:
     def _character_tables(self, char: Character) -> tuple | None:
         sd = self.sd
         _, _, _, pos, dual, exponent, pulled = sd.dual_grid
-        target = []
-        for slot in self.gen_slots:
-            q = char.phases[slot]
-            if exponent % q.denominator:
-                return None
-            target.append(q.numerator * (exponent // q.denominator))
-        found = np.flatnonzero((self.on_gens == target).all(axis=1))
-        # exact: both sides are phase_to_complex of equal fractions
+        den = char.denominator
+        if den != char.domain.order:   # a character's phases are stored over |N|
+            return None
+        target = char.numerators[self.gen_slots] * exponent
+        if (target % den).any():
+            return None
+        found = np.flatnonzero((self.on_gens == target // den).all(axis=1))
+        # exact: integer phases of chi_omega over the exponent against char's over |N|
         if not found.size or not np.array_equal(
-            self.roots[dual[found[0]] @ self.member_coords % exponent], char.complex_values
+            dual[found[0]] @ self.member_coords % exponent * den, char.numerators * exponent
         ):
             return None
         sigma = pulled[sd.h.inv, found[0]]              # sigma[h] = chi_omega0 o theta_h^-1
@@ -466,7 +465,7 @@ def lift_subgroup(sd: SemidirectGroup, sub: Subgroup) -> Subgroup:
 def lift_character(sd: SemidirectGroup, char: Character) -> Character:
     """Transport a character on a subgroup of K to the lifted subgroup."""
     lifted = lift_subgroup(sd, char.domain)
-    return Character(lifted, char.phases)
+    return _character(lifted, char.numerators, char.denominator)
 
 
 def quotient_action(
@@ -548,23 +547,25 @@ def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _roots_of_unity(n: int) -> np.ndarray:
-    return _frozen(np.array([phase_to_complex(Fraction(j, n)) for j in range(n)]))[0]
+def _shear_numerators(m: int, r: int, y: int, n: int) -> np.ndarray:
+    """Phases of the (y, n) character of the Z_m x Z_r fiber as numerators
+    over m r, its order, read-only: (y l / m + n t / r) mod 1 =
+    ((y l r/m + n t) mod r) m / (m r) at index l r + t, the character's
+    stored form.  The center's n-th character is the row l = 0 at y = 0,
+    all of `_shear_numerators(1, r, 0, n)`."""
+    l, t = np.ogrid[:m, :r]
+    return _frozen(((y * (r // m) * l + n * t) % r * m).ravel())[0]
 
 
 @lru_cache(maxsize=None)
 def _shear_phases(m: int, r: int, y: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Phases of the (y, n) character of the Z_m x Z_r fiber as reduced
-    (numerator, denominator) pairs: (y l / m + n t / r) mod 1 =
-    ((y l r/m + n t) mod r) / r at index l r + t.  The center's n-th
-    character is the row l = 0 at y = 0, all of `_shear_phases(1, r, 0, n)`.
-    The r distinct pairs are shared by every entry."""
-    l, t = np.ogrid[:m, :r]
-    over_r = (y * (r // m) * l + n * t) % r
+    """`_shear_numerators` as reduced (numerator, denominator) pairs.  The r
+    distinct pairs are shared by every entry."""
+    over_r = _shear_numerators(m, r, y, n) // m
     j = np.arange(r)
     g = np.gcd(j, r)
     reduced = list(zip((j // g).tolist(), (r // g).tolist()))   # j / r in lowest terms
-    return tuple(map(reduced.__getitem__, over_r.ravel().tolist()))
+    return tuple(map(reduced.__getitem__, over_r.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -581,9 +582,10 @@ def _center_cosets(m: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(range(r)), tuple(mm * m * r + ll * r for mm in range(m) for ll in range(m))
 
 
-def _require_phases(psi: CovariantFunction, expected: tuple, what: str) -> None:
-    # exact: both sides are reduced (numerator, denominator) pairs
-    if psi.character.phase_pairs != expected:
+def _require_phases(psi: CovariantFunction, expected: np.ndarray, what: str) -> None:
+    # exact: both sides are stored forms, integer numerators over |N|
+    char = psi.character
+    if char.denominator != expected.size or not np.array_equal(char.numerators, expected):
         raise DomainMismatchError(f"character does not match the requested {what}")
 
 
@@ -629,7 +631,7 @@ def conv_fast_wh_center(
     m, r, _ = sd.shear_parameters
     members, reps = _center_cosets(m, r)
     _require_covariance(sd, f, psi, members, "the central fiber")
-    _require_phases(psi, _shear_phases(1, r, 0, n % r), "central character index")
+    _require_phases(psi, _shear_numerators(1, r, 0, n % r), "central character index")
     if psi.quotient.reps != reps:
         raise DomainMismatchError("coset representatives are not aligned with t = 0")
     return module_action(f, psi)
@@ -645,9 +647,9 @@ def conv_fast_wh_full(
     """`module_action` over the whole Z_m x Z_r fiber of a shear group.
 
     The covariance character must be the (y, n) character of the fiber, the
-    one `_shear_phases` gives.  Past the shape and phase checks this is
+    one `_shear_numerators` gives.  Past the shape and phase checks this is
     `conv_fast_full_k`.
     """
     m, r, _ = sd.shear_parameters
-    _require_phases(psi, _shear_phases(m, r, y % m, n % r), "(y, n) character indices")
+    _require_phases(psi, _shear_numerators(m, r, y % m, n % r), "(y, n) character indices")
     return conv_fast_full_k(sd, f, psi)

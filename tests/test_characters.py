@@ -23,6 +23,7 @@ from covmod import (
     make_product,
     make_subgroup,
     pullback,
+    symmetric_3,
     trivial_character,
 )
 from covmod.groups import generating_set
@@ -128,14 +129,12 @@ def test_pullback_rejects_non_bijection(z4):
         pullback(enumerate_characters(z4)[1], [0, 0, 2, 3])
 
 
-def test_pullback_witness_does_not_depend_on_block_size(monkeypatch):
+def test_pullback_witness_does_not_depend_on_block_size():
     # swapping 4 and 5 keeps row 0 and 1*0 .. 1*2; 1*3 = 4 is sent to 5, not 1 + 3
     char = enumerate_characters(make_cyclic(6))[1]
-    for block in (1, 6, 1 << 18):
-        monkeypatch.setattr(characters, "_BLOCK", block)
-        with pytest.raises(ValidationError) as err:
-            pullback(char, [0, 1, 2, 3, 5, 4])
-        assert str(err.value) == "map is not multiplicative at pair (1, 3)"
+    with pytest.raises(ValidationError) as err:
+        pullback(char, [0, 1, 2, 3, 5, 4])
+    assert str(err.value) == "map is not multiplicative at pair (1, 3)"
 
 
 def test_pullback_check_memory_is_linear():
@@ -180,14 +179,28 @@ def test_heisenberg_action_shifts_fiber_characters():
                 assert list(moved.phases) == want
 
 
-def test_homomorphism_witness_does_not_depend_on_block_size(monkeypatch):
+def test_homomorphism_witness_does_not_depend_on_block_size():
     # phase(1) + phase(4) = 5/6, but 1 + 4 = 5 carries phase 1/6
     z6 = make_cyclic(6)
     phases = [0, F(1, 6), F(1, 3), F(1, 2), F(2, 3), F(1, 6)]
-    for block in (1, 6, 1 << 18):
-        monkeypatch.setattr(characters, "_BLOCK", block)
-        with pytest.raises(ValidationError, match=r"pair \(1, 4\)"):
-            make_character(z6, phases)
+    with pytest.raises(ValidationError, match=r"pair \(1, 4\)"):
+        make_character(z6, phases)
+
+
+def test_a_solution_of_the_relations_that_fails_an_edge_is_dropped():
+    # S3's walk takes two transpositions, each of order 2 over the span before
+    # it; the relations allow phase 0 or 1/2 on each, but only equal phases
+    # give the trivial and the sign character
+    sub = full_subgroup(symmetric_3())
+    gens, words, relations, _ = sub.walk
+    candidates = characters._solutions(relations, 6)
+    assert candidates.tolist() == [[0, 0], [0, 3], [3, 0], [3, 3]]
+    for p in ([0, 3], [3, 0]):
+        phases = [F(int(j), 6) for j in np.array(p) @ words.T % 6]
+        with pytest.raises(ValidationError, match="homomorphism law fails"):
+            make_character(sub, phases)
+    sign = (0, 1, 1, 0, 0, 1)
+    assert [c.phases for c in enumerate_characters(sub)] == [(0,) * 6, tuple(F(s, 2) for s in sign)]
 
 
 def test_enumeration_rejects_assignments_on_a_nonabelian_group():

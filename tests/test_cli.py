@@ -36,6 +36,23 @@ def test_group_make_and_show(z4_file):
     assert "abelian yes" in res.stdout
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(tmp_path):
+    # Z256's characters print about 2.5 kB each, far past what a pipe buffers
+    doc = tmp_path / "z256.json"
+    assert run("group", "make", "cyclic", "256", "--out", str(doc)).returncode == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covmod", "chars", "list", str(doc)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+    assert json.loads(first)["phases"] == [[0, 1]] * 256
+
+
 def test_group_make_weyl_heisenberg(tmp_path):
     out = tmp_path / "wh.json"
     res = run("group", "make", "weyl-heisenberg", "2", "4", "--out", str(out))

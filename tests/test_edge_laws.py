@@ -1,13 +1,16 @@
 """Every exact law on a subgroup is checked on the generator edges of one
 walk (`Subgroup.walk`): closure in `make_subgroup`, the phase law in
-`make_character`, multiplicativity in `pullback`, and the action rows and
-their composition in `semidirect`.
+`make_character` and `enumerate_characters`, multiplicativity in `pullback`,
+and the action rows and their composition in `semidirect`.
 
 The differential tests hold each routine against an all-pairs oracle written
 here: it accepts exactly when the oracle does, and every refusal names a pair
 that really fails, the first failing (generator, member) edge in walk order.
+Enumeration lists exactly the oracle's characters, in its order.
 """
 
+import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmod import (
+    Character,
     ValidationError,
     enumerate_characters,
     heisenberg_finite,
@@ -31,6 +35,7 @@ from covmod import (
     make_product,
     make_subgroup,
     module_action,
+    phase_to_complex,
     pullback,
     quotient,
     random_function,
@@ -43,6 +48,7 @@ from covmod import (
 from covmod import groups
 from covmod.groups import cyclic_coordinates, full_subgroup, generating_set
 from covmod.semidirect import _shear_action
+from covmod.verify import builtin_corpus
 
 
 def _relabelled_z2z4():
@@ -256,6 +262,97 @@ def _check_semidirect(h, k, rows):
     return message
 
 
+def _all_pairs_characters(sub):
+    """Every character of `sub` as its numerators over |N|, in lexicographic
+    order: each generator g of its walk takes every phase j / ord(g), the
+    words extend that to all members (the phases add, whatever the order of
+    the factors), and a vector is kept when phase(s t) = phase(s) + phase(t)
+    holds on all |N|^2 pairs.  Every character is among the candidates."""
+    ms, n = np.array(sub.members), sub.order
+    gens, words = generating_set(sub.parent, ms)[:2]
+    steps = [range(0, n, n // sub.parent.element_order(g)) for g in gens]
+    grid = list(itertools.product(*steps))
+    phases = np.array(grid, dtype=np.int64).reshape(len(grid), len(gens)) @ words[ms].T % n
+    at = np.searchsorted(ms, sub.parent.multiply(ms[:, None], ms))
+    return sorted(row.tolist() for row in phases if (row[at] == (row[:, None] + row) % n).all())
+
+
+def _product_characters(*orders):
+    """The characters of `make_product` over cyclic groups of these orders,
+    by the closed form chi_u(x) = sum of u_i x_i / d_i mod 1 on the digits x_i
+    of an index, as numerators over the order, in lexicographic order."""
+    n, digits = math.prod(orders), np.indices(orders).reshape(len(orders), -1)
+    scaled = digits.T * (n // np.array(orders))        # u_i n / d_i, one row per u
+    return sorted(row.tolist() for row in scaled @ digits % n)
+
+
+def _check_enumeration(sub, want, twins=None):
+    """`enumerate_characters(sub)` lists `want`, each character stored over
+    |N|; those at positions `twins` (all by default) equal and hash like
+    `make_character` and `Character` on the same phases, and their complex
+    values are `phase_to_complex` of each phase, bit for bit."""
+    chars = enumerate_characters(sub)
+    assert [char.numerators.tolist() for char in chars] == want
+    assert {char.denominator for char in chars} == {sub.order}
+    for char in chars[twins] if twins is not None else chars:
+        for twin in (make_character(sub, char.phases), Character(sub, char.phases)):
+            assert twin == char and hash(twin) == hash(char)
+        exact = np.array([phase_to_complex(q) for q in char.phases], dtype=complex)
+        assert char.complex_values.tobytes() == exact.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_groups(), data=st.data())
+def test_enumeration_lists_the_all_pairs_characters_in_order(g, data):
+    sub = data.draw(_subgroups(g))
+    _check_enumeration(sub, _all_pairs_characters(sub))
+
+
+def _wh16(members):
+    sd = weyl_heisenberg_finite(16, 16)
+    return lift_subgroup(sd, make_subgroup(sd.k, members))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_subgroup(_group("Heis3"), [0]),
+        lambda: _wh16(range(16)),
+        lambda: _wh16(range(256)),
+    ],
+    ids=["trivial", "WH(16,16) center", "WH(16,16) K"],
+)
+def test_enumeration_at_larger_orders(build):
+    sub = build()
+    _check_enumeration(sub, _all_pairs_characters(sub))
+
+
+def test_enumeration_of_z2_x_z512_by_the_closed_form():
+    # a separating prefix of 513 columns: the Z512 part alone leaves pairs tied
+    sub = full_subgroup(make_product(make_cyclic(2), make_cyclic(512)))
+    _check_enumeration(sub, _product_characters(2, 512), twins=slice(None, None, 97))
+
+
+def test_enumeration_of_z4_x_z4_x_z8_by_both_oracles():
+    sub = full_subgroup(make_product(make_product(make_cyclic(4), make_cyclic(4)), make_cyclic(8)))
+    want = _all_pairs_characters(sub)
+    assert _product_characters(4, 4, 8) == want
+    _check_enumeration(sub, want)
+
+
+def test_is_abelian_agrees_with_the_transpose_oracle():
+    corpus = [entry.group for entry in builtin_corpus()]
+    for g in [*corpus, *(build() for build in BUILDERS.values())]:
+        got = g.is_abelian           # before the oracle reads a product's table
+        assert got == np.array_equal(_table(g), _table(g).T)
+
+
+def test_is_abelian_leaves_the_product_table_unbuilt():
+    product = weyl_heisenberg_finite(4, 4).product
+    assert not product.is_abelian
+    assert "table" not in vars(product)
+
+
 def _picker(draw):
     return lambda options: draw(st.sampled_from(options))
 
@@ -463,6 +560,13 @@ def test_make_character_checks_in_linear_memory():
     z = make_cyclic(4096)
     phases = [Fraction(j, 4096) for j in range(4096)]
     assert _peak_mb(lambda: make_character(z, phases)) < 3
+
+
+def test_enumeration_holds_one_phase_matrix():
+    # the |N| r |N| edge checks in row blocks and the Fraction tuples peaked at 40 MB here
+    sub = full_subgroup(make_product(make_cyclic(32), make_cyclic(32)))
+    sub.walk
+    assert _peak_mb(lambda: enumerate_characters(sub)) < 16
 
 
 def test_one_walk_serves_every_reader_of_a_subgroup(monkeypatch):

@@ -18,6 +18,7 @@ import pytest
 
 from covmod import (
     Character,
+    conv_fast_wh_full,
     enumerate_characters,
     from_section,
     full_module_action,
@@ -28,10 +29,13 @@ from covmod import (
     make_product,
     make_subgroup,
     module_action,
+    phase_to_complex,
     quotient,
     random_function,
+    section_residual,
     semidirect,
     symmetric_3,
+    t_xi,
     weil_measure,
     weyl_heisenberg_finite,
 )
@@ -182,6 +186,35 @@ def test_a_non_character_takes_the_table_route(phases):
     f, s = _draws(random.Random("bogus"), 2, sd.product.order, quot.order)
     want = _convolve_at(sd.product, f, _on_group(s, bogus, quot), quot.reps)
     assert np.array_equal(_module_action(f, s, bogus, quot), want)
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [(0, Fraction(1, 4), 0, 0), (0, Fraction(1, 3), Fraction(2, 3), 0)],
+    ids=["over |N|", "over 3"],
+)
+def test_a_non_character_keeps_exact_values(phases):
+    normal, _ = _quotient(weyl_heisenberg_finite(2, 4), range(4))
+    bogus = Character(normal, phases)
+    exact = np.array([phase_to_complex(Fraction(q)) for q in phases], dtype=complex)
+    assert bogus.complex_values.tobytes() == exact.tobytes()
+    assert bogus.phases == tuple(Fraction(q) for q in phases)
+
+
+def test_k_characters_build_fractions_only_when_read():
+    # the route, the averaging and the entry point's check read the integer phases
+    sd = weyl_heisenberg_finite(16, 16)
+    normal, quot = _quotient(sd, range(256))
+    chars = enumerate_characters(normal)
+    char = chars[17]
+    y, n = int(char.numerators[16]) // 16, int(char.numerators[1]) // 16
+    rng = random.Random("fractions")
+    f, h = random_function(sd.product, rng), random_function(sd.product, rng)
+    psi = t_xi(h, char, quot=quot)
+    want = module_action(f, psi)
+    assert section_residual(conv_fast_wh_full(sd, f, psi, y, n), want) < 1e-9
+    assert [c for c in chars if "phases" in vars(c)] == []
+    assert char.phases[16] == Fraction(y, 16) and char.phases[1] == Fraction(n, 16)
 
 
 def test_quotients_outside_the_route_keep_the_table_route():
