@@ -8,10 +8,10 @@ definition, never the fiber-Fourier routes of `convolve` and
 `module_action`.  `module_action`, one value per coset, is timed alongside
 for reference (the per-coset column; on these products it takes the
 fiber-Fourier route).  The contenders, `conv_fast_wh_center` and
-`conv_fast_wh_full`, are checks of shape, cosets and character before
-that same call.  Every one is checked for agreement on the exact inputs
-being timed before any clock starts, so a reported speedup cannot come
-from a wrong answer.
+`conv_fast_wh_full`, are checks of shape, covariance subgroup and
+character before that same call.  Every one is checked for agreement on
+the exact inputs being timed before any clock starts, so a reported
+speedup cannot come from a wrong answer.
 """
 
 from __future__ import annotations
@@ -28,21 +28,23 @@ from .errors import ValidationError
 from .groups import make_subgroup, quotient, random_function
 from .semidirect import (
     SemidirectGroup,
-    _center_cosets,
-    _fiber_cosets,
-    _shear_phases,
+    _shear_numerators,
     conv_fast_wh_center,
     conv_fast_wh_full,
+    lift_subgroup,
     weyl_heisenberg_finite,
 )
 
 AGREEMENT_TOL = 1e-9
 
 
-def _shear_character(sd: SemidirectGroup, members: tuple, pairs: tuple) -> Character:
-    """The character an entry point checks for: `pairs` are its phases as
-    reduced (numerator, denominator) pairs on the product's `members`."""
-    return make_character(make_subgroup(sd.product, members), [Fraction(*q) for q in pairs])
+def _shear_character(sd: SemidirectGroup, numerators) -> Character:
+    """The character an entry point checks for, from its stored form: on the
+    first |N| = `numerators.size` elements of K lifted to the product, the
+    phases are the numerators over |N|."""
+    size = numerators.size
+    sub = lift_subgroup(sd, make_subgroup(sd.k, range(size)))
+    return make_character(sub, [Fraction(v, size) for v in numerators.tolist()])
 
 
 def _time_per_call(fn, repetitions: int) -> float:
@@ -96,7 +98,7 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
     Two covariance configurations are measured: a character of the central
     cyclic factor (n = 1 when r > 1) and a character of the whole abelian
     fiber (y = n = 1 where the sizes allow), both with the phases
-    `_shear_phases` gives and the entry points check for.  Returns a report
+    `_shear_numerators` gives and the entry points check for.  Returns a report
     dict; render it with `bench_table`.
     """
     if repetitions < 1:
@@ -106,13 +108,11 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
 
     n = 1 % r
     y = 1 % m
-    center = _center_cosets(m, r)[0]
-    fiber = _fiber_cosets(m, sd.k.order, sd.h.identity * sd.k.order)[0]
     variants = [
         _run_variant(
             sd,
             f"center n={n}",
-            _shear_character(sd, center, _shear_phases(1, r, 0, n)),
+            _shear_character(sd, _shear_numerators(1, r, 0, n)),
             lambda s, f, p: conv_fast_wh_center(s, f, p, n),
             rng,
             repetitions,
@@ -120,7 +120,7 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
         _run_variant(
             sd,
             f"fiber y={y} n={n}",
-            _shear_character(sd, fiber, _shear_phases(m, r, y, n)),
+            _shear_character(sd, _shear_numerators(m, r, y, n)),
             lambda s, f, p: conv_fast_wh_full(s, f, p, y, n),
             rng,
             repetitions,

@@ -5,11 +5,11 @@ immutable once constructed.  A group keeps its inverses as one read-only
 index array and its multiplication table as one read-only int32 array.  A
 product built by `semidirect` keeps its factors instead and builds that
 table on first read.  Every product of elements in subgroup checks,
-normality, quotients, coset grids, the generator walk and character
-enumeration goes through `FiniteGroup.multiply`, which reads the table when
-the group has one and the factors otherwise.  Function values and weights
-are read-only complex128 and float64 arrays, converted once from any
-sequence of numbers.
+normality, quotients, coset grids, the generator walk, the center and
+character enumeration goes through `FiniteGroup.multiply`, which reads the
+table when the group has one and the factors otherwise.  Function values
+and weights are read-only complex128 and float64 arrays, converted once
+from any sequence of numbers.
 
 An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
@@ -44,7 +44,7 @@ if TYPE_CHECKING:
 
 MAX_GROUP_ORDER = 1 << 20
 
-# Entries per block of Light's test and character enumeration.
+# Entries per block of Light's test.
 _BLOCK = 1 << 18
 
 
@@ -106,8 +106,8 @@ class FiniteGroup:
     Such a product is made with no table (`table` None).  `multiply` then
     computes products from the factors, and the first read of `table`
     builds the dense table (`SemidirectGroup.dense_table`): equality, the
-    fingerprint, `group_center`, Light's test, documents and the table
-    route of the kernels read it.
+    fingerprint, Light's test, documents and the table route of the kernels
+    read it.
     """
 
     order: int
@@ -242,6 +242,15 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """A short digest of the parent's fingerprint and the members,
+        computed once: the domain that character documents name."""
+        h = hashlib.sha256(b"covmod-subgroup-v1:")
+        h.update(self.parent.fingerprint.encode())
+        h.update(",".join(map(str, self.members)).encode())
+        return h.hexdigest()[:16]
 
     def same_as(self, other: "Subgroup") -> bool:
         return self is other or (self.parent is other.parent and self.members == other.members)
@@ -636,9 +645,15 @@ def full_subgroup(group: FiniteGroup) -> Subgroup:
 
 
 def group_center(group: FiniteGroup) -> Subgroup:
-    """The subgroup of elements commuting with every group element."""
-    table = group.table
-    central = np.all(table == table.T, axis=1)
+    """The subgroup of elements commuting with every group element.
+
+    x is central exactly when it commutes with every generator of `walk`,
+    since every element is a product of them: |G| r products through
+    `multiply`, so a product built by `semidirect` builds no table.
+    """
+    gens = group.walk[0]
+    elements = np.arange(group.order)[:, None]
+    central = (group.multiply(elements, gens) == group.multiply(gens, elements)).all(axis=1)
     return Subgroup(group, tuple(np.flatnonzero(central).tolist()))
 
 

@@ -10,7 +10,6 @@ of silently reinterpreting indices.  Values and sections become lists only here.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import json
 import re
 import warnings
@@ -51,11 +50,9 @@ def group_id(group: FiniteGroup) -> str:
 
 
 def subgroup_id(sub: Subgroup) -> str:
-    h = hashlib.sha256()
-    h.update(b"covmod-subgroup-v1:")
-    h.update(group_id(sub.parent).encode())
-    h.update(",".join(map(str, sub.members)).encode())
-    return h.hexdigest()[:16]
+    """A short digest of the parent and the members, computed once per
+    subgroup object; see `Subgroup.fingerprint`."""
+    return sub.fingerprint
 
 
 def _finite(values, what: str):

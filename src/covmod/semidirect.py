@@ -9,13 +9,13 @@ whose `split` is the `SemidirectGroup` itself.  The product keeps no table
 of its own at first: its products of elements come from the factors
 (`SemidirectGroup.multiply`), and it builds the dense |G| x |G| table
 (`dense_table`) on the first read of `product.table`, which equality, the
-fingerprint, `group_center`, Light's test, documents and the kernels' table
-route make.  Every finite group is unimodular, so the
-modulus of each theta[h] is identically 1; `delta_factor` still returns it,
-after checking that the subgroup it measures is invariant, so the measure
-bookkeeping on products and their quotients stays visible.  When K is
-abelian, `SemidirectGroup.fiber_convolve` is the convolution that `convolve`
-runs: an FFT along each cyclic factor of K (Cooley-Tukey, the separation of
+fingerprint, Light's test, documents and the kernels' table route make.
+Every finite group is unimodular, so the modulus of each theta[h] is
+identically 1; `delta_factor` still returns it, after checking that the
+subgroup it measures is invariant, so the measure bookkeeping on products
+and their quotients stays visible.  When K is abelian,
+`SemidirectGroup.fiber_convolve` is the convolution that `convolve` runs:
+an FFT along each cyclic factor of K (Cooley-Tukey, the separation of
 variables of Maslen & Rockmore), one sum over H per character of K, and the
 inverse FFT.  `FiberAction` runs the module action for a normal subgroup
 inside K on the characters above the covariance character only: f is
@@ -28,13 +28,13 @@ Z_M x (Z_M x Z_R), where h shears the circle coordinate by (R / M) h times
 the first; R = M gives the discrete step (Heisenberg) groups.  The family is
 written down once: `_shear_action` builds the action, `_wh_parameters`
 recognizes a shear group by comparing H, K and the action whole against
-the standard ones, and `_shear_phases` gives the characters of its fiber
-and center.  Three entry points check that a covariant function is of a
-special shape and then call `module_action`: `conv_fast_full_k` for
-covariance over the whole K fiber of any semidirect product,
-`conv_fast_wh_center` for the center of a shear group, and
-`conv_fast_wh_full` for a named character of a shear group's K fiber.
-They take unit counting weights, as `module_action` does by default.
+the standard ones, and `_shear_numerators` gives the stored form of the
+characters of its fiber and center.  Three entry points check what
+`module_action` does not, the covariance subgroup and the character, and
+then call it: `conv_fast_full_k` for covariance over the whole K fiber of
+any semidirect product, `conv_fast_wh_center` for the center of a shear
+group, and `conv_fast_wh_full` for a named character of a shear group's K
+fiber.  They take unit counting weights, as `module_action` does by default.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .groups import (
     full_subgroup,
     make_cyclic,
     make_product,
-    make_subgroup,
     quotient,
     _check_order,
     _distinct,
@@ -135,7 +134,7 @@ class SemidirectGroup:
         return _frozen(self.h.table[self.h.inv].astype(np.intp))[0]
 
     @cached_property
-    def shear_parameters(self) -> tuple[int, int, int]:
+    def shear_parameters(self) -> tuple[int, int]:
         """`_wh_parameters` of this group, validated on first use only."""
         return _wh_parameters(self)
 
@@ -455,11 +454,22 @@ def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:
 
 
 def lift_subgroup(sd: SemidirectGroup, sub: Subgroup) -> Subgroup:
-    """View a subgroup of K as a subgroup of the product, via k -> (e_H, k)."""
+    """View a subgroup of K as a subgroup of the product, via k -> (e_H, k).
+
+    The lifted subgroup takes K's walk over instead of walking the product:
+    `semidirect` checks that H's identity acts as the identity map, so
+    k -> (e_H, k) = base + k is an injective homomorphism that keeps the
+    order of indices.  `generating_set` on the lifted members thus picks the
+    generators shifted by `base`, with the same words, relations and `at`,
+    and `sub.walk` has already checked closure in K.
+    """
     if sub.parent is not sd.k:
         raise DomainMismatchError("subgroup does not live in the K factor")
     base = sd.h.identity * sd.k.order
-    return make_subgroup(sd.product, tuple(base + s for s in sub.members))
+    gens, words, relations, at = sub.walk
+    lifted = Subgroup(sd.product, tuple(base + s for s in sub.members))
+    vars(lifted)["walk"] = (*_frozen(gens + base), words, relations, at)   # seeds the cached property
+    return lifted
 
 
 def lift_character(sd: SemidirectGroup, char: Character) -> Character:
@@ -518,8 +528,8 @@ def _shear_action(m: int, r: int) -> np.ndarray:
     return (l * r + (t + (r // m) * x * l) % r).reshape(m, m * r)
 
 
-def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int, int]:
-    """Recover (m, r, step) from a shear group, refusing any other product.
+def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int]:
+    """Recover (m, r) from a shear group, refusing any other product.
 
     H, K and the action must equal those of `weyl_heisenberg_finite(m, r)`
     entry for entry; labels are not compared.
@@ -543,7 +553,7 @@ def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int, int]:
                 f"{part} differs from the shear group's at entry {at}: "
                 f"{got[at]} where {want[at]} is expected"
             )
-    return m, r, r // m
+    return m, r
 
 
 @lru_cache(maxsize=None)
@@ -557,31 +567,6 @@ def _shear_numerators(m: int, r: int, y: int, n: int) -> np.ndarray:
     return _frozen(((y * (r // m) * l + n * t) % r * m).ravel())[0]
 
 
-@lru_cache(maxsize=None)
-def _shear_phases(m: int, r: int, y: int, n: int) -> tuple[tuple[int, int], ...]:
-    """`_shear_numerators` as reduced (numerator, denominator) pairs.  The r
-    distinct pairs are shared by every entry."""
-    over_r = _shear_numerators(m, r, y, n) // m
-    j = np.arange(r)
-    g = np.gcd(j, r)
-    reduced = list(zip((j // g).tolist(), (r // g).tolist()))   # j / r in lowest terms
-    return tuple(map(reduced.__getitem__, over_r.tolist()))
-
-
-@lru_cache(maxsize=None)
-def _fiber_cosets(nh: int, nk: int, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """What `conv_fast_full_k` checks: the members of the K fiber, from
-    `base`, the index of (e_H, 0), and the coset representatives (h, 0)."""
-    return tuple(range(base, base + nk)), tuple(range(0, nh * nk, nk))
-
-
-@lru_cache(maxsize=None)
-def _center_cosets(m: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """What `conv_fast_wh_center` checks of the cosets: the central members
-    and the coset representatives (m', l', 0)."""
-    return tuple(range(r)), tuple(mm * m * r + ll * r for mm in range(m) for ll in range(m))
-
-
 def _require_phases(psi: CovariantFunction, expected: np.ndarray, what: str) -> None:
     # exact: both sides are stored forms, integer numerators over |N|
     char = psi.character
@@ -589,14 +574,19 @@ def _require_phases(psi: CovariantFunction, expected: np.ndarray, what: str) -> 
         raise DomainMismatchError(f"character does not match the requested {what}")
 
 
-def _require_covariance(
-    sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction, members: tuple, what: str
+def _require_fiber(
+    sd: SemidirectGroup, psi: CovariantFunction, first: int, size: int, what: str
 ) -> None:
-    if f.group is not sd.product:
-        raise DomainMismatchError("function does not live on the product group")
+    """Require psi on the product, covariant over the `size` elements from
+    `first` on.  Its subgroup's order, least and largest member settle that
+    exactly: a `Subgroup` keeps its members sorted and distinct, as
+    `Subgroup.walk`, `make_character` and `pullback` rely on through
+    `searchsorted`, and `size` distinct integers from `first` to
+    `first + size - 1` are all of them."""
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    if psi.quotient.normal.members != members:
+    members = psi.quotient.normal.members
+    if (len(members), members[0], members[-1]) != (size, first, first + size - 1):
         raise DomainMismatchError(f"covariant function is not covariant over {what}")
 
 
@@ -604,16 +594,13 @@ def conv_fast_full_k(
     sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction
 ) -> CovariantFunction:
     """`module_action` when the covariance subgroup is all of K, behind a
-    check that it is, with the coset representatives (h, 0).
+    check that it is.
 
     With K abelian f is projected onto the H-orbit of psi's character, at
     most |H|^2 |K| work against the |G|^2 of the structure-blind path; any
     other K takes the table route, |H|^2 |K| as well.
     """
-    members, reps = _fiber_cosets(sd.h.order, sd.k.order, sd.h.identity * sd.k.order)
-    _require_covariance(sd, f, psi, members, "the full K fiber")
-    if psi.quotient.reps != reps:
-        raise DomainMismatchError("coset representatives are not aligned with (h, 0)")
+    _require_fiber(sd, psi, sd.h.identity * sd.k.order, sd.k.order, "the full K fiber")
     return module_action(f, psi)
 
 
@@ -621,19 +608,16 @@ def conv_fast_wh_center(
     sd: SemidirectGroup, f: GroupFunction, psi: CovariantFunction, n: int
 ) -> CovariantFunction:
     """`module_action` over the central fiber of a shear group, behind a
-    check of the group's shape, the cosets and the character.
+    check of the group's shape, the covariance subgroup and the character.
 
     The covariance character must be the n-th character of the center
     {(0, 0, t)}.  H fixes it, so the route takes m^2 r + m^3 work to project
     f onto the m characters of K above it and m^3 for the sum, where the
     structure-blind path takes |G|^2 = m^4 r^2.
     """
-    m, r, _ = sd.shear_parameters
-    members, reps = _center_cosets(m, r)
-    _require_covariance(sd, f, psi, members, "the central fiber")
+    _, r = sd.shear_parameters
+    _require_fiber(sd, psi, 0, r, "the central fiber")
     _require_phases(psi, _shear_numerators(1, r, 0, n % r), "central character index")
-    if psi.quotient.reps != reps:
-        raise DomainMismatchError("coset representatives are not aligned with t = 0")
     return module_action(f, psi)
 
 
@@ -650,6 +634,6 @@ def conv_fast_wh_full(
     one `_shear_numerators` gives.  Past the shape and phase checks this is
     `conv_fast_full_k`.
     """
-    m, r, _ = sd.shear_parameters
+    m, r = sd.shear_parameters
     _require_phases(psi, _shear_numerators(m, r, y % m, n % r), "(y, n) character indices")
     return conv_fast_full_k(sd, f, psi)

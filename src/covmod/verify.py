@@ -66,7 +66,7 @@ from .groups import (
 )
 from .semidirect import (
     SemidirectGroup,
-    _shear_phases,
+    _shear_numerators,
     _wh_parameters,
     delta_factor,
     heisenberg_finite,
@@ -142,7 +142,7 @@ def _lifted_center_entry(name: str, sd: SemidirectGroup) -> CorpusEntry:
             raise AssertionError("center is expected to sit inside the K fiber")
         k_members.append(k)
     in_k = make_subgroup(sd.k, k_members)
-    normal = make_subgroup(sd.product, center.members)
+    normal = lift_subgroup(sd, in_k)
     return CorpusEntry(name, sd.product, normal, quotient(sd.product, normal), in_k)
 
 
@@ -503,7 +503,7 @@ def fast_grid_rows(seed: int, trials: int, tol: float | None = None) -> list[dic
 def check_pullback_shift(entry: CorpusEntry, seed: int, trials: int, tol: float | None = None) -> dict | None:
     """On step-1 shear groups, composing a fiber character with the action of x
     shifts its first index by x times the second index: chi_{z,nu} o theta_x =
-    chi_{z+nu x,nu}, both as `_shear_phases` gives them."""
+    chi_{z+nu x,nu}, both as `_shear_numerators` gives them."""
     del seed, trials
     sd = entry.sd
     if sd is None:
@@ -520,11 +520,11 @@ def check_pullback_shift(entry: CorpusEntry, seed: int, trials: int, tol: float 
     mismatches = 0
     for z in range(m):
         for nu in range(m):
-            char = make_character(k_full, [Fraction(*q) for q in _shear_phases(m, m, z, nu)])
+            nums = _shear_numerators(m, m, z, nu)
+            char = make_character(k_full, [Fraction(v, m * m) for v in nums.tolist()])
             for x in range(m):
-                moved = pullback(char, sd.action[x])
-                if moved.phase_pairs != _shear_phases(m, m, (z + nu * x) % m, nu):
-                    mismatches += 1
+                want = _shear_numerators(m, m, (z + nu * x) % m, nu)
+                mismatches += not np.array_equal(pullback(char, sd.action[x]).numerators, want)
     return _row("pullback_shift", entry.name, float(mismatches), tol)
 
 

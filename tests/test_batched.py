@@ -167,7 +167,7 @@ def test_array_functions_match_the_public_path(name, group, members, sd, form, r
                 f"conv_fast_full_k {tag}",
             )
         if sd is not None and form == "wh_center":
-            m, r, _ = sd.shear_parameters
+            m, r = sd.shear_parameters
             k = int(char.phases[1] * r) if r > 1 else 0
             _agree(
                 _module_action(f, s, char, quot),

@@ -26,6 +26,7 @@ from covmod import (
     Character,
     ValidationError,
     enumerate_characters,
+    group_center,
     heisenberg_finite,
     is_normal,
     lift_subgroup,
@@ -46,7 +47,7 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod import groups
-from covmod.groups import cyclic_coordinates, full_subgroup, generating_set
+from covmod.groups import Subgroup, cyclic_coordinates, full_subgroup, generating_set
 from covmod.semidirect import _shear_action
 from covmod.verify import builtin_corpus
 
@@ -353,6 +354,20 @@ def test_is_abelian_leaves_the_product_table_unbuilt():
     assert "table" not in vars(product)
 
 
+def test_group_center_agrees_with_the_transpose_oracle():
+    corpus = [entry.group for entry in builtin_corpus()]
+    for g in [*corpus, *(build() for build in BUILDERS.values())]:
+        got = group_center(g).members      # before the oracle reads a product's table
+        central = (_table(g) == _table(g).T).all(axis=1)
+        assert got == tuple(np.flatnonzero(central).tolist())
+
+
+def test_group_center_leaves_the_product_table_unbuilt():
+    product = weyl_heisenberg_finite(4, 4).product
+    assert group_center(product).members == (0, 1, 2, 3)
+    assert "table" not in vars(product)
+
+
 def _picker(draw):
     return lambda options: draw(st.sampled_from(options))
 
@@ -610,6 +625,32 @@ def test_one_walk_serves_every_reader_of_a_whole_group(monkeypatch):
     semidirect(h, k, flip)
     # arrays only: a kept Subgroup would tie the group into a reference cycle
     assert all(isinstance(part, np.ndarray) for part in vars(g)["walk"])
+
+
+def _lifted_walks():
+    """(name, sd, subgroup of K) for the corpus products' K subgroups, the
+    flip group with both identities at index 1, and WH(16,16)'s center and K."""
+    for entry in builtin_corpus():
+        if entry.sd is not None:
+            yield entry.name, entry.sd, entry.normal_in_k
+            yield f"{entry.name} all of K", entry.sd, full_subgroup(entry.sd.k)
+    h, k = make_from_table([[1, 0], [0, 1]]), make_from_table([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    moved = semidirect(h, k, ((2, 1, 0), (0, 1, 2)))
+    yield "identities at 1", moved, full_subgroup(k)
+    sd = weyl_heisenberg_finite(16, 16)
+    for size in (16, 256):
+        yield f"WH(16,16) {size}", sd, make_subgroup(sd.k, range(size))
+
+
+def test_a_lifted_subgroup_carries_the_walk_a_fresh_walk_finds():
+    for name, sd, sub in _lifted_walks():
+        lifted = lift_subgroup(sd, sub)
+        fresh = Subgroup(sd.product, lifted.members).walk     # generating_set on the product
+        assert len(lifted.walk) == len(fresh) == 4, name
+        for got, want in zip(lifted.walk, fresh):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert not got.flags.writeable, name
+    assert "table" not in vars(sd.product)
 
 
 def test_hashing_leaves_the_product_table_unbuilt():

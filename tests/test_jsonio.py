@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -18,9 +19,11 @@ from covmod import (
     ValidationError,
     enumerate_characters,
     heisenberg_finite,
+    lift_subgroup,
     make_cyclic,
     make_from_table,
     make_product,
+    make_subgroup,
     random_function,
     symmetric_3,
     t_xi,
@@ -155,6 +158,22 @@ def test_subgroup_round_trip(s3, a3):
     back = subgroup_from_json(doc, s3)
     assert back.members == a3.members
     assert subgroup_id(back) == subgroup_id(a3)
+
+
+def test_listing_characters_takes_the_subgroup_digest_once(monkeypatch):
+    sd = weyl_heisenberg_finite(16, 16)
+    k = lift_subgroup(sd, make_subgroup(sd.k, range(256)))
+    chars = enumerate_characters(k)
+    gid = group_id(sd.product)
+    # the documents' digest: the tag, the group's fingerprint and the members
+    members = ",".join(map(str, k.members))
+    want = hashlib.sha256(f"covmod-subgroup-v1:{gid}{members}".encode())
+    digests = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *args: digests.append(args) or sha256(*args))
+    docs = [character_to_json(char) for char in chars]
+    assert len(docs) == 256 and len(digests) == 1
+    assert {doc["domain"] for doc in docs} == {want.hexdigest()[:16]}
 
 
 def test_character_round_trip(z4, z4_evens):

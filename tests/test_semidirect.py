@@ -39,7 +39,7 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod.jsonio import group_from_text, group_text
-from covmod.semidirect import _shear_phases, _wh_parameters
+from covmod.semidirect import _shear_numerators, _wh_parameters
 
 F = Fraction
 
@@ -99,12 +99,12 @@ SHEAR_SIZES = [(1, 1), (2, 2), (2, 4), (4, 4), (3, 9), (4, 8)]
 
 @pytest.mark.parametrize("m, r", SHEAR_SIZES)
 def test_the_recognizer_accepts_every_shear_group(m, r):
-    assert _wh_parameters(weyl_heisenberg_finite(m, r)) == (m, r, r // m)
-    # every (y, n) character in integer gcds against the Fraction formula
+    assert _wh_parameters(weyl_heisenberg_finite(m, r)) == (m, r)
+    # every (y, n) character's integer numerators against the Fraction formula
     for y in range(m):
         for n in range(r):
             want = [(F(y * l, m) + F(n * t, r)) % 1 for l in range(m) for t in range(r)]
-            assert _shear_phases(m, r, y, n) == tuple((q.numerator, q.denominator) for q in want)
+            assert [F(v, m * r) for v in _shear_numerators(m, r, y, n).tolist()] == want
 
 
 def _relabelled_k(m, r):
@@ -328,3 +328,58 @@ def test_fast_wh_full_fiber_kernel():
 def test_semidirect_labels():
     sd = semidirect(make_cyclic(2), make_cyclic(3), ((0, 1, 2), (0, 2, 1)))
     assert sd.product.label(sd.pair_index(1, 2)) is not None
+
+
+def _covariant(sd, members, index=0):
+    """A zero section covariant for the index-th character of the normal
+    subgroup `members` of the product."""
+    normal = make_subgroup(sd.product, members)
+    quot = quotient(sd.product, normal)
+    return from_section((0j,) * quot.order, enumerate_characters(normal)[index], quot)
+
+
+# each entry point on WH(2,4), packed (x, l, t) = 8 x + 4 l + t: the call for
+# character index 0, its covariance subgroup, and a normal subgroup of the
+# same order with other members, {(x, 0, t)} and {(x, 0, 2s)}
+ENTRY_POINTS = {
+    "full_k": (lambda sd, f, psi: conv_fast_full_k(sd, f, psi), range(8), [0, 1, 2, 3, 8, 9, 10, 11]),
+    "wh_center": (lambda sd, f, psi: conv_fast_wh_center(sd, f, psi, 0), range(4), [0, 2, 8, 10]),
+    "wh_full": (lambda sd, f, psi: conv_fast_wh_full(sd, f, psi, 0, 0), range(8), [0, 1, 2, 3, 8, 9, 10, 11]),
+}
+
+
+def _psi_on_another_group(sd, fiber, other):
+    return sd, delta_function(sd.product, 0), _covariant(weyl_heisenberg_finite(2, 4), fiber)
+
+
+def _f_on_another_group(sd, fiber, other):
+    return sd, delta_function(weyl_heisenberg_finite(2, 4).product, 0), _covariant(sd, fiber)
+
+
+def _other_members(sd, fiber, other):
+    return sd, delta_function(sd.product, 0), _covariant(sd, other)
+
+
+def _wrong_index(sd, fiber, other):
+    return sd, delta_function(sd.product, 0), _covariant(sd, fiber, 1)
+
+
+def _not_a_shear_group(sd, fiber, other):
+    flip = semidirect(make_cyclic(2), make_cyclic(3), ((0, 1, 2), (0, 2, 1)))
+    return flip, delta_function(flip.product, 0), _covariant(flip, range(3))
+
+
+@pytest.mark.parametrize(
+    "entry, refused",
+    [
+        *((name, case) for name in ENTRY_POINTS for case in (_psi_on_another_group, _f_on_another_group, _other_members)),
+        *((name, case) for name in ("wh_center", "wh_full") for case in (_wrong_index, _not_a_shear_group)),
+    ],
+)
+def test_entry_points_refuse_what_they_do_not_serve(entry, refused):
+    call, fiber, other = ENTRY_POINTS[entry]
+    sd = weyl_heisenberg_finite(2, 4)
+    call(sd, delta_function(sd.product, 0), _covariant(sd, fiber))   # the inputs it serves
+    inputs = refused(sd, fiber, other)
+    with pytest.raises(DomainMismatchError):
+        call(*inputs)
