@@ -66,7 +66,6 @@ from .groups import (
     lp_norm,
     make_cyclic,
     make_from_table,
-    make_product,
     make_subgroup,
     quotient,
     random_function,
@@ -97,6 +96,7 @@ from .semidirect import (
     induced_semidirect,
     lift_character,
     lift_subgroup,
+    make_product,
     quotient_action,
     semidirect,
     weyl_heisenberg_finite,

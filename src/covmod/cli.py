@@ -27,10 +27,9 @@ from .groups import (
     lp_norm,
     make_cyclic,
     make_from_table,
-    make_product,
     make_subgroup,
 )
-from .semidirect import heisenberg_finite, semidirect, weyl_heisenberg_finite
+from .semidirect import heisenberg_finite, make_product, semidirect, weyl_heisenberg_finite
 
 
 def _read_json(path: str, parse=json.loads):

@@ -3,15 +3,16 @@
 `convolve` and `module_action` each take one of two routes, chosen from the
 structure alone.
 
-- The fiber-Fourier route serves a product H x| K built by `semidirect` whose
-  K is abelian.  It lays K out as a product of cyclic groups and transforms
-  along K with `numpy.fft`, one cyclic axis at a time.  `convolve`
-  transforms both functions, takes one sum over H per character and
-  transforms back: |H|^2 |K| work for the sum plus O(|H| |K| log |K|) for
-  the transforms, plus an integer table build on the group's first
-  convolution (`SemidirectGroup.fiber_tables`).  `module_action` takes it
-  when N lies inside K: the transforms of psi and of the output vanish off
-  the |K/N| characters above xi o theta_h^-1 at each h, so psi's is built
+- The fiber-Fourier route serves a product H x| K built by `semidirect` or
+  `make_product` (A x B is A acting on B trivially) whose K is abelian.  It
+  lays K out as a product of cyclic groups and transforms along K with
+  `numpy.fft`, one cyclic axis at a time.  `convolve` transforms both
+  functions, takes one sum over H per character and transforms back:
+  |H|^2 |K| work for the sum plus O(|H| |K| log |K|) for the transforms,
+  plus an integer table build on the group's first convolution
+  (`SemidirectGroup.fiber_tables`).  `module_action` takes it when N lies
+  inside K: the transforms of psi and of the output vanish off the |K/N|
+  characters above xi o theta_h^-1 at each h, so psi's is built
   from its section, f is projected onto the union U of those characters
   (one matrix product along N and psi's table along K / N, no transform
   along all of K), the sum runs on those characters alone (|H|^2 |K/N|),
@@ -127,8 +128,8 @@ def convolve(
 ) -> GroupFunction:
     """(f * g)(x) = sum over y of w(y) * f(y) * g(y^-1 x), counting weights by default.
 
-    A semidirect product with an abelian K takes the fiber-Fourier route;
-    every other group the table route.
+    A semidirect or direct product with an abelian K takes the
+    fiber-Fourier route; every other group the table route.
     """
     if f.group is not g.group:
         raise DomainMismatchError("cannot convolve functions on different groups")

@@ -4,12 +4,12 @@ Elements of a group of order n are the integers 0..n-1.  All types are
 immutable once constructed.  A group keeps its inverses as one read-only
 index array and its multiplication table as one read-only int32 array.  A
 product built by `semidirect` keeps its factors instead and builds that
-table on first read.  Every product of elements in subgroup checks,
-normality, quotients, coset grids, the generator walk, the center and
-character enumeration goes through `FiniteGroup.multiply`, which reads the
-table when the group has one and the factors otherwise.  Function values
-and weights are read-only complex128 and float64 arrays, converted once
-from any sequence of numbers.
+table on first read, or at once for a direct product (`make_product`).
+Every product of elements in subgroup checks, normality, quotients, coset
+grids, the generator walk, the center and character enumeration goes
+through `FiniteGroup.multiply`, which reads the table when the group has
+one and the factors otherwise.  Function values and weights are read-only
+complex128 and float64 arrays, converted once from any sequence of numbers.
 
 An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
@@ -98,16 +98,16 @@ class FiniteGroup:
     `table[x, y]` is the index of x*y and `inv[x]` the index of x^-1, both
     read-only arrays.  Groups compare equal when their orders, identities,
     labels and tables agree, and hash by `fingerprint`.  A product built by
-    `semidirect` also keeps the `SemidirectGroup` it came from in `split`,
-    which convolution reads; it takes no part in equality, hashing or
-    serialization, so a group read back from its table is the same group
-    without it.
+    `semidirect` or `make_product` also keeps the `SemidirectGroup` it came
+    from in `split`, which convolution reads; it takes no part in equality,
+    hashing or serialization, so a group read back from its table is the
+    same group without it.
 
     Such a product is made with no table (`table` None).  `multiply` then
     computes products from the factors, and the first read of `table`
     builds the dense table (`SemidirectGroup.dense_table`): equality, the
     fingerprint, Light's test, documents and the table route of the kernels
-    read it.
+    read it.  `make_product` reads it at once.
     """
 
     order: int
@@ -378,22 +378,6 @@ def make_cyclic(order: int) -> FiniteGroup:
     _check_order(order)
     a = np.arange(order, dtype=np.int32)
     return FiniteGroup(order, (a[:, None] + a) % order, -a % order, 0)
-
-
-def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Direct product; the pair (x, y) gets index x * b.order + y."""
-    order = a.order * b.order
-    _check_order(order)
-    nb = b.order
-    # table[(xa, xb), (ya, yb)] = (xa*ya) * nb + xb*yb
-    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(order, order)
-    inv = (a.inv[:, None] * nb + b.inv).ravel()
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = tuple(
-            f"({la},{lb})" for la in a.labels for lb in b.labels
-        )
-    return FiniteGroup(order, table, inv, a.identity * nb + b.identity, labels)
 
 
 def generating_set(

@@ -259,10 +259,6 @@ def subgroup_from_json(doc: dict, group: FiniteGroup) -> Subgroup:
     return make_subgroup(group, members)
 
 
-def _phase_pairs(char: Character) -> list[list[int]]:
-    return [list(pair) for pair in char.phase_pairs]
-
-
 def _phases_from(doc, what: str) -> list[Fraction]:
     try:
         pairs = [(num, den) for num, den in doc]
@@ -278,7 +274,7 @@ def _phases_from(doc, what: str) -> list[Fraction]:
 
 
 def character_to_json(char: Character) -> dict:
-    return {"domain": subgroup_id(char.domain), "phases": _phase_pairs(char)}
+    return {"domain": subgroup_id(char.domain), "phases": char.phase_pairs}
 
 
 def character_from_json(doc: dict, domain: Subgroup) -> Character:
@@ -295,7 +291,7 @@ def covariant_to_json(psi: CovariantFunction) -> dict:
     return {
         "group": group_id(psi.group),
         "normal": list(psi.quotient.normal.members),
-        "character": _phase_pairs(psi.character),
+        "character": psi.character.phase_pairs,
         "section": _pairs(psi.section),
     }
 

@@ -4,12 +4,14 @@ A semidirect product is built from two finite groups H and K and an action
 table theta, where theta[h] is the automorphism of K contributed by h,
 checked in |H| r_K |K| + |H| r_H |K| work for r_K and r_H generators of K
 and H.  The pair (h, k) is packed as index h * |K| + k.  `SemidirectGroup`
-holds H, K, the action as one read-only int32 array and the product group,
-whose `split` is the `SemidirectGroup` itself.  The product keeps no table
-of its own at first: its products of elements come from the factors
-(`SemidirectGroup.multiply`), and it builds the dense |G| x |G| table
-(`dense_table`) on the first read of `product.table`, which equality, the
-fingerprint, Light's test, documents and the kernels' table route make.
+holds H, K, the action as one read-only int32 array and, weakly, the
+product group, whose `split` is the `SemidirectGroup` itself; a direct
+product (`make_product`) is the identity action, and takes every route
+below.  The product keeps no table of its own at first: its products of
+elements come from the factors (`SemidirectGroup.multiply`), and it builds
+the dense |G| x |G| table (`dense_table`) on the first read of
+`product.table`, which equality, the fingerprint, Light's test, documents
+and the kernels' table route make.
 Every finite group is unimodular, so the modulus of each theta[h] is
 identically 1; `delta_factor` still returns it, after checking that the
 subgroup it measures is invariant, so the measure bookkeeping on products
@@ -64,7 +66,6 @@ from .groups import (
     cyclic_coordinates,
     full_subgroup,
     make_cyclic,
-    make_product,
     quotient,
     _check_order,
     _distinct,
@@ -79,11 +80,12 @@ class SemidirectGroup:
     `action[h, k]` = theta_h(k), and the product group.  The product keeps
     this object as its `split`, so that it multiplies from the factors and
     `convolve` can work fiber by fiber when K is abelian.  `semidirect`
-    validates the action."""
+    validates the action; `make_product` passes the identity, unchecked."""
 
     h: FiniteGroup
     k: FiniteGroup
     action: np.ndarray = field(repr=False)
+    _product: weakref.ref | None = field(default=None, init=False, repr=False)
 
     def pair_index(self, h: int, k: int) -> int:
         return h * self.k.order + k
@@ -91,18 +93,22 @@ class SemidirectGroup:
     def split_index(self, x: int) -> tuple[int, int]:
         return divmod(x, self.k.order)
 
-    @cached_property
+    @property
     def product(self) -> FiniteGroup:
         """The group on the packed pairs: (h, k)(h', k') = (h h', k theta_h(k'))
-        and (h, k)^-1 = (h^-1, theta_{h^-1}(k^-1)), with no table until one
-        is read."""
-        h, k = self.h, self.k
-        nk = k.order
-        inv = h.inv[:, None] * nk + self.action[h.inv][:, k.inv]
-        labels = None
-        if h.labels is not None and k.labels is not None:
-            labels = tuple(f"({lh},{lk})" for lh in h.labels for lk in k.labels)
-        return FiniteGroup(h.order * nk, None, inv.ravel(), h.identity * nk + k.identity, labels, self)
+        and (h, k)^-1 = (h^-1, theta_{h^-1}(k^-1)).  Held weakly, so no cycle
+        keeps it but the subgroup <-> quotient one of `Subgroup.quotient`."""
+        built = None if self._product is None else self._product()
+        if built is None:
+            h, k = self.h, self.k
+            nk = k.order
+            inv = h.inv[:, None] * nk + self.action[h.inv[:, None], k.inv]
+            labels = None
+            if h.labels is not None and k.labels is not None:
+                labels = tuple(f"({lh},{lk})" for lh in h.labels for lk in k.labels)
+            built = FiniteGroup(h.order * nk, None, inv.ravel(), h.identity * nk + k.identity, labels, self)
+            object.__setattr__(self, "_product", weakref.ref(built))
+        return built
 
     def multiply(self, x, y) -> np.ndarray:
         """The packed index of x*y for broadcastable arrays of packed indices:
@@ -120,12 +126,14 @@ class SemidirectGroup:
         return _frozen((self.h.table * self.k.order).ravel(), self.action.ravel(), self.k.table.ravel())
 
     def dense_table(self) -> np.ndarray:
-        """The product's |G| x |G| int32 table, one H row at a time."""
-        h, k, action = self.h, self.k, self.action
+        """The product's |G| x |G| int32 table: k theta_a(k') copied over each b,
+        then a b |K| added along whole rows, each pass from a contiguous array."""
+        h, k = self.h, self.k
         nh, nk = h.order, k.order
-        table = np.empty((nh, nk, nh, nk), dtype=np.int32)
-        for a in range(nh):   # table[a, k, b, k'] = (a b, k theta_a(k'))
-            np.add(h.table[a, :, None] * nk, k.table[:, None, action[a]], out=table[a])
+        table = np.empty((nh, nk, nh * nk), dtype=np.int32)
+        through = np.ascontiguousarray(k.table[:, self.action].swapaxes(0, 1))
+        table.reshape(nh, nk, nh, nk)[...] = through[:, :, None]
+        np.add(table, np.repeat(h.table * nk, nk, axis=1)[:, None], out=table)
         return table.reshape(nh * nk, nh * nk)
 
     @cached_property
@@ -492,6 +500,17 @@ def induced_semidirect(sd: SemidirectGroup, sub: Subgroup) -> SemidirectGroup:
     """H acting on K / N; its product realizes the quotient of the product by N."""
     qk, act = quotient_action(sd, sub)
     return semidirect(sd.h, qk.table, act)
+
+
+def make_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    """The direct product A x B, (x, y) at index x |B| + y: the semidirect
+    product under the identity action.  Its table is read at once, as the
+    K of a semidirect product multiplies by gathers from K's table."""
+    _check_order(a.order * b.order)
+    identity = np.broadcast_to(np.arange(b.order, dtype=np.int32), (a.order, b.order))
+    product = SemidirectGroup(a, b, identity).product
+    product.table
+    return product
 
 
 def heisenberg_finite(m: int) -> SemidirectGroup:

@@ -16,6 +16,8 @@ from covmod import (
     from_section,
     full_module_action,
     group_center,
+    heisenberg_finite,
+    lift_subgroup,
     make_cyclic,
     make_from_table,
     make_product,
@@ -300,3 +302,33 @@ def test_groups_without_an_abelian_fiber_keep_the_table_route():
         assert convolve(f, h).values.tobytes() == want.tobytes()
     assert "fiber_tables" not in non_abelian.split.__dict__
     assert from_document.split is None
+
+
+DIRECT_PRODUCTS = {
+    "Z2 x Z4": lambda: make_product(make_cyclic(2), make_cyclic(4)),
+    "S3 x Z3": lambda: make_product(symmetric_3(), make_cyclic(3)),
+    "Z4 x S3": lambda: make_product(make_cyclic(4), symmetric_3()),
+    "Heis2 x Z2": lambda: make_product(heisenberg_finite(2).product, make_cyclic(2)),
+    "Z2 x Z2 x Z2": lambda: make_product(make_product(make_cyclic(2), make_cyclic(2)), make_cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", DIRECT_PRODUCTS)
+def test_direct_products_take_the_fiber_route_when_the_second_factor_is_abelian(name):
+    g = DIRECT_PRODUCTS[name]()
+    sd = g.split
+    rng = random.Random(f"direct:{name}")
+    f, h = random_function(g, rng), random_function(g, rng)
+    want = _convolve_at(g, f.values, h.values, range(g.order))
+    assert np.abs(convolve(f, h).values - want).max() <= 1e-12 * np.abs(want).max()
+    assert ("fiber_tables" in vars(sd)) == sd.k.is_abelian
+    # the second factor, normal in the product
+    normal = lift_subgroup(sd, make_subgroup(sd.k, range(sd.k.order)))
+    quot = quotient(g, normal)
+    for char in enumerate_characters(normal):
+        route = quot.fiber_action
+        assert (route is not None and route.tables(char) is not None) == sd.k.is_abelian
+        psi = from_section(random_function(quot.table, rng).values, char, quot)
+        want = _convolve_at(g, f.values, psi.full().values, quot.reps)
+        got = module_action(f, psi).section
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), char.phases

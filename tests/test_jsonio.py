@@ -176,6 +176,22 @@ def test_listing_characters_takes_the_subgroup_digest_once(monkeypatch):
     assert {doc["domain"] for doc in docs} == {want.hexdigest()[:16]}
 
 
+def test_phase_tuples_write_the_text_of_phase_lists():
+    # `phase_pairs` goes into documents as tuples, which `json` writes as arrays
+    z32x32 = make_product(make_cyclic(32), make_cyclic(32))
+    sd = weyl_heisenberg_finite(4, 8)
+    k = lift_subgroup(sd, make_subgroup(sd.k, range(32)))
+    rng = random.Random("phase-tuples")
+    for domain in (make_subgroup(z32x32, range(1024)), k):
+        chars = enumerate_characters(domain)
+        for char in chars:
+            doc = character_to_json(char)
+            assert dumps(doc) == dumps({**doc, "phases": [list(p) for p in char.phase_pairs]})
+        psi = t_xi(random_function(domain.parent, rng), chars[-1], quot=domain.quotient)
+        doc = covariant_to_json(psi)
+        assert dumps(doc) == dumps({**doc, "character": [list(p) for p in chars[-1].phase_pairs]})
+
+
 def test_character_round_trip(z4, z4_evens):
     for char in enumerate_characters(z4_evens):
         back = character_from_json(character_to_json(char), z4_evens)

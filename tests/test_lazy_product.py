@@ -1,5 +1,6 @@
 """A product built by `semidirect` multiplies from its factors and builds its
-dense table only when something reads all of it.
+dense table only when something reads all of it.  A direct product is the
+same construction under the identity action, with its table read at once.
 
 Every routine that goes through `FiniteGroup.multiply` must give the same
 results and the same errors on a fresh product as on one whose table was
@@ -8,8 +9,10 @@ read first, and `multiply` must agree with the table on every pair.
 what all |G| |N| products give, and leave both tables unbuilt.
 """
 
+import gc
 import random
 import tracemalloc
+import weakref
 from itertools import permutations
 
 import numpy as np
@@ -42,6 +45,7 @@ from covmod import (
 from covmod.characters import ENUMERATION_LIMIT
 from covmod.errors import NormalityError, ValidationError
 from covmod.groups import generating_set
+from covmod.semidirect import SemidirectGroup
 from covmod.verify import FAST_GRID, builtin_corpus
 
 
@@ -66,6 +70,70 @@ PRODUCTS = {
     "flip, identities at 1": _flip_with_identities_at_1,
     "Z2 x S3": lambda: semidirect(make_cyclic(2), symmetric_3(), [list(range(6))] * 2),
 }
+
+
+DIRECT_PRODUCTS = {
+    "Z2 x Z4": lambda: make_product(make_cyclic(2), make_cyclic(4)),
+    "S3 x Z3": lambda: make_product(symmetric_3(), make_cyclic(3)),
+    "Z4 x S3": lambda: make_product(make_cyclic(4), symmetric_3()),
+    "Heis2 x Z2": lambda: make_product(heisenberg_finite(2).product, make_cyclic(2)),
+    "Z2 x Z2 x Z2": lambda: make_product(make_product(make_cyclic(2), make_cyclic(2)), make_cyclic(2)),
+    "S3 x S3": lambda: make_product(symmetric_3(), symmetric_3()),   # both factors labelled
+}
+
+
+def _written_out(a, b):
+    """A x B entry by entry, (x, y) at x |B| + y: the table, inverses,
+    identity and labels that `make_product` must give."""
+    nb = b.order
+    table = [[a.table[xa, ya] * nb + b.table[xb, yb] for ya in range(a.order) for yb in range(nb)]
+             for xa in range(a.order) for xb in range(nb)]
+    inv = [a.inv[xa] * nb + b.inv[xb] for xa in range(a.order) for xb in range(nb)]
+    labels = None
+    if a.labels is not None and b.labels is not None:
+        labels = tuple(f"({la},{lb})" for la in a.labels for lb in b.labels)
+    return table, inv, a.identity * nb + b.identity, labels
+
+
+@pytest.mark.parametrize("name", DIRECT_PRODUCTS)
+def test_make_product_is_the_identity_action_semidirect_product(name):
+    g = DIRECT_PRODUCTS[name]()
+    sd = g.split
+    assert isinstance(sd, SemidirectGroup) and sd.product is g
+    assert np.array_equal(sd.action, np.broadcast_to(np.arange(sd.k.order), sd.action.shape))
+    assert "table" in vars(g)   # read at construction
+    table, inv, identity, labels = _written_out(sd.h, sd.k)
+    assert g.table.tolist() == table and g.table.dtype == np.int32
+    assert g.inv.tolist() == inv
+    assert (g.identity, g.labels) == (identity, labels)
+    x = np.arange(g.order)
+    assert np.array_equal(sd.multiply(x[:, None], x), g.table)
+    assert [int(g.multiply(a, b)) for a in x for b in x] == g.table.ravel().tolist()
+    copy = make_from_table(g.table.tolist(), g.labels)
+    assert copy == g and copy.split is None
+
+
+def test_a_dropped_product_is_freed_without_the_collector():
+    # the product holds its split strongly and the split holds it weakly, so
+    # no reference cycle keeps a product or its table alive
+    builds = (lambda: weyl_heisenberg_finite(4, 4).product,
+              lambda: make_product(make_cyclic(8), make_cyclic(8)))
+    gc.collect()
+    gc.disable()
+    try:
+        for build in builds:
+            g = build()
+            g.table
+            sd = g.split
+            assert sd.product is g and g.split is sd
+            product, table = weakref.ref(g), weakref.ref(g.table)
+            del g, sd
+            assert product() is None and table() is None
+    finally:
+        gc.enable()
+    sd = weyl_heisenberg_finite(2, 2)
+    first = weakref.ref(sd.product)
+    assert first() is None and sd.product == weyl_heisenberg_finite(2, 2).product
 
 
 def _outcome(fn):
