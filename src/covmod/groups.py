@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,6 +62,16 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _refrozen(state: dict) -> dict:
+    """A pickled object's attributes with their arrays, alone or in tuples,
+    read-only again: numpy unpickles every array writable."""
+    for value in state.values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+    return state
 
 
 def _real_form(table: np.ndarray) -> np.ndarray:
@@ -130,6 +140,12 @@ class FiniteGroup:
             raise AttributeError(name)
         object.__setattr__(self, "table", *_frozen(self.split.dense_table()))
         return self.table
+
+    def __setstate__(self, state: dict) -> None:
+        # a product's split holds it weakly, and pickling drops that link
+        vars(self).update(_refrozen(state))
+        if self.split is not None:
+            self.split._hold(self)
 
     def multiply(self, x, y) -> np.ndarray:
         """x*y for broadcastable arrays of element indices: a gather from the
@@ -526,23 +542,39 @@ def _table_error(table: Sequence[Sequence[int]], n: int) -> ValidationError:
     raise AssertionError("no malformed row or entry to report")
 
 
+def _int_rows(
+    rows: Sequence[Sequence[int]], n_rows: int, n_cols: int, error: Callable[[], ValidationError]
+) -> np.ndarray:
+    """An n_rows x n_cols list of rows of int entries as one int64 array.
+
+    The rows are counted and measured, then the entries' types are read in
+    one C-speed pass (`set(map(type, ...))`), so no Python loop runs per
+    entry.  Anything else raises `error()`, which is left to name the first
+    malformed row or entry; ints too large for int64 are out of range and
+    fail here too.  Range and the other laws are checked on the array.
+    """
+    if not (
+        isinstance(rows, (list, tuple))
+        and len(rows) == n_rows
+        and all(isinstance(row, (list, tuple)) and len(row) == n_cols for row in rows)
+        and set(map(type, chain.from_iterable(rows))) == {int}
+    ):
+        raise error()
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise error() from None
+
+
 def _table_array(table: Sequence[Sequence[int]]) -> np.ndarray:
-    """A square list of rows of int entries as one int64 array; ints too large
-    for int64 are out of range and fail here."""
+    """A square list of rows of int entries as one int64 array (`_int_rows`)."""
     if not isinstance(table, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in table
     ):
         raise ValidationError("a multiplication table must be a list of rows")
     n = len(table)
     _check_order(n)
-    if any(len(row) != n for row in table) or set(
-        map(type, chain.from_iterable(table))
-    ) != {int}:
-        raise _table_error(table, n)
-    try:
-        return np.array(table, dtype=np.int64)
-    except OverflowError:
-        raise _table_error(table, n) from None
+    return _int_rows(table, n, n, lambda: _table_error(table, n))
 
 
 def make_from_table(
@@ -663,26 +695,51 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
 
     Cosets appear in increasing order of their smallest member, which also
     serves as the coset representative, so the construction is canonical.
-    The minima come from the generators g of `normal.walk`, not from all
-    |G| |N| products: starting from label(x) = x, each g takes label(x) to
-    min(label(x), label(x p)) for p = g, g^2, g^4, ... until a power repeats,
-    and the generators are swept again until a sweep changes nothing.  Each
-    label stays in its own coset, as x p lies in x N.  At the fixpoint,
-    label(x) <= label(x g) for every generator g, so the labels are equal
-    round each cycle x, x g, x g^2, ..., and, the generators reaching all of
-    x N from x, on the whole coset; as each label is at most its own index,
-    it is the coset minimum.  Each doubling step costs |G| products: about
-    |G| (log2 m_1 + ... + log2 m_r) per sweep for generator orders m_j, and
-    one more sweep confirms the fixpoint.
+    The minima come from the generators of `normal.walk` (`_coset_minima`),
+    |G| products per doubling step in place of all |G| |N| products.
+
+    When the group is a product H x| K (its `split`) and N lies in the K
+    fiber {e_H} x K, the doubling runs in K alone, on N's generators
+    shifted back by the fiber's base: N is normal, so theta_h(N) = N and
+    the coset (h, k)N is (h, kN).  Its least member is h |K| plus the least
+    member of kN, and the cosets come h by h, so reps = h |K| + reps_K and
+    proj = h |K/N| + proj_K, the same tuples from |K| products per step.
     """
     if not is_normal(group, normal):
         raise NormalityError(
             "cannot form the quotient: subgroup is not normal in the group"
         )
+    split, members = group.split, normal.members
+    base = 0 if split is None else split.h.identity * split.k.order
+    if split is None or not base <= members[0] <= members[-1] < base + split.k.order:
+        reps, proj = _coset_minima(group, normal.walk[0])
+    else:
+        reps, proj = _coset_minima(split.k, normal.walk[0] - base)
+        h = np.arange(split.h.order)[:, None]
+        reps, proj = (h * split.k.order + reps).ravel(), (h * reps.size + proj).ravel()
+    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()))
+
+
+def _coset_minima(group: FiniteGroup, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least member of each left coset x N of the subgroup N that `gens`
+    generate, as (reps, proj): the minima in increasing order, and the
+    index among them of each element's coset.
+
+    Starting from label(x) = x, each generator g takes label(x) to
+    min(label(x), label(x p)) for p = g, g^2, g^4, ... until a power
+    repeats, and the generators are swept again until a sweep changes
+    nothing.  Each label stays in its own coset, as x p lies in x N.  At the
+    fixpoint, label(x) <= label(x g) for every generator g, so the labels
+    are equal round each cycle x, x g, x g^2, ..., and, the generators
+    reaching all of x N from x, on the whole coset; as each label is at
+    most its own index, it is the coset minimum.  Each doubling step costs
+    |G| products: about |G| (log2 m_1 + ... + log2 m_r) per sweep for
+    generator orders m_j, and one more sweep confirms the fixpoint.
+    """
     smallest = elements = np.arange(group.order)    # smallest[x]: a member of x N, at most x
     while True:
         swept = smallest
-        for g in normal.walk[0].tolist():
+        for g in gens.tolist():
             seen, power = {group.identity}, g
             while power not in seen:
                 seen.add(power)
@@ -691,8 +748,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
         if np.array_equal(smallest, swept):
             break
     reps = np.flatnonzero(smallest == elements)
-    proj = np.searchsorted(reps, smallest)
-    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()))
+    return reps, np.searchsorted(reps, smallest)
 
 
 def weil_measure(

@@ -2,7 +2,8 @@
 
 A semidirect product is built from two finite groups H and K and an action
 table theta, where theta[h] is the automorphism of K contributed by h,
-checked in |H| r_K |K| + |H| r_H |K| work for r_K and r_H generators of K
+given as rows or an integer array, checked like a multiplication table and
+then in |H| r_K |K| + |H| r_H |K| work for r_K and r_H generators of K
 and H.  The pair (h, k) is packed as index h * |K| + k.  `SemidirectGroup`
 holds H, K, the action as one read-only int32 array and, weakly, the
 product group, whose `split` is the `SemidirectGroup` itself; a direct
@@ -70,7 +71,9 @@ from .groups import (
     _check_order,
     _distinct,
     _frozen,
+    _int_rows,
     _real_form,
+    _refrozen,
 )
 
 
@@ -86,6 +89,16 @@ class SemidirectGroup:
     k: FiniteGroup
     action: np.ndarray = field(repr=False)
     _product: weakref.ref | None = field(default=None, init=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # a weak reference does not pickle: an unpickled product restores it
+        return {**vars(self), "_product": None}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(_refrozen(state))
+
+    def _hold(self, product: FiniteGroup) -> None:
+        object.__setattr__(self, "_product", weakref.ref(product))
 
     def pair_index(self, h: int, k: int) -> int:
         return h * self.k.order + k
@@ -107,7 +120,7 @@ class SemidirectGroup:
             if h.labels is not None and k.labels is not None:
                 labels = tuple(f"({lh},{lk})" for lh in h.labels for lk in k.labels)
             built = FiniteGroup(h.order * nk, None, inv.ravel(), h.identity * nk + k.identity, labels, self)
-            object.__setattr__(self, "_product", weakref.ref(built))
+            self._hold(built)
         return built
 
     def multiply(self, x, y) -> np.ndarray:
@@ -388,11 +401,16 @@ class FiberAction:
 def semidirect(
     h_group: FiniteGroup,
     k_group: FiniteGroup,
-    action: Sequence[Sequence[int]],
+    action: Sequence[Sequence[int]] | np.ndarray,
 ) -> SemidirectGroup:
     """Build H acting on K after validating the action table.
 
-    Each row of `action` must be an automorphism of K, the row of H's
+    `action` is a list of |H| rows of |K| int entries, or an integer
+    ndarray of that shape.  It is checked the way a multiplication table
+    is: the list's entry types in one pass (`_int_rows`), then shape, range
+    and bijection on the array, |H| |K| log |K| work for the row-wise sort;
+    only a failed check walks the rows in Python, to name the first bad row
+    or entry.  Each row must be an automorphism of K, the row of H's
     identity must be the identity map, and rows must compose like H does:
     action[h * h'] = action[h] after action[h'].  Both laws are checked on
     the edges of `Subgroup.walk`, |H| r_K |K| + |H| r_H |K| work, naming the
@@ -401,23 +419,20 @@ def semidirect(
     """
     nh, nk = h_group.order, k_group.order
     _check_order(nh * nk)
-    if not isinstance(action, (list, tuple)):
-        raise ValidationError("the action must be a list of rows")
-    if len(action) != nh:
-        raise ValidationError(f"action has {len(action)} rows for |H| = {nh}")
-    for h, row in enumerate(action):
-        if not isinstance(row, (list, tuple)):
-            raise ValidationError(f"action row {h} is not a list of K indices")
-        if len(row) != nk:
-            raise ValidationError(f"action row {h} has length {len(row)}, expected {nk}")
-        for j, v in enumerate(row):
-            if type(v) is not int or not 0 <= v < nk:
-                raise ValidationError(
-                    f"action entry ({h},{j}) = {v!r} is not an element of 0..{nk-1}"
-                )
-        if sorted(row) != list(range(nk)):
-            raise ValidationError(f"action row {h} is not a bijection of K")
-    arr = np.array(action, dtype=np.int32)
+    if isinstance(action, np.ndarray):
+        if action.dtype.kind not in "iu":
+            raise ValidationError(f"an action array must have integer entries, not {action.dtype}")
+        arr = action
+    else:
+        arr = _int_rows(action, nh, nk, lambda: _action_error(action, nh, nk))
+    if (
+        arr.shape != (nh, nk)
+        or arr.min() < 0
+        or arr.max() >= nk
+        or not (np.sort(arr, axis=1) == np.arange(nk)).all()
+    ):
+        raise _action_error(action, nh, nk)
+    arr = arr.astype(np.int32)
     if not np.array_equal(arr[h_group.identity], np.arange(nk)):
         raise ValidationError("the identity of H must act as the identity map on K")
 
@@ -435,6 +450,31 @@ def semidirect(
         raise ValidationError(f"action rows do not compose like H at pair ({gens[j]}, {h})")
 
     return SemidirectGroup(h_group, k_group, *_frozen(arr))
+
+
+def _action_error(action, nh: int, nk: int) -> ValidationError:
+    """The first malformed row or entry of an action, or the first row that
+    is not a bijection, in the order a row-by-row scan meets it; an array
+    is read as its rows."""
+    if isinstance(action, np.ndarray):
+        action = action.tolist()
+    if not isinstance(action, (list, tuple)):
+        return ValidationError("the action must be a list of rows")
+    if len(action) != nh:
+        return ValidationError(f"action has {len(action)} rows for |H| = {nh}")
+    for h, row in enumerate(action):
+        if not isinstance(row, (list, tuple)):
+            return ValidationError(f"action row {h} is not a list of K indices")
+        if len(row) != nk:
+            return ValidationError(f"action row {h} has length {len(row)}, expected {nk}")
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < nk:
+                return ValidationError(
+                    f"action entry ({h},{j}) = {v!r} is not an element of 0..{nk-1}"
+                )
+        if sorted(row) != list(range(nk)):
+            return ValidationError(f"action row {h} is not a bijection of K")
+    raise AssertionError("no malformed row or entry to report")
 
 
 def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:
@@ -486,14 +526,13 @@ def lift_character(sd: SemidirectGroup, char: Character) -> Character:
     return _character(lifted, char.numerators, char.denominator)
 
 
-def quotient_action(
-    sd: SemidirectGroup, sub: Subgroup
-) -> tuple[QuotientGroup, tuple[tuple[int, ...], ...]]:
-    """The induced action of H on K / N for an action-invariant normal N."""
+def quotient_action(sd: SemidirectGroup, sub: Subgroup) -> tuple[QuotientGroup, np.ndarray]:
+    """The induced action of H on K / N for an action-invariant normal N:
+    K / N and a read-only int array whose [h, c] entry is the coset of
+    theta_h(reps[c])."""
     delta_factor(sd, sub, sd.h.identity)  # validates invariance
     qk = quotient(sd.k, sub)
-    act = np.asarray(qk.proj)[sd.action[:, qk.reps]].tolist()
-    return qk, tuple(map(tuple, act))
+    return qk, _frozen(np.asarray(qk.proj)[sd.action[:, qk.reps]])[0]
 
 
 def induced_semidirect(sd: SemidirectGroup, sub: Subgroup) -> SemidirectGroup:
@@ -537,7 +576,7 @@ def weyl_heisenberg_finite(m: int, r: int) -> SemidirectGroup:
             f"the circle resolution {r} must be a multiple of the base order {m}"
         )
     k = make_product(make_cyclic(m), make_cyclic(r))
-    return semidirect(make_cyclic(m), k, _shear_action(m, r).tolist())
+    return semidirect(make_cyclic(m), k, _shear_action(m, r))
 
 
 def _shear_action(m: int, r: int) -> np.ndarray:

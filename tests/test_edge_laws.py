@@ -246,7 +246,9 @@ def _check_semidirect(h, k, rows):
     composes = not any(composition_fails(x, y) for x in acting for y in acting)
     message = _refusal(lambda: semidirect(h, k, rows))
     assert (message is None) == (all(bijective) and identity and not broken and composes)
+    assert _refusal(lambda: semidirect(h, k, arr)) == message    # the same rows as an int array
     if message is None:
+        _check_fiber_quotients(semidirect(h, k, rows))
         return None
     if not all(bijective):
         assert message == f"action row {bijective.index(False)} is not a bijection of K"
@@ -261,6 +263,21 @@ def _check_semidirect(h, k, rows):
         assert composition_fails(x, y)
         assert (x, y) == _first_edge(generating_set(h, acting)[0], acting, composition_fails)
     return message
+
+
+def _check_fiber_quotients(sd):
+    """`quotient` by each normal subgroup of the product inside its K fiber
+    (K, and each cyclic subgroup of K, lifted) gives the cosets that the
+    generic path gives on the same table with no split."""
+    g = sd.product
+    plain = make_from_table(g.table.tolist())
+    in_k = {tuple(range(sd.k.order))}
+    in_k |= {tuple(np.flatnonzero(generating_set(sd.k, [x])[3]).tolist()) for x in range(sd.k.order)}
+    for members in sorted(in_k):
+        lifted = lift_subgroup(sd, make_subgroup(sd.k, members))
+        if is_normal(g, lifted):
+            got, want = quotient(g, lifted), quotient(plain, make_subgroup(plain, lifted.members))
+            assert (got.reps, got.proj) == (want.reps, want.proj), members
 
 
 def _all_pairs_characters(sub):

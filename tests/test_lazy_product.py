@@ -6,10 +6,13 @@ Every routine that goes through `FiniteGroup.multiply` must give the same
 results and the same errors on a fresh product as on one whose table was
 read first, and `multiply` must agree with the table on every pair.
 `quotient`, which takes the coset minima along N's generators, must give
-what all |G| |N| products give, and leave both tables unbuilt.
+what all |G| |N| products give, and leave both tables unbuilt; for N inside
+the K fiber it takes them in K, and must give what the same table read back
+with no split gives.  A product pickles with its split.
 """
 
 import gc
+import pickle
 import random
 import tracemalloc
 import weakref
@@ -44,7 +47,8 @@ from covmod import (
 )
 from covmod.characters import ENUMERATION_LIMIT
 from covmod.errors import NormalityError, ValidationError
-from covmod.groups import generating_set
+from covmod import groups
+from covmod.groups import full_subgroup, generating_set
 from covmod.semidirect import SemidirectGroup
 from covmod.verify import FAST_GRID, builtin_corpus
 
@@ -352,3 +356,95 @@ def test_quotient_runs_in_linear_memory():
     sd = weyl_heisenberg_finite(32, 32)
     center = lift_subgroup(sd, make_subgroup(sd.k, range(32)))
     assert _peak_mib(lambda: quotient(sd.product, center)) < 6
+
+
+def _coset_minima_groups(monkeypatch):
+    """The groups `quotient` takes its coset minima in, recorded call by call."""
+    seen, minima = [], groups._coset_minima
+
+    def spy(group, gens):
+        seen.append(group)
+        return minima(group, gens)
+
+    monkeypatch.setattr(groups, "_coset_minima", spy)
+    return seen
+
+
+def _table_route(g, members):
+    """reps and proj of `quotient` on g's table read back with no split."""
+    plain = make_from_table(g.table.tolist())
+    assert plain.split is None
+    q = quotient(plain, make_subgroup(plain, members))
+    return q.reps, q.proj
+
+
+def _subgroups_of_k(k):
+    """K, the trivial group and every cyclic subgroup of K, as member tuples."""
+    found = {tuple(range(k.order)), (k.identity,)}
+    found |= {tuple(np.flatnonzero(generating_set(k, [x])[3]).tolist()) for x in range(k.order)}
+    return sorted(found)
+
+
+def test_fiber_quotients_match_the_table_route_on_the_corpus(monkeypatch):
+    seen = _coset_minima_groups(monkeypatch)
+    checked = 0
+    for entry in builtin_corpus():
+        sd = entry.sd
+        if sd is None:
+            continue
+        for members in [entry.normal_in_k.members, *_subgroups_of_k(sd.k)]:
+            lifted = lift_subgroup(sd, make_subgroup(sd.k, members))
+            if not is_normal(sd.product, lifted):
+                continue
+            seen.clear()
+            q = quotient(sd.product, lifted)
+            assert seen == [sd.k], (entry.name, members)      # the fiber route ran
+            assert (q.reps, q.proj) == _table_route(sd.product, lifted.members), (entry.name, members)
+            checked += 1
+    assert checked >= 20
+
+
+def test_a_subgroup_made_on_the_product_takes_the_fiber_route(monkeypatch):
+    # H's identity at index 1 puts the K fiber at 3..5 of the flip group and
+    # at 4..7 of Z2 x Z4, where N = {(e, 0), (e, 2)}; WH(2,4)'s center is
+    # found by group_center, not lifted
+    seen = _coset_minima_groups(monkeypatch)
+    moved = _flip_with_identities_at_1()
+    z2z4 = make_product(moved.h, make_cyclic(4)).split
+    wh = weyl_heisenberg_finite(2, 4)
+    for sd, sub in ((moved, make_subgroup(moved.product, range(3, 6))),
+                    (z2z4, make_subgroup(z2z4.product, (4, 6))),
+                    (wh, group_center(wh.product)),
+                    (wh, make_subgroup(wh.product, range(8)))):
+        seen.clear()
+        q = quotient(sd.product, sub)
+        assert seen == [sd.k]
+        assert (q.reps, q.proj) == _table_route(sd.product, sub.members)
+
+
+def test_a_normal_subgroup_outside_the_fiber_keeps_the_generic_path(monkeypatch):
+    # H x {e} in Z2 x Z3 and the whole of Heis2: each runs in the product itself
+    seen = _coset_minima_groups(monkeypatch)
+    z2z3, heis2 = make_product(make_cyclic(2), make_cyclic(3)), heisenberg_finite(2).product
+    for g, members in ((z2z3, (0, 3)), (heis2, range(8))):
+        sub = make_subgroup(g, members)
+        seen.clear()
+        q = quotient(g, sub)
+        assert seen == [g]
+        assert (q.reps, q.proj) == _table_route(g, sub.members)
+
+
+def test_a_product_pickles_with_its_split():
+    for sd in (weyl_heisenberg_finite(4, 4), _s3_on_v4()):
+        g = sd.product
+        back = pickle.loads(pickle.dumps(g))
+        assert "table" not in vars(back) and back.split.product is back
+        assert not back.inv.flags.writeable and not back.split.action.flags.writeable
+        q = quotient(back, lift_subgroup(back.split, full_subgroup(back.split.k)))
+        assert q.fiber_action is not None
+        want = quotient(g, lift_subgroup(sd, full_subgroup(sd.k)))
+        assert (q.reps, q.proj) == (want.reps, want.proj)
+        assert back == g
+    read = make_product(make_cyclic(2), make_cyclic(3))
+    back = pickle.loads(pickle.dumps(read))
+    assert back == read and back.split.product is back and not back.table.flags.writeable

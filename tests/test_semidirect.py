@@ -39,7 +39,7 @@ from covmod import (
     weyl_heisenberg_finite,
 )
 from covmod.jsonio import group_from_text, group_text
-from covmod.semidirect import _shear_numerators, _wh_parameters
+from covmod.semidirect import _shear_action, _shear_numerators, _wh_parameters
 
 F = Fraction
 
@@ -166,6 +166,56 @@ def test_semidirect_rejects_non_bijective_row():
 def test_semidirect_names_malformed_action_entries(action, where):
     with pytest.raises(ValidationError, match=re.escape(where)):
         semidirect(make_cyclic(2), make_cyclic(3), action)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+def test_semidirect_takes_an_integer_array_as_its_rows(dtype):
+    m, r = 4, 8
+    rows = _shear_action(m, r)
+    from_array = semidirect(make_cyclic(m), weyl_heisenberg_finite(m, r).k, rows.astype(dtype))
+    from_lists = semidirect(make_cyclic(m), weyl_heisenberg_finite(m, r).k, rows.tolist())
+    assert from_array.action.dtype == from_lists.action.dtype == np.int32
+    assert np.array_equal(from_array.action, from_lists.action)
+    assert not from_array.action.flags.writeable
+    assert from_array.product == from_lists.product
+
+
+def test_semidirect_copies_the_array_it_is_given():
+    rows = np.array([[0, 1, 2], [0, 2, 1]], dtype=np.int32)
+    sd = semidirect(make_cyclic(2), make_cyclic(3), rows)
+    rows[1] = [0, 1, 2]
+    assert sd.action.tolist() == [[0, 1, 2], [0, 2, 1]] and rows.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [bool, float, complex, object])
+def test_semidirect_refuses_an_array_of_other_entries(dtype):
+    rows = np.array([[0, 1], [0, 1]]).astype(dtype)
+    with pytest.raises(ValidationError, match="an action array must have integer entries"):
+        semidirect(make_cyclic(2), make_cyclic(2), rows)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1, 2], [0, 0, 2]], "action row 1 is not a bijection of K"),
+        ([[0, 1, 2], [0, 3, 1]], "action entry (1,1) = 3 is not an element of 0..2"),
+        ([[0, 1, 2], [-1, 2, 1]], "action entry (1,0) = -1 is not an element of 0..2"),
+        ([[0, 1, 2, 0], [0, 2, 1, 0]], "action row 0 has length 4, expected 3"),
+        ([[0, 1, 2]], "action has 1 rows for |H| = 2"),
+        ([0, 1, 2], "action has 3 rows for |H| = 2"),
+        (7, "the action must be a list of rows"),
+        ([[0, 1, 2], [0, 1, 2]], None),
+    ],
+)
+def test_a_malformed_array_is_named_as_its_rows_are(rows, message):
+    def refusal(action):
+        try:
+            semidirect(make_cyclic(2), make_cyclic(3), action)
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+    assert refusal(rows) == refusal(np.array(rows)) == message
 
 
 def test_semidirect_rejects_non_multiplicative_row():
