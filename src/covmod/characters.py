@@ -25,6 +25,7 @@ from .groups import (
     Subgroup,
     _frozen,
     _real_form,
+    _Refrozen,
     full_subgroup,
 )
 
@@ -70,7 +71,7 @@ def _over_common(phases: Sequence[Fraction | int]) -> tuple[tuple[Fraction, ...]
     return qs, [q.numerator * (den // q.denominator) for q in qs], den
 
 
-class Character:
+class Character(_Refrozen):
     """An exact character of a subgroup, phases aligned with `domain.members`.
 
     `Character(domain, phases)` stores any phases without a check;

@@ -24,6 +24,7 @@ from .groups import (
     _family,
     _p_norms,
     _real_form,
+    _Refrozen,
     _require_exponent,
     _scaled,
     _vector,
@@ -31,7 +32,7 @@ from .groups import (
 
 
 @dataclass(frozen=True, eq=False)
-class CovariantFunction:
+class CovariantFunction(_Refrozen):
     """A covariant function stored as its section over coset representatives."""
 
     quotient: QuotientGroup

@@ -64,14 +64,16 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _refrozen(state: dict) -> dict:
-    """A pickled object's attributes with their arrays, alone or in tuples,
-    read-only again: numpy unpickles every array writable."""
-    for value in state.values():
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-    return state
+class _Refrozen:
+    """A type whose arrays, alone or in tuples, unpickle read-only again:
+    numpy unpickles every array writable."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        vars(self).update(state)
 
 
 def _real_form(table: np.ndarray) -> np.ndarray:
@@ -102,7 +104,7 @@ def _vector(values, dtype: type, what: str, length: int | None = None) -> np.nda
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(_Refrozen):
     """A finite group: order, multiplication table, inverses, identity.
 
     `table[x, y]` is the index of x*y and `inv[x]` the index of x^-1, both
@@ -143,7 +145,7 @@ class FiniteGroup:
 
     def __setstate__(self, state: dict) -> None:
         # a product's split holds it weakly, and pickling drops that link
-        vars(self).update(_refrozen(state))
+        super().__setstate__(state)
         if self.split is not None:
             self.split._hold(self)
 
@@ -217,7 +219,7 @@ def table_digest(order: int, chunks: Iterable[bytes]) -> str:
 
 
 @dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Refrozen):
     """A validated subgroup, stored as sorted member indices of the parent."""
 
     parent: FiniteGroup
@@ -279,22 +281,29 @@ class Subgroup:
 
 
 @dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(_Refrozen):
     """Left cosets of a normal subgroup, with the induced group on coset indices.
 
     Cosets are enumerated in increasing order of their smallest member, and
     each coset's representative is that smallest member.  `proj[x]` is the
     coset index of element x; `table` is the quotient as a plain FiniteGroup,
     built on first read from |G/N|^2 products of representatives.
+
+    `fiber` is K/N when the group is a product H x| K (its `split`) and N
+    lies in the K fiber, else None: (h, k)N = (h, kN), so G/N is read off it.
     """
 
     parent: FiniteGroup
     normal: Subgroup
     reps: tuple[int, ...]
     proj: tuple[int, ...]
+    fiber: QuotientGroup | None = field(default=None, compare=False, repr=False)
 
     def __hash__(self) -> int:
         return hash((self.normal, self.reps))
+
+    def __getstate__(self) -> dict:   # `fiber_action` holds weak references; it is built again
+        return {name: value for name, value in vars(self).items() if name != "fiber_action"}
 
     @property
     def order(self) -> int:
@@ -335,7 +344,7 @@ class QuotientGroup:
     def fiber_action(self) -> FiberAction | None:
         """The tables of the module action's fiber-Fourier route over this
         quotient, or None where it does not apply (`SemidirectGroup.fiber_action`).
-        Built on first use and freed with the quotient."""
+        Built on first use, freed with the quotient and never pickled."""
         split = self.parent.split
         return None if split is None else split.fiber_action(self)
 
@@ -349,7 +358,7 @@ def _scaled(scalar: complex, values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MeasureTriple:
+class MeasureTriple(_Refrozen):
     """Per-element weights on a group, a subgroup, and the quotient.
 
     The three families satisfy the compatibility wQ * wN = wG elementwise
@@ -367,7 +376,7 @@ class MeasureTriple:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupFunction:
+class GroupFunction(_Refrozen):
     """A complex-valued function on a group, a read-only array by element index."""
 
     group: FiniteGroup
@@ -699,25 +708,26 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
     |G| products per doubling step in place of all |G| |N| products.
 
     When the group is a product H x| K (its `split`) and N lies in the K
-    fiber {e_H} x K, the doubling runs in K alone, on N's generators
-    shifted back by the fiber's base: N is normal, so theta_h(N) = N and
-    the coset (h, k)N is (h, kN).  Its least member is h |K| plus the least
+    fiber {e_H} x K, as N_K in K (`SemidirectGroup.fiber_subgroup`), N is
+    normal exactly when N_K is normal in K and no theta_h moves it, and the
+    coset (h, k)N is (h, kN).  Its least member is h |K| plus the least
     member of kN, and the cosets come h by h, so reps = h |K| + reps_K and
-    proj = h |K/N| + proj_K, the same tuples from |K| products per step.
+    proj = h |K/N| + proj_K: K/N, kept as `fiber`, from |K| products per step.
     """
-    if not is_normal(group, normal):
-        raise NormalityError(
-            "cannot form the quotient: subgroup is not normal in the group"
-        )
-    split, members = group.split, normal.members
-    base = 0 if split is None else split.h.identity * split.k.order
-    if split is None or not base <= members[0] <= members[-1] < base + split.k.order:
-        reps, proj = _coset_minima(group, normal.walk[0])
-    else:
-        reps, proj = _coset_minima(split.k, normal.walk[0] - base)
-        h = np.arange(split.h.order)[:, None]
-        reps, proj = (h * split.k.order + reps).ravel(), (h * reps.size + proj).ravel()
-    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()))
+    split = group.split
+    in_k = None if split is None else split.fiber_subgroup(normal)
+    if in_k is not None:
+        split._require_invariant(in_k)
+    where, sub = (group, normal) if in_k is None else (split.k, in_k)
+    if not is_normal(where, sub):
+        raise NormalityError("cannot form the quotient: subgroup is not normal in the group")
+    reps, proj = _coset_minima(where, sub.walk[0])
+    quot = QuotientGroup(where, sub, tuple(reps.tolist()), tuple(proj.tolist()))
+    if in_k is None:
+        return quot
+    h = np.arange(split.h.order)[:, None]
+    reps, proj = (h * where.order + reps).ravel(), (h * reps.size + proj).ravel()
+    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()), quot)
 
 
 def _coset_minima(group: FiniteGroup, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

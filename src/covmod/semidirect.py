@@ -65,7 +65,6 @@ from .groups import (
     QuotientGroup,
     Subgroup,
     cyclic_coordinates,
-    full_subgroup,
     make_cyclic,
     quotient,
     _check_order,
@@ -73,12 +72,12 @@ from .groups import (
     _frozen,
     _int_rows,
     _real_form,
-    _refrozen,
+    _Refrozen,
 )
 
 
 @dataclass(frozen=True, eq=False)
-class SemidirectGroup:
+class SemidirectGroup(_Refrozen):
     """H acting on K: the factors, the action as a read-only int32 array,
     `action[h, k]` = theta_h(k), and the product group.  The product keeps
     this object as its `split`, so that it multiplies from the factors and
@@ -93,9 +92,6 @@ class SemidirectGroup:
     def __getstate__(self) -> dict:
         # a weak reference does not pickle: an unpickled product restores it
         return {**vars(self), "_product": None}
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(_refrozen(state))
 
     def _hold(self, product: FiniteGroup) -> None:
         object.__setattr__(self, "_product", weakref.ref(product))
@@ -237,21 +233,37 @@ class SemidirectGroup:
         out = self.transform(out.swapaxes(-1, -2), np.fft.ifft)
         return out.take(pos, axis=-1).reshape(*lead, nh * nk)
 
+    def fiber_subgroup(self, sub: Subgroup) -> Subgroup | None:
+        """The subgroup of K that `lift_subgroup` lifts to `sub`, a subgroup of
+        the product, or None when `sub` does not lie in the K fiber."""
+        if sub.parent.split is not self:
+            raise DomainMismatchError("subgroup belongs to a different group")
+        base, members = self.h.identity * self.k.order, sub.members
+        if not base <= members[0] <= members[-1] < base + self.k.order:
+            return None
+        return _shifted(self.k, sub, -base)
+
+    def _require_invariant(self, sub: Subgroup) -> None:
+        """Raise `NormalityError` naming the first member of `sub` in K that a theta_h moves."""
+        members = np.array(sub.members)
+        inside = np.zeros(self.k.order, dtype=bool)
+        inside[members] = True
+        moved = ~inside[self.action[:, members]]
+        if moved.any():
+            h, j = np.argwhere(moved)[0]
+            s = int(members[j])
+            raise NormalityError(
+                f"subgroup is not preserved by the action: row {h} moves "
+                f"{s} to {self.action[h, s]}"
+            )
+
     def fiber_action(self, quot: QuotientGroup) -> FiberAction | None:
         """The module action's tables over `quot`, a quotient of this product,
-        when K is abelian and the normal subgroup lies in the K fiber;
-        otherwise None.  `QuotientGroup.fiber_action` keeps the result."""
-        nh, nk = self.h.order, self.k.order
-        members = np.array(quot.normal.members) - self.h.identity * nk
-        if not self.k.is_abelian or members[0] < 0 or members[-1] >= nk:
+        when K is abelian and `quot` keeps K / N (`fiber`); otherwise None.
+        `QuotientGroup.fiber_action` keeps the result."""
+        if quot.fiber is None or not self.k.is_abelian:
             return None
-        # the coset of (h, k) is (h, kN): its representative is (h, r) for the
-        # same representatives r of K / N at every h
-        reps = np.array(quot.reps).reshape(nh, -1) - nk * np.arange(nh)[:, None]
-        if not (reps == reps[0]).all():
-            return None
-        # k -> (e_H, k) keeps the order, so N's walk in G is its walk in K
-        return FiberAction(self, members, reps[0], quot.normal.walk[0] - self.h.identity * nk)
+        return FiberAction(self, quot.fiber)
 
 
 class FiberAction:
@@ -287,24 +299,21 @@ class FiberAction:
     that each output point (h, omega) reads f^ at: |H| / o points share a u,
     and their psi^ terms form an (|H| / o) x |H| matrix against the vector
     f^(., u), so the work stays |H|^2 |K/N|.  One gather back puts the sums
-    in (h, omega) order.
+    in (h, omega) order.  N, the r and K in coset order, r n at [r, n], come
+    from `fiber`, the K / N that `quotient` keeps.
     """
 
-    def __init__(
-        self, sd: SemidirectGroup, members: np.ndarray, reps: np.ndarray, gens: np.ndarray
-    ) -> None:
+    def __init__(self, sd: SemidirectGroup, fiber: QuotientGroup) -> None:
         _, coords, elem, pos, dual, exponent, pulled = sd.dual_grid
+        members, reps, gens = np.array(fiber.normal.members), np.array(fiber.reps), fiber.normal.walk[0]
         nh, nkn = sd.h.order, reps.size
         roots = _roots_of_unity(exponent)
         on_gens = dual @ coords[gens].T % exponent     # phases of each chi_omega on N's generators
         perp = np.flatnonzero(~on_gens.any(axis=1))
         table = dual[perp] @ coords[reps].T            # chi_nu(r) for nu in N^perp, over E
         perm = np.searchsorted(perp, pulled[:, perp])  # chi_nu o theta_a = the perm[a, nu]-th of N^perp
-        self.sd, self.roots, self.elem = sd, roots, elem
+        self.sd, self.fiber, self.roots, self.elem = sd, fiber, roots, elem
         self.gen_slots = np.searchsorted(members, gens).tolist()
-        # K in coset order, r n at [r, n]; None where that is K's own order
-        cosets = sd.k.table[np.ix_(reps, members)].astype(np.intp).ravel()
-        self.cosets = None if (cosets == np.arange(cosets.size)).all() else _frozen(cosets)[0]
         self.on_gens, self.perp, self.member_coords, self.rep_coords = _frozen(
             on_gens, perp, coords[members].T, coords[reps].T
         )
@@ -367,7 +376,7 @@ class FiberAction:
     def _cosets_of(self, omega: np.ndarray) -> np.ndarray:
         """The grid index of chi_omega nu at [i, nu] for each omega[i]."""
         _, _, _, pos, *_ = self.sd.dual_grid
-        return pos[self.sd.k.table[self.elem[omega][:, None], self.elem[self.perp]]]
+        return pos[self.sd.k.multiply(self.elem[omega][:, None], self.elem[self.perp])]
 
     def _orbit_tables(self, first: np.ndarray) -> tuple:
         """The projection onto U = w N^perp, w in `first`: conj(chi_w(n)) / |N|
@@ -383,10 +392,7 @@ class FiberAction:
         spread, back, phase, unphase, (along_n, on_r) = tables
         sd = self.sd
         nh, nk, nkn = sd.h.order, sd.k.order, self.perp.size
-        rows = wf.reshape(-1, nk)
-        if self.cosets is not None:
-            rows = rows.take(self.cosets, axis=-1)
-        rows = np.ascontiguousarray(rows, dtype=complex)
+        rows = np.ascontiguousarray(self.fiber.on_grid(wf.reshape(-1, nk)), dtype=complex)
         on_n = (rows.view(np.float64).reshape(-1, along_n.shape[0]) @ along_n).view(complex)
         on_w = (on_n.reshape(-1, nkn, on_r.shape[0]).swapaxes(1, 2) * on_r).reshape(-1, nkn)
         on_u = (on_w @ self.forward).reshape(*wf.shape[:-1], nh, on_r.size)   # f^(a, u)
@@ -436,13 +442,15 @@ def semidirect(
     if not np.array_equal(arr[h_group.identity], np.arange(nk)):
         raise ValidationError("the identity of H must act as the identity map on K")
 
-    gens, _, _, at = full_subgroup(k_group).walk
+    gens = k_group.walk[0]
+    at = k_group.multiply(gens[:, None], np.arange(nk))
     # theta_h(g_j k) against theta_h(g_j) theta_h(k) at [h, j, k], for K's generators
     bad = arr[:, at] != k_group.table[arr[:, gens, None], arr[:, None]]
     if bad.any():
         h, j, k = np.argwhere(bad)[0]
         raise ValidationError(f"action row {h} is not multiplicative at pair ({gens[j]}, {k})")
-    gens, _, _, at = full_subgroup(h_group).walk
+    gens = h_group.walk[0]
+    at = h_group.multiply(gens[:, None], np.arange(nh))
     # theta_{g_j h} against theta_{g_j} after theta_h at [j, h], for H's generators
     bad = (arr[at] != arr[gens][:, arr]).any(axis=2)
     if bad.any():
@@ -489,35 +497,27 @@ def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:
         raise DomainMismatchError("subgroup does not live in the K factor")
     if not 0 <= h < sd.h.order:
         raise DomainMismatchError(f"element {h} is outside H")
-    members = np.array(sub.members)
-    moved = ~np.isin(sd.action[:, members], members)
-    if moved.any():
-        hh, j = np.argwhere(moved)[0]               # the first in row-major order
-        s = int(members[j])
-        raise NormalityError(
-            f"subgroup is not preserved by the action: row {hh} moves "
-            f"{s} to {sd.action[hh, s]}"
-        )
+    sd._require_invariant(sub)
     return 1.0
 
 
 def lift_subgroup(sd: SemidirectGroup, sub: Subgroup) -> Subgroup:
-    """View a subgroup of K as a subgroup of the product, via k -> (e_H, k).
-
-    The lifted subgroup takes K's walk over instead of walking the product:
-    `semidirect` checks that H's identity acts as the identity map, so
-    k -> (e_H, k) = base + k is an injective homomorphism that keeps the
-    order of indices.  `generating_set` on the lifted members thus picks the
-    generators shifted by `base`, with the same words, relations and `at`,
-    and `sub.walk` has already checked closure in K.
-    """
+    """View a subgroup of K as a subgroup of the product, via k -> (e_H, k),
+    with K's walk (`_shifted`), which has already checked closure in K."""
     if sub.parent is not sd.k:
         raise DomainMismatchError("subgroup does not live in the K factor")
-    base = sd.h.identity * sd.k.order
+    return _shifted(sd.product, sub, sd.h.identity * sd.k.order)
+
+
+def _shifted(parent: FiniteGroup, sub: Subgroup, by: int) -> Subgroup:
+    """`sub` moved by `by` into `parent`, between K and the K fiber, with its
+    walk: e_H acts as the identity (`semidirect`), so k -> e_H |K| + k is a
+    homomorphism that keeps the order of indices, and `generating_set` on
+    either side picks the same generators, moved, words, relations and `at`."""
     gens, words, relations, at = sub.walk
-    lifted = Subgroup(sd.product, tuple(base + s for s in sub.members))
-    vars(lifted)["walk"] = (*_frozen(gens + base), words, relations, at)   # seeds the cached property
-    return lifted
+    moved = Subgroup(parent, tuple(s + by for s in sub.members))
+    vars(moved)["walk"] = (*_frozen(gens + by), words, relations, at)   # seeds the cached property
+    return moved
 
 
 def lift_character(sd: SemidirectGroup, char: Character) -> Character:
@@ -632,19 +632,17 @@ def _require_phases(psi: CovariantFunction, expected: np.ndarray, what: str) -> 
         raise DomainMismatchError(f"character does not match the requested {what}")
 
 
-def _require_fiber(
-    sd: SemidirectGroup, psi: CovariantFunction, first: int, size: int, what: str
-) -> None:
-    """Require psi on the product, covariant over the `size` elements from
-    `first` on.  Its subgroup's order, least and largest member settle that
-    exactly: a `Subgroup` keeps its members sorted and distinct, as
-    `Subgroup.walk`, `make_character` and `pullback` rely on through
-    `searchsorted`, and `size` distinct integers from `first` to
-    `first + size - 1` are all of them."""
+def _require_fiber(sd: SemidirectGroup, psi: CovariantFunction, size: int, what: str) -> None:
+    """Require psi on the product, covariant over the first `size` elements
+    of K.  The order and largest member in K of the quotient's `fiber`
+    settle that exactly: a `Subgroup` keeps its members sorted and
+    distinct, as `Subgroup.walk`, `make_character` and `pullback` rely on
+    through `searchsorted`, and `size` distinct integers up to `size - 1`
+    are all of them."""
     if psi.group is not sd.product:
         raise DomainMismatchError("covariant function does not live on the product group")
-    members = psi.quotient.normal.members
-    if (len(members), members[0], members[-1]) != (size, first, first + size - 1):
+    fiber = psi.quotient.fiber
+    if fiber is None or (fiber.normal.order, fiber.normal.members[-1]) != (size, size - 1):
         raise DomainMismatchError(f"covariant function is not covariant over {what}")
 
 
@@ -658,7 +656,7 @@ def conv_fast_full_k(
     most |H|^2 |K| work against the |G|^2 of the structure-blind path; any
     other K takes the table route, |H|^2 |K| as well.
     """
-    _require_fiber(sd, psi, sd.h.identity * sd.k.order, sd.k.order, "the full K fiber")
+    _require_fiber(sd, psi, sd.k.order, "the full K fiber")
     return module_action(f, psi)
 
 
@@ -674,7 +672,7 @@ def conv_fast_wh_center(
     structure-blind path takes |G|^2 = m^4 r^2.
     """
     _, r = sd.shear_parameters
-    _require_fiber(sd, psi, 0, r, "the central fiber")
+    _require_fiber(sd, psi, r, "the central fiber")
     _require_phases(psi, _shear_numerators(1, r, 0, n % r), "central character index")
     return module_action(f, psi)
 

@@ -108,12 +108,16 @@ class CorpusEntry:
     group: FiniteGroup
     normal: Subgroup
     quot: QuotientGroup
-    normal_in_k: Subgroup | None = None
 
     @property
     def sd(self) -> SemidirectGroup | None:
         """The semidirect product the group was built as, if any."""
         return self.group.split
+
+    @property
+    def normal_in_k(self) -> Subgroup | None:
+        """The normal subgroup in K (the quotient's `fiber`), or None off the K fiber."""
+        return None if self.quot.fiber is None else self.quot.fiber.normal
 
     @cached_property
     def characters(self) -> tuple[Character, ...]:
@@ -132,24 +136,14 @@ def symmetric_3() -> FiniteGroup:
     return make_from_table(table, labels)
 
 
-def _lifted_center_entry(name: str, sd: SemidirectGroup) -> CorpusEntry:
+def _center_entry(name: str, sd: SemidirectGroup) -> CorpusEntry:
     center = group_center(sd.product)
-    nk = sd.k.order
-    k_members = []
-    for x in center.members:
-        h, k = divmod(x, nk)
-        if h != sd.h.identity:
-            raise AssertionError("center is expected to sit inside the K fiber")
-        k_members.append(k)
-    in_k = make_subgroup(sd.k, k_members)
-    normal = lift_subgroup(sd, in_k)
-    return CorpusEntry(name, sd.product, normal, quotient(sd.product, normal), in_k)
+    return CorpusEntry(name, sd.product, center, quotient(sd.product, center))
 
 
 def _full_k_entry(name: str, sd: SemidirectGroup) -> CorpusEntry:
-    in_k = make_subgroup(sd.k, range(sd.k.order))
-    normal = lift_subgroup(sd, in_k)
-    return CorpusEntry(name, sd.product, normal, quotient(sd.product, normal), in_k)
+    normal = lift_subgroup(sd, make_subgroup(sd.k, range(sd.k.order)))
+    return CorpusEntry(name, sd.product, normal, quotient(sd.product, normal))
 
 
 def builtin_corpus() -> list[CorpusEntry]:
@@ -167,11 +161,11 @@ def builtin_corpus() -> list[CorpusEntry]:
     a3 = make_subgroup(s3, (0, 3, 4))
     entries.append(CorpusEntry("S3/A3", s3, a3, quotient(s3, a3)))
 
-    entries.append(_lifted_center_entry("Heis2/center", heisenberg_finite(2)))
-    entries.append(_lifted_center_entry("Heis3/center", heisenberg_finite(3)))
+    entries.append(_center_entry("Heis2/center", heisenberg_finite(2)))
+    entries.append(_center_entry("Heis3/center", heisenberg_finite(3)))
 
     wh24 = weyl_heisenberg_finite(2, 4)
-    entries.append(_lifted_center_entry("WH(2,4)/center", wh24))
+    entries.append(_center_entry("WH(2,4)/center", wh24))
     entries.append(_full_k_entry("WH(2,4)/K", wh24))
 
     z2, z3 = make_cyclic(2), make_cyclic(3)
@@ -430,8 +424,7 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
     mismatched = np.count_nonzero(entry.quot.table.table != induced.product.table)
     structural.append(float(mismatched))
 
-    qk = quotient(sd.k, entry.normal_in_k)
-
+    qk = entry.quot.fiber
     # the quotient element at (h, K/N coset j), and its weight d_k[h]
     cosets = [
         entry.quot.proj[sd.pair_index(h, rep)] for h in range(sd.h.order) for rep in qk.reps

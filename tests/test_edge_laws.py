@@ -696,3 +696,29 @@ def test_the_trivial_subgroup_takes_only_the_zero_phase(phase):
     assert make_character(e, [0]).phases == (0,)
     with pytest.raises(ValidationError, match=r"pair \(0, 0\)"):
         make_character(e, [phase])
+
+
+def _check_fiber_record(sd):
+    """`quotient` by each normal subgroup of the product inside its K fiber
+    keeps K / N as `quotient(K, N_K)` gives it; the same quotient of the
+    table read back with no split keeps none."""
+    g = sd.product
+    plain = make_from_table(g.table.tolist())
+    in_k = {tuple(range(sd.k.order))}
+    in_k |= {tuple(np.flatnonzero(generating_set(sd.k, [x])[3]).tolist()) for x in range(sd.k.order)}
+    for members in sorted(in_k):
+        sub = make_subgroup(sd.k, members)
+        lifted = lift_subgroup(sd, sub)
+        if is_normal(g, lifted):
+            got, want = quotient(g, lifted).fiber, quotient(sd.k, sub)
+            assert got.parent is sd.k, members
+            assert (got.normal.members, got.reps, got.proj) == (members, want.reps, want.proj)
+            assert quotient(plain, make_subgroup(plain, lifted.members)).fiber is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=_groups(), h=_groups(non_cyclic=["S3"], cyclic_up_to=4), data=st.data())
+def test_fiber_quotients_keep_k_mod_n(k, h, data):
+    rows = data.draw(_actions(h, k))
+    if _refusal(lambda: semidirect(h, k, rows)) is None:
+        _check_fiber_record(semidirect(h, k, rows))

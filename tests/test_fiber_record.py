@@ -1,0 +1,191 @@
+"""The fiber record: a quotient of H x| K by an N inside the K fiber keeps
+K / N as `QuotientGroup.fiber`.
+
+The record must be what `quotient(K, N_K)` gives, and None off the fiber
+and on a group with no split.  `quotient` decides normality in K and under
+the action, never by conjugating over the whole product.  A quotient that
+the module action has used pickles, with every array read-only again.
+"""
+
+import pickle
+import random
+
+import numpy as np
+import pytest
+
+from covmod import (
+    GroupFunction,
+    counting_measure,
+    delta_factor,
+    enumerate_characters,
+    is_normal,
+    lift_subgroup,
+    make_cyclic,
+    make_from_table,
+    make_product,
+    make_subgroup,
+    module_action,
+    quotient,
+    random_function,
+    symmetric_3,
+    t_xi,
+    weyl_heisenberg_finite,
+)
+from covmod import groups
+from covmod.errors import DomainMismatchError, NormalityError
+from covmod.groups import full_subgroup, generating_set
+from covmod.verify import builtin_corpus
+
+
+def _subgroups_of_k(k):
+    """K, the trivial group and every cyclic subgroup of K, as member tuples."""
+    found = {tuple(range(k.order)), (k.identity,)}
+    found |= {tuple(np.flatnonzero(generating_set(k, [x])[3]).tolist()) for x in range(k.order)}
+    return sorted(found)
+
+
+def _products():
+    seen = []
+    for entry in builtin_corpus():
+        if entry.sd is not None and all(entry.sd is not sd for sd in seen):
+            seen.append(entry.sd)
+    return seen
+
+
+def _parts(q):
+    return q.normal.members, q.reps, q.proj
+
+
+def test_the_record_is_k_mod_n_on_every_corpus_product():
+    checked = 0
+    for sd in _products():
+        g = sd.product
+        plain = make_from_table(g.table.tolist())
+        for members in _subgroups_of_k(sd.k):
+            sub = make_subgroup(sd.k, members)
+            lifted = lift_subgroup(sd, sub)
+            if not is_normal(g, lifted):
+                with pytest.raises(NormalityError):
+                    quotient(g, lifted)
+                continue
+            fiber = quotient(g, lifted).fiber
+            assert fiber.parent is sd.k and fiber.fiber is None
+            assert _parts(fiber) == _parts(quotient(sd.k, sub)), members
+            assert quotient(plain, make_subgroup(plain, lifted.members)).fiber is None
+            checked += 1
+        assert quotient(g, full_subgroup(g)).fiber is None      # H is never trivial here
+    assert checked >= 10
+    for entry in builtin_corpus():
+        assert (entry.quot.fiber is None) == (entry.sd is None), entry.name
+
+
+def test_fiber_subgroup_inverts_lift_subgroup():
+    for sd in _products():
+        for members in _subgroups_of_k(sd.k):
+            sub = make_subgroup(sd.k, members)
+            back = sd.fiber_subgroup(lift_subgroup(sd, sub))
+            assert back.parent is sd.k and back.members == sub.members
+            assert all(np.array_equal(a, b) for a, b in zip(back.walk, sub.walk))
+        g = sd.product
+        made = make_subgroup(g, lift_subgroup(sd, full_subgroup(sd.k)).members)
+        assert sd.fiber_subgroup(made).walk[0].tolist() == full_subgroup(sd.k).walk[0].tolist()
+        assert sd.fiber_subgroup(full_subgroup(g)) is None
+        with pytest.raises(DomainMismatchError):
+            sd.fiber_subgroup(full_subgroup(sd.k))
+
+
+def test_a_normal_subgroup_off_the_fiber_keeps_no_record():
+    z2z3 = make_product(make_cyclic(2), make_cyclic(3))
+    assert quotient(z2z3, make_subgroup(z2z3, (0, 3))).fiber is None    # H x {e}
+    z4 = make_cyclic(4)
+    assert quotient(z4, make_subgroup(z4, (0, 2))).fiber is None        # no split
+
+
+def _is_normal_groups(monkeypatch):
+    """The groups `is_normal` runs in, recorded call by call."""
+    seen, check = [], groups.is_normal
+
+    def spy(group, sub):
+        seen.append(group)
+        return check(group, sub)
+
+    monkeypatch.setattr(groups, "is_normal", spy)
+    return seen
+
+
+def test_the_fiber_path_decides_normality_in_k(monkeypatch):
+    seen = _is_normal_groups(monkeypatch)
+    for sd in _products():
+        for members in _subgroups_of_k(sd.k):
+            lifted = lift_subgroup(sd, make_subgroup(sd.k, members))
+            seen.clear()
+            try:
+                quotient(sd.product, lifted)
+            except NormalityError:
+                pass
+            assert all(group is sd.k for group in seen), members
+    z2z3 = make_product(make_cyclic(2), make_cyclic(3))
+    seen.clear()
+    quotient(z2z3, make_subgroup(z2z3, (0, 3)))
+    assert len(seen) == 1 and seen[0] is z2z3      # off the fiber: the generic path
+
+
+def test_a_fiber_subgroup_moved_by_the_action_is_refused_with_its_witness():
+    sd = weyl_heisenberg_finite(2, 4)
+    # {(0,0), (1,0)} is normal in the abelian K, but the shear moves (1,0) to (1,2)
+    sub = make_subgroup(sd.k, (0, 4))
+    with pytest.raises(NormalityError) as by_delta:
+        delta_factor(sd, sub, 0)
+    with pytest.raises(NormalityError, match="row 1 moves 4 to 6$") as by_quotient:
+        quotient(sd.product, lift_subgroup(sd, sub))
+    assert str(by_quotient.value) == str(by_delta.value)
+
+
+def test_a_subgroup_not_normal_in_k_is_refused(monkeypatch):
+    seen = _is_normal_groups(monkeypatch)
+    g = make_product(make_cyclic(2), symmetric_3())     # the identity action on S3
+    sd = g.split
+    lifted = lift_subgroup(sd, make_subgroup(sd.k, (0, 1)))
+    with pytest.raises(NormalityError, match="not normal"):
+        quotient(g, lifted)
+    assert len(seen) == 1 and seen[0] is sd.k
+
+
+def _arrays(obj, path, seen):
+    """Every numpy array reachable from a covmod object, with its path."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, x in enumerate(obj):
+            yield from _arrays(x, f"{path}[{i}]", seen)
+    elif isinstance(obj, dict):
+        for name, x in obj.items():
+            yield from _arrays(x, f"{path}.{name}", seen)
+    elif type(obj).__module__.startswith("covmod") and hasattr(obj, "__dict__"):
+        yield from _arrays(vars(obj), path, seen)
+
+
+def test_a_quotient_used_by_the_module_action_pickles():
+    sd = weyl_heisenberg_finite(2, 4)
+    k = lift_subgroup(sd, make_subgroup(sd.k, range(8)))
+    char = enumerate_characters(k)[3]
+    rng = random.Random("pickle")
+    f, h = random_function(sd.product, rng), random_function(sd.product, rng)
+    psi = t_xi(h, char)
+    want = module_action(f, psi).section
+    assert psi.quotient.fiber_action is not None
+    back = pickle.loads(pickle.dumps(psi))
+    assert "fiber_action" not in vars(back.quotient)
+    assert back.quotient == psi.quotient and back.quotient.fiber == psi.quotient.fiber
+    arrays = list(_arrays(back, "psi", set()))
+    assert any(".fiber." in path for path, _ in arrays)
+    assert [path for path, arr in arrays if arr.flags.writeable] == []
+    got = module_action(GroupFunction(back.group, f.values), back)
+    assert back.quotient.fiber_action is not None
+    assert np.array_equal(got.section, want)
+    for obj in (f, counting_measure(psi.quotient)):
+        loaded = pickle.loads(pickle.dumps(obj))
+        assert [path for path, arr in _arrays(loaded, "", set()) if arr.flags.writeable] == []
