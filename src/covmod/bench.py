@@ -47,10 +47,20 @@ def _shear_character(sd: SemidirectGroup, numerators) -> Character:
     return make_character(sub, [Fraction(v, size) for v in numerators.tolist()])
 
 
+def _times_per_call(routes: dict, repetitions: int) -> dict:
+    """The median seconds of one call of each route, by name, timed
+    round-robin, one call of each route per round: a host stall falls on
+    every route alike, and a single stalled call moves no median."""
+    for fn in routes.values():
+        fn()  # warm up allocations and bytecode before the clock starts
+    timers = {name: timeit.Timer(fn) for name, fn in routes.items()}
+    rounds = [{name: t.timeit(1) for name, t in timers.items()} for _ in range(repetitions)]
+    return {name: statistics.median(times[name] for times in rounds) for name in routes}
+
+
 def _time_per_call(fn, repetitions: int) -> float:
-    """The median seconds of one call, so a single host stall cannot move it."""
-    fn()  # warm up allocations and bytecode before the clock starts
-    return statistics.median(timeit.repeat(fn, number=1, repeat=repetitions))
+    """`_times_per_call` of one route."""
+    return _times_per_call({None: fn}, repetitions)[None]
 
 
 def _run_variant(
@@ -74,13 +84,11 @@ def _run_variant(
             f"{name!r} (residual {agreement:.3e}); refusing to time a wrong answer"
         )
 
-    seconds = {
-        "full_convolution": _time_per_call(
-            lambda: full_module_action(f, psi), repetitions
-        ),
-        "per_coset": _time_per_call(lambda: module_action(f, psi), repetitions),
-        "checked": _time_per_call(lambda: fast(sd, f, psi), repetitions),
-    }
+    seconds = _times_per_call({
+        "full_convolution": lambda: full_module_action(f, psi),
+        "per_coset": lambda: module_action(f, psi),
+        "checked": lambda: fast(sd, f, psi),
+    }, repetitions)
     floor = max(seconds["checked"], 1e-12)
     return {
         "name": name,
@@ -109,22 +117,13 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
     n = 1 % r
     y = 1 % m
     variants = [
-        _run_variant(
-            sd,
-            f"center n={n}",
-            _shear_character(sd, _shear_numerators(1, r, 0, n)),
-            lambda s, f, p: conv_fast_wh_center(s, f, p, n),
-            rng,
-            repetitions,
-        ),
-        _run_variant(
-            sd,
-            f"fiber y={y} n={n}",
-            _shear_character(sd, _shear_numerators(m, r, y, n)),
-            lambda s, f, p: conv_fast_wh_full(s, f, p, y, n),
-            rng,
-            repetitions,
-        ),
+        _run_variant(sd, name, _shear_character(sd, numerators), fast, rng, repetitions)
+        for name, numerators, fast in (
+            (f"center n={n}", _shear_numerators(1, r, 0, n),
+             lambda s, f, p: conv_fast_wh_center(s, f, p, n)),
+            (f"fiber y={y} n={n}", _shear_numerators(m, r, y, n),
+             lambda s, f, p: conv_fast_wh_full(s, f, p, y, n)),
+        )
     ]
     return {
         "m": m,

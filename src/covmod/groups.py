@@ -8,8 +8,10 @@ table on first read, or at once for a direct product (`make_product`).
 Every product of elements in subgroup checks, normality, quotients, coset
 grids, the generator walk, the center and character enumeration goes
 through `FiniteGroup.multiply`, which reads the table when the group has
-one and the factors otherwise.  Function values and weights are read-only
-complex128 and float64 arrays, converted once from any sequence of numbers.
+one and the factors otherwise; a product takes its quotients by the
+subgroups of its K fiber itself (`SemidirectGroup.fiber_quotient`).
+Function values and weights are read-only complex128 and float64 arrays,
+converted once from any sequence of numbers.
 
 An explicit table is validated exactly at every order.  Associativity uses
 Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
@@ -289,8 +291,8 @@ class QuotientGroup(_Refrozen):
     coset index of element x; `table` is the quotient as a plain FiniteGroup,
     built on first read from |G/N|^2 products of representatives.
 
-    `fiber` is K/N when the group is a product H x| K (its `split`) and N
-    lies in the K fiber, else None: (h, k)N = (h, kN), so G/N is read off it.
+    `fiber` is K/N = `quotient(K, N_K)`, with its own `fiber`, when the group
+    is a product H x| K (its `split`) and N lies in the K fiber, else None.
     """
 
     parent: FiniteGroup
@@ -705,29 +707,15 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
     Cosets appear in increasing order of their smallest member, which also
     serves as the coset representative, so the construction is canonical.
     The minima come from the generators of `normal.walk` (`_coset_minima`),
-    |G| products per doubling step in place of all |G| |N| products.
-
-    When the group is a product H x| K (its `split`) and N lies in the K
-    fiber {e_H} x K, as N_K in K (`SemidirectGroup.fiber_subgroup`), N is
-    normal exactly when N_K is normal in K and no theta_h moves it, and the
-    coset (h, k)N is (h, kN).  Its least member is h |K| plus the least
-    member of kN, and the cosets come h by h, so reps = h |K| + reps_K and
-    proj = h |K/N| + proj_K: K/N, kept as `fiber`, from |K| products per step.
+    |G| products per doubling step in place of all |G| |N| products.  An N
+    in the K fiber of a product is left to its `split.fiber_quotient`.
     """
-    split = group.split
-    in_k = None if split is None else split.fiber_subgroup(normal)
-    if in_k is not None:
-        split._require_invariant(in_k)
-    where, sub = (group, normal) if in_k is None else (split.k, in_k)
-    if not is_normal(where, sub):
+    if group.split is not None and (fiber := group.split.fiber_quotient(normal)) is not None:
+        return fiber
+    if not is_normal(group, normal):
         raise NormalityError("cannot form the quotient: subgroup is not normal in the group")
-    reps, proj = _coset_minima(where, sub.walk[0])
-    quot = QuotientGroup(where, sub, tuple(reps.tolist()), tuple(proj.tolist()))
-    if in_k is None:
-        return quot
-    h = np.arange(split.h.order)[:, None]
-    reps, proj = (h * where.order + reps).ravel(), (h * reps.size + proj).ravel()
-    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()), quot)
+    reps, proj = _coset_minima(group, normal.walk[0])
+    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()))
 
 
 def _coset_minima(group: FiniteGroup, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

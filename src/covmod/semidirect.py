@@ -66,7 +66,6 @@ from .groups import (
     Subgroup,
     cyclic_coordinates,
     make_cyclic,
-    quotient,
     _check_order,
     _distinct,
     _frozen,
@@ -256,6 +255,21 @@ class SemidirectGroup(_Refrozen):
                 f"subgroup is not preserved by the action: row {h} moves "
                 f"{s} to {self.action[h, s]}"
             )
+
+    def fiber_quotient(self, sub: Subgroup) -> QuotientGroup | None:
+        """`quotient(product, sub)` for `sub` in the K fiber, as N_K in K
+        (`fiber_subgroup`), else None.  N is normal when no theta_h moves N_K
+        and N_K is normal in K, and the coset (h, k)N is (h, kN), whose least
+        member is h |K| plus kN's: h by h, reps = h |K| + reps_K and proj =
+        h |K/N| + proj_K, read off K/N = `quotient(K, N_K)`, kept as `fiber`."""
+        in_k = self.fiber_subgroup(sub)
+        if in_k is None:
+            return None
+        self._require_invariant(in_k)
+        fiber = in_k.quotient
+        h = np.arange(self.h.order)[:, None]
+        reps, proj = (h * self.k.order + fiber.reps).ravel(), (h * fiber.order + fiber.proj).ravel()
+        return QuotientGroup(sub.parent, sub, tuple(reps.tolist()), tuple(proj.tolist()), fiber)
 
     def fiber_action(self, quot: QuotientGroup) -> FiberAction | None:
         """The module action's tables over `quot`, a quotient of this product,
@@ -528,10 +542,10 @@ def lift_character(sd: SemidirectGroup, char: Character) -> Character:
 
 def quotient_action(sd: SemidirectGroup, sub: Subgroup) -> tuple[QuotientGroup, np.ndarray]:
     """The induced action of H on K / N for an action-invariant normal N:
-    K / N and a read-only int array whose [h, c] entry is the coset of
-    theta_h(reps[c])."""
+    K / N, the subgroup's kept `quotient`, and a read-only int array whose
+    [h, c] entry is the coset of theta_h(reps[c])."""
     delta_factor(sd, sub, sd.h.identity)  # validates invariance
-    qk = quotient(sd.k, sub)
+    qk = sub.quotient
     return qk, _frozen(np.asarray(qk.proj)[sd.action[:, qk.reps]])[0]
 
 

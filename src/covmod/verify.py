@@ -383,15 +383,14 @@ def check_covariance_shape(entry: CorpusEntry, seed: int, trials: int, tol: floa
     if sd is None or entry.normal_in_k is None:
         return None
     quot, nk = entry.quot, sd.k.order
-    base = sd.h.identity * nk
     hs = np.arange(sd.h.order)
     members = np.array(entry.normal_in_k.members)
-    rows = sd.action[sd.h.inv]                       # rows[h] = theta_{h^-1}
+    slots = np.searchsorted(members, sd.action[sd.h.inv][:, members])   # theta_{h^-1}(s) in N
     anchors, points = hs * nk + sd.k.identity, hs[:, None] * nk + members
 
     def evaluate(char: Character, psi: np.ndarray) -> np.ndarray:
         # psi(h, s) = xi(theta_{h^-1}(s)) * psi(h, e_K) for s in N
-        phases = np.array([[char.value(base + int(x)) for x in row[members]] for row in rows])
+        phases = char.complex_values[slots]
         full = _on_group(psi, char, quot)
         return np.abs(full[..., points] - phases * full[..., anchors, None])
 

@@ -698,10 +698,16 @@ def test_the_trivial_subgroup_takes_only_the_zero_phase(phase):
         make_character(e, [phase])
 
 
+def _records(q):
+    """Members, reps and proj of q and of each `fiber` below it, outermost first."""
+    return [] if q is None else [(q.normal.members, q.reps, q.proj), *_records(q.fiber)]
+
+
 def _check_fiber_record(sd):
     """`quotient` by each normal subgroup of the product inside its K fiber
-    keeps K / N as `quotient(K, N_K)` gives it; the same quotient of the
-    table read back with no split keeps none."""
+    keeps K / N as `quotient(K, N_K)` gives it, down to the record that
+    keeps when K is a product; the same quotient of the table read back
+    with no split keeps none."""
     g = sd.product
     plain = make_from_table(g.table.tolist())
     in_k = {tuple(range(sd.k.order))}
@@ -712,7 +718,7 @@ def _check_fiber_record(sd):
         if is_normal(g, lifted):
             got, want = quotient(g, lifted).fiber, quotient(sd.k, sub)
             assert got.parent is sd.k, members
-            assert (got.normal.members, got.reps, got.proj) == (members, want.reps, want.proj)
+            assert got.normal.members == members and _records(got) == _records(want), members
             assert quotient(plain, make_subgroup(plain, lifted.members)).fiber is None
 
 

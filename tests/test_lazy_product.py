@@ -370,6 +370,15 @@ def _coset_minima_groups(monkeypatch):
     return seen
 
 
+def _in_k(group, sd):
+    """Whether `group` is K or, when K is a product, a K factor below it."""
+    while sd is not None:
+        if group is sd.k:
+            return True
+        sd = sd.k.split
+    return False
+
+
 def _table_route(g, members):
     """reps and proj of `quotient` on g's table read back with no split."""
     plain = make_from_table(g.table.tolist())
@@ -398,7 +407,7 @@ def test_fiber_quotients_match_the_table_route_on_the_corpus(monkeypatch):
                 continue
             seen.clear()
             q = quotient(sd.product, lifted)
-            assert seen == [sd.k], (entry.name, members)      # the fiber route ran
+            assert len(seen) == 1 and _in_k(seen[0], sd), (entry.name, members)   # the fiber route ran
             assert (q.reps, q.proj) == _table_route(sd.product, lifted.members), (entry.name, members)
             checked += 1
     assert checked >= 20
@@ -418,7 +427,7 @@ def test_a_subgroup_made_on_the_product_takes_the_fiber_route(monkeypatch):
                     (wh, make_subgroup(wh.product, range(8)))):
         seen.clear()
         q = quotient(sd.product, sub)
-        assert seen == [sd.k]
+        assert len(seen) == 1 and _in_k(seen[0], sd)
         assert (q.reps, q.proj) == _table_route(sd.product, sub.members)
 
 
