@@ -58,11 +58,6 @@ def _times_per_call(routes: dict, repetitions: int) -> dict:
     return {name: statistics.median(times[name] for times in rounds) for name in routes}
 
 
-def _time_per_call(fn, repetitions: int) -> float:
-    """`_times_per_call` of one route."""
-    return _times_per_call({None: fn}, repetitions)[None]
-
-
 def _run_variant(
     sd: SemidirectGroup,
     name: str,

@@ -23,6 +23,7 @@ from .errors import DomainMismatchError, ResourceError, ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _element,
     _frozen,
     _real_form,
     _Refrozen,
@@ -150,7 +151,7 @@ class Character(_Refrozen):
     def value(self, s: int) -> complex:
         """The character's value at a parent element index."""
         try:
-            return complex(self.complex_values[self.domain.position[s]])
+            return complex(self.complex_values[self.domain.position[_element(self.domain.parent, s)]])
         except KeyError:
             raise DomainMismatchError(
                 f"element {s} is not a member of the character's domain"

@@ -21,6 +21,7 @@ from .groups import (
     GroupFunction,
     MeasureTriple,
     QuotientGroup,
+    _element,
     _family,
     _p_norms,
     _real_form,
@@ -54,7 +55,7 @@ class CovariantFunction(_Refrozen):
     def value_at(self, x: int) -> complex:
         """The function's value at any group element, extended by covariance."""
         q = self.quotient
-        i = q.proj[x]
+        i = q.proj[_element(q.parent, x)]
         s = int(q.parent.multiply(q.parent.inv[q.reps[i]], x))
         return self.character.value(s) * complex(self.section[i])
 

@@ -78,6 +78,15 @@ class _Refrozen:
         vars(self).update(state)
 
 
+def _element(group: FiniteGroup, x) -> int:
+    """x as an int, refused with `DomainMismatchError` unless it is an integer,
+    not a bool, in 0..|G|-1: numpy would wrap a negative index and read a
+    bool as a mask."""
+    if type(x) is bool or not isinstance(x, (int, np.integer)) or not 0 <= x < group.order:
+        raise DomainMismatchError(f"element {x!r} is not an element index of 0..{group.order - 1}")
+    return int(x)
+
+
 def _real_form(table: np.ndarray) -> np.ndarray:
     """The real (2n x 2u) form of a complex (n x u) matrix: z.view(float) @ it
     is (z @ table).view(float).  It runs faster than the complex product and
@@ -92,7 +101,8 @@ def _real_form(table: np.ndarray) -> np.ndarray:
 
 def _vector(values, dtype: type, what: str, length: int | None = None) -> np.ndarray:
     """A read-only 1-D copy of `values` as `dtype`; bools, strings and, for
-    float, complex entries are refused, not converted."""
+    float, complex entries are refused, not converted.  Float vectors are
+    weights, and an infinite or NaN weight is refused with `MeasureError`."""
     try:
         arr = np.array(values)
     except (TypeError, ValueError):  # ragged nesting
@@ -102,7 +112,11 @@ def _vector(values, dtype: type, what: str, length: int | None = None) -> np.nda
     expected = arr.size if length is None else length
     if arr.shape != (expected,):
         raise DomainMismatchError(f"{what} has shape {arr.shape}, expected ({expected},)")
-    return _frozen(arr if arr.dtype == dtype else arr.astype(dtype))[0]
+    arr = arr if arr.dtype == dtype else arr.astype(dtype)
+    if dtype is float and not np.isfinite(arr).all():
+        i = int(np.argmin(np.isfinite(arr)))
+        raise MeasureError(f"{what} must be finite, got {arr[i]} at element {i}")
+    return _frozen(arr)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +296,13 @@ class Subgroup(_Refrozen):
         return quotient(self.parent, self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientGroup(_Refrozen):
     """Left cosets of a normal subgroup, with the induced group on coset indices.
 
-    Cosets are enumerated in increasing order of their smallest member, and
-    each coset's representative is that smallest member.  `proj[x]` is the
-    coset index of element x; `table` is the quotient as a plain FiniteGroup,
+    Cosets are enumerated in increasing order of their smallest member, kept
+    in `reps`; `proj[x]` is the coset index of element x, and both are
+    read-only intp arrays.  `table` is the quotient as a plain FiniteGroup,
     built on first read from |G/N|^2 products of representatives.
 
     `fiber` is K/N = `quotient(K, N_K)`, with its own `fiber`, when the group
@@ -297,12 +311,16 @@ class QuotientGroup(_Refrozen):
 
     parent: FiniteGroup
     normal: Subgroup
-    reps: tuple[int, ...]
-    proj: tuple[int, ...]
-    fiber: QuotientGroup | None = field(default=None, compare=False, repr=False)
+    reps: np.ndarray = field(repr=False)
+    proj: np.ndarray = field(repr=False)
+    fiber: QuotientGroup | None = field(default=None, repr=False)
 
-    def __hash__(self) -> int:
-        return hash((self.normal, self.reps))
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, QuotientGroup) and (self.parent, self.normal) == (other.parent, other.normal)
+        return same and np.array_equal(self.reps, other.reps) and np.array_equal(self.proj, other.proj)
+
+    def __hash__(self) -> int:   # the cosets are canonical
+        return hash(self.normal)
 
     def __getstate__(self) -> dict:   # `fiber_action` holds weak references; it is built again
         return {name: value for name, value in vars(self).items() if name != "fiber_action"}
@@ -314,15 +332,14 @@ class QuotientGroup(_Refrozen):
     @cached_property
     def table(self) -> FiniteGroup:
         """G/N as a FiniteGroup: coset i * coset j is the coset of reps[i] * reps[j]."""
-        reps, proj = np.array(self.reps), np.array(self.proj)
+        reps, proj = self.reps, self.proj
         qtable = proj[self.parent.multiply(reps[:, None], reps)]
-        return FiniteGroup(len(reps), qtable, proj[self.parent.inv[reps]], self.proj[self.parent.identity])
+        return FiniteGroup(len(reps), qtable, proj[self.parent.inv[reps]], int(proj[self.parent.identity]))
 
     @cached_property
     def grid(self) -> np.ndarray:
         """`grid[i, j]` is reps[i] * members[j]: row i lists coset i in member order."""
-        grid = self.parent.multiply(np.array(self.reps)[:, None], self.normal.members)
-        return _frozen(grid.astype(np.intp))[0]
+        return _frozen(self.parent.multiply(self.reps[:, None], self.normal.members).astype(np.intp))[0]
 
     @cached_property
     def in_order(self) -> bool:
@@ -714,8 +731,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
         return fiber
     if not is_normal(group, normal):
         raise NormalityError("cannot form the quotient: subgroup is not normal in the group")
-    reps, proj = _coset_minima(group, normal.walk[0])
-    return QuotientGroup(group, normal, tuple(reps.tolist()), tuple(proj.tolist()))
+    return QuotientGroup(group, normal, *_frozen(*_coset_minima(group, normal.walk[0])))
 
 
 def _coset_minima(group: FiniteGroup, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -846,10 +862,8 @@ def _p_norms(values: np.ndarray, p: float, weights: np.ndarray | None = None) ->
 
 def delta_function(group: FiniteGroup, at: int) -> GroupFunction:
     """The indicator of a single element."""
-    if not 0 <= at < group.order:
-        raise DomainMismatchError(f"element {at} is outside the group")
     values = np.zeros(group.order, dtype=complex)
-    values[at] = 1.0
+    values[_element(group, at)] = 1.0
     return GroupFunction(group, values)
 
 

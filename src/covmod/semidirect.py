@@ -269,7 +269,7 @@ class SemidirectGroup(_Refrozen):
         fiber = in_k.quotient
         h = np.arange(self.h.order)[:, None]
         reps, proj = (h * self.k.order + fiber.reps).ravel(), (h * fiber.order + fiber.proj).ravel()
-        return QuotientGroup(sub.parent, sub, tuple(reps.tolist()), tuple(proj.tolist()), fiber)
+        return QuotientGroup(sub.parent, sub, *_frozen(reps, proj), fiber)
 
     def fiber_action(self, quot: QuotientGroup) -> FiberAction | None:
         """The module action's tables over `quot`, a quotient of this product,
@@ -319,7 +319,7 @@ class FiberAction:
 
     def __init__(self, sd: SemidirectGroup, fiber: QuotientGroup) -> None:
         _, coords, elem, pos, dual, exponent, pulled = sd.dual_grid
-        members, reps, gens = np.array(fiber.normal.members), np.array(fiber.reps), fiber.normal.walk[0]
+        members, reps, gens = np.array(fiber.normal.members), fiber.reps, fiber.normal.walk[0]
         nh, nkn = sd.h.order, reps.size
         roots = _roots_of_unity(exponent)
         on_gens = dual @ coords[gens].T % exponent     # phases of each chi_omega on N's generators
@@ -546,7 +546,7 @@ def quotient_action(sd: SemidirectGroup, sub: Subgroup) -> tuple[QuotientGroup, 
     [h, c] entry is the coset of theta_h(reps[c])."""
     delta_factor(sd, sub, sd.h.identity)  # validates invariance
     qk = sub.quotient
-    return qk, _frozen(np.asarray(qk.proj)[sd.action[:, qk.reps]])[0]
+    return qk, _frozen(qk.proj[sd.action[:, qk.reps]])[0]
 
 
 def induced_semidirect(sd: SemidirectGroup, sub: Subgroup) -> SemidirectGroup:

@@ -368,7 +368,7 @@ def check_full_agreement(entry: CorpusEntry, seed: int, trials: int, tol: float 
     def evaluate(char: Character, f: np.ndarray, psi: np.ndarray) -> np.ndarray:
         blind = _convolve_at(group, f, _on_group(psi, char, quot), range(group.order))
         direct = _module_action(f, psi, char, quot)
-        gaps = np.abs(blind[..., list(quot.reps)] - direct)
+        gaps = np.abs(blind[..., quot.reps] - direct)
         return np.concatenate((gaps, _covariance_gaps(blind, char)[..., None]), axis=-1)
 
     return _trial_row(
@@ -425,9 +425,7 @@ def check_semidirect_structure(entry: CorpusEntry, seed: int, trials: int, tol: 
 
     qk = entry.quot.fiber
     # the quotient element at (h, K/N coset j), and its weight d_k[h]
-    cosets = [
-        entry.quot.proj[sd.pair_index(h, rep)] for h in range(sd.h.order) for rep in qk.reps
-    ]
+    cosets = entry.quot.proj[sd.pair_index(np.arange(sd.h.order)[:, None], qk.reps)].ravel()
     deltas = np.repeat(d_k, qk.order)
 
     def evaluate(_: None, phi: np.ndarray) -> np.ndarray:

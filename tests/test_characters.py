@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -42,9 +43,17 @@ def test_z4_enumeration_oracle(z4):
 
 def test_value_rejects_non_member(z4_evens):
     char = enumerate_characters(z4_evens)[1]
-    assert char.value(2) == -1 + 0j
+    assert char.value(2) == char.value(np.intp(2)) == -1 + 0j
     with pytest.raises(DomainMismatchError):
         char.value(1)
+
+
+@pytest.mark.parametrize("s", [False, 2.0, -2, 4], ids=["bool", "float", "negative", "past-the-end"])
+def test_value_refuses_what_is_not_an_element_index(z4_evens, s):
+    # False and 2.0 answered as if given 0 and 2
+    char = enumerate_characters(z4_evens)[1]
+    with pytest.raises(DomainMismatchError, match=re.escape(f"element {s!r} is not an element index of 0..3")):
+        char.value(s)
 
 
 def test_enumeration_is_lexicographic(z4):

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from covmod import (
@@ -33,6 +35,19 @@ def test_from_section_full_oracle(z4_quot, sign_char):
     assert psi.full().values.tolist() == [1 + 0j, 2j, -1 + 0j, -2j]
     for x in range(4):
         assert psi.value_at(x) == psi.full().values[x]
+
+
+@pytest.mark.parametrize("x", [-1, 4, True, 2.0], ids=["negative", "past-the-end", "bool", "float"])
+def test_value_at_refuses_what_is_not_an_element_index(z4_quot, sign_char, x):
+    # -1 read the value at element 3, 4 raised a bare IndexError, True a TypeError
+    psi = from_section((1 + 0j, 2j), sign_char, z4_quot)
+    with pytest.raises(DomainMismatchError, match=re.escape(f"element {x!r} is not an element index of 0..3")):
+        psi.value_at(x)
+
+
+def test_value_at_takes_numpy_integers(z4_quot, sign_char):
+    psi = from_section((1 + 0j, 2j), sign_char, z4_quot)
+    assert [psi.value_at(x) for x in np.arange(4)] == psi.full().values.tolist()
 
 
 def test_txi_delta_oracles(z4, z4_quot, z4_evens, sign_char):

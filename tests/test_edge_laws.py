@@ -277,7 +277,7 @@ def _check_fiber_quotients(sd):
         lifted = lift_subgroup(sd, make_subgroup(sd.k, members))
         if is_normal(g, lifted):
             got, want = quotient(g, lifted), quotient(plain, make_subgroup(plain, lifted.members))
-            assert (got.reps, got.proj) == (want.reps, want.proj), members
+            assert (got.reps.tolist(), got.proj.tolist()) == (want.reps.tolist(), want.proj.tolist()), members
 
 
 def _all_pairs_characters(sub):
@@ -700,7 +700,7 @@ def test_the_trivial_subgroup_takes_only_the_zero_phase(phase):
 
 def _records(q):
     """Members, reps and proj of q and of each `fiber` below it, outermost first."""
-    return [] if q is None else [(q.normal.members, q.reps, q.proj), *_records(q.fiber)]
+    return [] if q is None else [(q.normal.members, q.reps.tolist(), q.proj.tolist()), *_records(q.fiber)]
 
 
 def _check_fiber_record(sd):

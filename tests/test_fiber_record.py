@@ -57,7 +57,7 @@ def _products():
 
 
 def _parts(q):
-    return q.normal.members, q.reps, q.proj
+    return q.normal.members, q.reps.tolist(), q.proj.tolist()
 
 
 def _records(q):
@@ -202,6 +202,8 @@ def test_a_quotient_used_by_the_module_action_pickles():
     assert back.quotient == psi.quotient and back.quotient.fiber == psi.quotient.fiber
     arrays = list(_arrays(back, "psi", set()))
     assert any(".fiber." in path for path, _ in arrays)
+    paths = {path for path, _ in arrays}
+    assert {f"psi.quotient{at}.{name}" for at in ("", ".fiber") for name in ("reps", "proj")} <= paths
     assert [path for path, arr in arrays if arr.flags.writeable] == []
     got = module_action(GroupFunction(back.group, f.values), back)
     assert back.quotient.fiber_action is not None

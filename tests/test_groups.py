@@ -304,7 +304,7 @@ def test_quotient_z6_oracle():
     z6 = make_cyclic(6)
     n = make_subgroup(z6, (0, 2, 4))
     q = quotient(z6, n)
-    assert q.reps == (0, 1)
+    assert q.reps.tolist() == [0, 1]
     assert tuple(q.proj) == (0, 1, 0, 1, 0, 1)
     assert q.table.mul == ((0, 1), (1, 0))
 
@@ -342,6 +342,29 @@ def test_weil_measure_rejects_nonpositive(z4, z4_evens, z4_quot):
         weil_measure(z4, z4_evens, z4_quot, wG_scale=0.0)
 
 
+@pytest.mark.parametrize("scales, family", [
+    ((math.inf, 1.0), "wG"),
+    ((1e308, 1e-308), "wQ"),   # wG / wN overflows
+])
+def test_weil_measure_rejects_non_finite_weights(z4, z4_evens, z4_quot, scales, family):
+    with pytest.raises(MeasureError, match=f"{family} must be finite, got inf at element 0"):
+        weil_measure(z4, z4_evens, z4_quot, *scales)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_weights_refuse_non_finite_entries(z4, bad):
+    # convolve(f, f, [1, 1, 1, inf]) returned nan+infj with a RuntimeWarning
+    f = random_function(z4, random.Random("non-finite"))
+    with pytest.raises(MeasureError, match=f"weights must be finite, got {bad} at element 3"):
+        convolve(f, f, [1.0, 1.0, 1.0, bad])
+    with pytest.raises(MeasureError, match=f"weights must be finite, got {bad} at element 3"):
+        lp_norm(f, 2, [1.0, 1.0, 1.0, bad])
+    with pytest.raises(MeasureError, match="wG must be finite"):
+        MeasureTriple([1.0, 1.0, 1.0, bad], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(MeasureError, match="wN must be finite"):
+        MeasureTriple([1.0] * 4, [bad, 1.0], [1.0, 1.0])
+
+
 def test_lp_norm_oracle(z4):
     f = GroupFunction(z4, (3 + 0j, 4j, 0j, 0j))
     assert lp_norm(f, 1) == 7.0
@@ -369,8 +392,9 @@ def test_lp_norm_weight_length_mismatch(z4):
 
 
 def test_delta_function_bounds(z4):
-    with pytest.raises(DomainMismatchError):
-        delta_function(z4, 4)
+    for bad in (4, -1, True, 2.0):   # True set every value to 1
+        with pytest.raises(DomainMismatchError, match="is not an element index of 0..3"):
+            delta_function(z4, bad)
     assert delta_function(z4, 2).values.tolist() == [0j, 0j, 1 + 0j, 0j]
 
 

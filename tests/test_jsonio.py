@@ -212,7 +212,7 @@ def test_covariant_round_trip(z4, z4_evens, z4_quot):
         back = covariant_from_json(covariant_to_json(psi), z4)
         assert back.section.tolist() == psi.section.tolist()
         assert back.character.phases == psi.character.phases
-        assert back.quotient.reps == psi.quotient.reps
+        assert back.quotient.reps.tolist() == psi.quotient.reps.tolist()
 
 
 def test_covariant_rejects_non_normal_members(s3):
