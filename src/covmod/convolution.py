@@ -7,10 +7,10 @@ structure alone.
   `make_product` (A x B is A acting on B trivially) whose K is abelian.  It
   lays K out as a product of cyclic groups and transforms along K with
   `numpy.fft`, one cyclic axis at a time.  `convolve` transforms both
-  functions, takes one sum over H per character and transforms back:
-  |H|^2 |K| work for the sum plus O(|H| |K| log |K|) for the transforms,
-  plus an integer table build on the group's first convolution
-  (`SemidirectGroup.fiber_tables`).  `module_action` takes it when N lies
+  functions, takes one sum over H per character, one pass per element of
+  H, and transforms back: |H|^2 |K| work for the sum plus
+  O(|H| |K| log |K|) for the transforms, in O(|H| |K|) memory
+  (`SemidirectGroup.fiber_convolve`).  `module_action` takes it when N lies
   inside K: the transforms of psi and of the output vanish off the |K/N|
   characters above xi o theta_h^-1 at each h, so psi's is built
   from its section, f is projected onto the union U of those characters

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -725,13 +726,18 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> QuotientGroup:
     serves as the coset representative, so the construction is canonical.
     The minima come from the generators of `normal.walk` (`_coset_minima`),
     |G| products per doubling step in place of all |G| |N| products.  An N
-    in the K fiber of a product is left to its `split.fiber_quotient`.
+    in the K fiber of a product is left to its `split.fiber_quotient`, and
+    N = G is one coset, represented by 0, with no normality check or sweep.
     """
     if group.split is not None and (fiber := group.split.fiber_quotient(normal)) is not None:
         return fiber
-    if not is_normal(group, normal):
+    if normal.parent is group and normal.order == group.order:
+        cosets = np.zeros(1, dtype=np.intp), np.zeros(group.order, dtype=np.intp)
+    elif not is_normal(group, normal):
         raise NormalityError("cannot form the quotient: subgroup is not normal in the group")
-    return QuotientGroup(group, normal, *_frozen(*_coset_minima(group, normal.walk[0])))
+    else:
+        cosets = _coset_minima(group, normal.walk[0])
+    return QuotientGroup(group, normal, *_frozen(*cosets))
 
 
 def _coset_minima(group: FiniteGroup, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -779,15 +785,25 @@ def weil_measure(
     """
     if quot.parent is not group or not quot.normal.same_as(normal):
         raise DomainMismatchError("quotient does not match the given group and subgroup")
-    if not (wG_scale > 0.0) or not (wN_scale > 0.0):
+    wG, wN = _scale(wG_scale, "wG_scale"), _scale(wN_scale, "wN_scale")
+    if not (wG > 0.0) or not (wN > 0.0):
         raise MeasureError(
             f"weight scales must be positive, got wG={wG_scale}, wN={wN_scale}"
         )
     return MeasureTriple(
-        np.full(group.order, float(wG_scale)),
-        np.full(normal.order, float(wN_scale)),
-        np.full(quot.order, float(wG_scale / wN_scale)),
+        np.full(group.order, wG), np.full(normal.order, wN), np.full(quot.order, wG / wN)
     )
+
+
+def _scale(value, name: str) -> float:
+    """A weight scale as a float; bools, values that are not real numbers and
+    ints too large for a float are refused with `MeasureError`."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise MeasureError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise MeasureError(f"{name} is too large for a float") from None
 
 
 def counting_measure(quot: QuotientGroup) -> MeasureTriple:

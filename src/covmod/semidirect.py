@@ -183,15 +183,6 @@ class SemidirectGroup(_Refrozen):
         pulled = phases // unit @ radix              # pulled[a, omega]
         return (d.tolist(), *_frozen(coords, elem, pos, dual), exponent, *_frozen(pulled))
 
-    @cached_property
-    def fiber_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tables of `fiber_convolve`, built on first use: `elem` and `pos` of
-        `dual_grid`, and `twist[omega, h, a]`, the flat index of
-        (a^-1 h, chi_omega o theta_a) in an |H| x |K| array."""
-        _, _, elem, pos, _, _, pulled = self.dual_grid
-        twist = self.steps.T * self.k.order + pulled.T[:, None, :]
-        return (elem, pos, *_frozen(twist))
-
     def transform(self, grid: np.ndarray, fft=np.fft.fft) -> np.ndarray:
         """`fft` (or `numpy.fft.ifft`) along each cyclic axis of K, over the
         last axis of a (..., |K|) array in flat grid order.
@@ -216,20 +207,24 @@ class SemidirectGroup(_Refrozen):
         transform along K that `numpy.fft` takes one cyclic axis at a time,
         the convolution becomes one sum over H per character:
         (f * v)^(h, omega) = sum over a of f^(a, omega) * v^(a^-1 h, chi_omega o theta_a),
-        and the inverse transform returns f * v on the grid.  v^ is gathered
-        by `twist` into one |H| x |H| matrix V^[omega] per character, so the
-        sum is one batched `matmul` of V^[omega] against the vector f^(., omega).
-        Cost: |H|^2 |K| for the sum plus O(|H| |K| log |K|) for the
-        transforms, which run once per axis for every leading index together.
+        and the inverse transform returns f * v on the grid.  The sum runs one
+        pass per a in H, reading v^ by `steps[a]` along H and by
+        `dual_grid`'s `pulled[a]` along the characters, so it holds O(|H| |K|)
+        per leading index.  Cost: |H|^2 |K| for the sum plus
+        O(|H| |K| log |K|) for the transforms, which run once per axis for
+        every leading index together.
         """
-        elem, pos, twist = self.fiber_tables
+        _, _, elem, pos, _, _, pulled = self.dual_grid
         nh, nk = self.h.order, self.k.order
         lead = wf.shape[:-1]
         grid = np.stack((wf, v)).reshape(2, *lead, nh, nk).take(elem, axis=-1)
         f_hat, v_hat = self.transform(grid)
-        v_twisted = v_hat.reshape(*lead, nh * nk).take(twist, axis=-1)   # [..., omega, h, a]
-        out = np.matmul(v_twisted, f_hat.swapaxes(-1, -2)[..., None])[..., 0]
-        out = self.transform(out.swapaxes(-1, -2), np.fft.ifft)
+        out = np.zeros_like(f_hat)
+        for a, (step, pull) in enumerate(zip(self.steps, pulled)):
+            term = v_hat.take(step, axis=-2).take(pull, axis=-1)
+            term *= f_hat[..., a, None, :]
+            out += term
+        out = self.transform(out, np.fft.ifft)
         return out.take(pos, axis=-1).reshape(*lead, nh * nk)
 
     def fiber_subgroup(self, sub: Subgroup) -> Subgroup | None:

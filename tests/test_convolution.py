@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ def _assert_fiber_route_matches(name, g, rng, weighted):
     want = _convolve_at(g, wf, h.values, range(g.order))
     got = convolve(f, h, measure=w).values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
-    assert "fiber_tables" in g.split.__dict__, name   # the route ran
+    assert "dual_grid" in g.split.__dict__, name   # the route ran
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -253,6 +254,28 @@ def test_fiber_route_matches_the_table_route(weighted):
     rng = random.Random(f"fiber-route:{weighted}")
     for name, g in _fiber_route_groups().items():
         _assert_fiber_route_matches(name, g, rng, weighted)
+
+
+def test_fiber_route_at_order_32768_runs_in_linear_memory():
+    # WH(32,32), whose dense table would be 4 GiB: the fiber sum holds O(|H| |K|),
+    # and the oracle is t_xi(f * h) = f . t_xi(h) on the center
+    sd = weyl_heisenberg_finite(32, 32)
+    g = sd.product
+    center = lift_subgroup(sd, make_subgroup(sd.k, range(32)))
+    quot = quotient(g, center)
+    xi = enumerate_characters(center)[1]
+    rng = random.Random("order-32768")
+    f, h = random_function(g, rng), random_function(g, rng)
+    tracemalloc.start()
+    try:
+        fh = convolve(f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+    want = module_action(f, t_xi(h, xi, quot=quot))
+    assert section_residual(t_xi(fh, xi, quot=quot), want) <= 1e-12 * np.abs(want.section).max()
+    assert "table" not in vars(g)
 
 
 @settings(max_examples=25, deadline=None)
@@ -300,7 +323,7 @@ def test_groups_without_an_abelian_fiber_keep_the_table_route():
         f, h = random_function(g, rng), random_function(g, rng)
         want = _convolve_at(g, f.values, h.values, range(g.order))
         assert convolve(f, h).values.tobytes() == want.tobytes()
-    assert "fiber_tables" not in non_abelian.split.__dict__
+    assert "dual_grid" not in non_abelian.split.__dict__
     assert from_document.split is None
 
 
@@ -321,7 +344,7 @@ def test_direct_products_take_the_fiber_route_when_the_second_factor_is_abelian(
     f, h = random_function(g, rng), random_function(g, rng)
     want = _convolve_at(g, f.values, h.values, range(g.order))
     assert np.abs(convolve(f, h).values - want).max() <= 1e-12 * np.abs(want).max()
-    assert ("fiber_tables" in vars(sd)) == sd.k.is_abelian
+    assert ("dual_grid" in vars(sd)) == sd.k.is_abelian
     # the second factor, normal in the product
     normal = lift_subgroup(sd, make_subgroup(sd.k, range(sd.k.order)))
     quot = quotient(g, normal)

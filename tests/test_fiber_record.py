@@ -138,11 +138,11 @@ def test_the_fiber_path_decides_normality_in_k(monkeypatch):
             lifted = lift_subgroup(sd, make_subgroup(sd.k, members))
             seen.clear()
             try:
-                quotient(sd.product, lifted)
+                q = quotient(sd.product, lifted)
             except NormalityError:      # by a theta_h moving N, before is_normal, or by is_normal
                 assert len(seen) <= 1, members
-            else:
-                assert len(seen) == 1, members
+            else:   # in the innermost K/N, unless it is one coset, which needs no check
+                assert len(seen) == (len(_records(q)[-1][1]) > 1), members
             assert all(_in_k(group, sd) for group in seen), members
     z2z3 = make_product(make_cyclic(2), make_cyclic(3))
     seen.clear()

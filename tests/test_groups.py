@@ -309,6 +309,22 @@ def test_quotient_z6_oracle():
     assert q.table.mul == ((0, 1), (1, 0))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_cyclic(1),
+    lambda: make_cyclic(6),
+    symmetric_3,
+    lambda: make_product(make_cyclic(16), make_cyclic(16)),
+    lambda: weyl_heisenberg_finite(2, 4).product,
+])
+def test_a_quotient_by_the_whole_group_is_one_coset(make):
+    g = make()
+    full = groups.full_subgroup(g)
+    q = quotient(g, full)
+    for got, want in zip((q.reps, q.proj), groups._coset_minima(g, full.walk[0])):
+        assert np.array_equal(got, want)
+        assert got.dtype == np.intp and not got.flags.writeable
+
+
 def test_quotient_rejects_non_normal(s3):
     sub = make_subgroup(s3, (0, 1))
     assert not is_normal(s3, sub)
@@ -340,6 +356,16 @@ def test_weil_scaled_measure(z4, z4_evens, z4_quot):
 def test_weil_measure_rejects_nonpositive(z4, z4_evens, z4_quot):
     with pytest.raises(MeasureError):
         weil_measure(z4, z4_evens, z4_quot, wG_scale=0.0)
+
+
+@pytest.mark.parametrize("scales, message", [
+    ((10**400, 1.0), "wG_scale is too large for a float"),
+    ((1.0, "x"), "wN_scale must be a real number, got 'x'"),
+    ((True, 1.0), "wG_scale must be a real number, got True"),   # not a scale of 1.0
+])
+def test_weil_measure_refuses_scales_that_are_not_floats(z4, z4_evens, z4_quot, scales, message):
+    with pytest.raises(MeasureError, match=message):
+        weil_measure(z4, z4_evens, z4_quot, *scales)
 
 
 @pytest.mark.parametrize("scales, family", [
