@@ -524,7 +524,7 @@ def _shifted(parent: FiniteGroup, sub: Subgroup, by: int) -> Subgroup:
     homomorphism that keeps the order of indices, and `generating_set` on
     either side picks the same generators, moved, words, relations and `at`."""
     gens, words, relations, at = sub.walk
-    moved = Subgroup(parent, tuple(s + by for s in sub.members))
+    moved = Subgroup(parent, tuple((np.array(sub.members) + by).tolist()))
     vars(moved)["walk"] = (*_frozen(gens + by), words, relations, at)   # seeds the cached property
     return moved
 

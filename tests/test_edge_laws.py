@@ -11,6 +11,7 @@ Enumeration lists exactly the oracle's characters, in its order.
 
 import itertools
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -46,7 +47,7 @@ from covmod import (
     trivial_character,
     weyl_heisenberg_finite,
 )
-from covmod import groups
+from covmod import characters, groups
 from covmod.groups import Subgroup, cyclic_coordinates, full_subgroup, generating_set
 from covmod.semidirect import _shear_action
 from covmod.verify import builtin_corpus
@@ -358,6 +359,98 @@ def test_enumeration_of_z4_x_z4_x_z8_by_both_oracles():
     _check_enumeration(sub, want)
 
 
+def _eager_numerators(sub):
+    """The numerators of every character, one row each, as enumeration built
+    them all at once before it built each on first access: the accepted
+    generator phases times the words, mod |N|."""
+    gens, words, relations, at = sub.walk
+    if not gens.size:
+        return np.zeros((1, sub.order), dtype=np.int64)
+    den, r = sub.order, gens.size
+    candidates = characters._solutions(relations, den)
+    delta = (words[at] - words - np.eye(r, dtype=np.int64)[:, None]).reshape(r * den, r)
+    delta = delta[np.lexsort(delta.T)]
+    distinct = np.concatenate((delta[:1], delta[1:][(delta[1:] != delta[:-1]).any(axis=1)]))
+    accepted = candidates[(candidates @ distinct.T % den == 0).all(axis=1)]
+    return accepted @ words.T % den
+
+
+def _check_dual(sub, picks):
+    """Characters read at the indices `picks` (negative ones too), then all
+    by iteration, have the eager rows, over |N|, in their order, and each
+    index gives one object however it is reached."""
+    want = _eager_numerators(sub)
+    chars = enumerate_characters(sub)
+    assert len(chars) == len(want)
+    for i in picks:
+        assert chars[i] is chars[i]
+        assert chars[i].numerators.tolist() == want[i].tolist()
+        assert chars[i].denominator == sub.order
+    got = list(chars)
+    assert [char.numerators.tolist() for char in got] == want.tolist()
+    assert {char.denominator for char in got} == {sub.order}
+    assert all(got[i] is chars[i] for i in picks)
+    assert all(not char.numerators.flags.writeable for char in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_groups(), data=st.data())
+def test_the_dual_reads_the_eager_rows_in_any_order(g, data):
+    sub = data.draw(_subgroups(g))
+    n = len(_eager_numerators(sub))
+    _check_dual(sub, data.draw(st.lists(st.integers(-n, n - 1), max_size=6)))
+
+
+def test_the_dual_reads_the_eager_rows_on_the_corpus():
+    for entry in builtin_corpus():
+        for sub in (entry.normal, full_subgroup(entry.group)):
+            _check_dual(sub, [-1, 0, -1])
+
+
+def test_the_dual_builds_each_character_on_first_access(monkeypatch):
+    k = _wh16(range(256))
+    k.walk
+    # the eager (256 x 256) matrix of numerators alone was 512 KiB
+    assert _peak_mb(lambda: enumerate_characters(k)) < 1 / 16
+    built = []
+    make = characters._character
+
+    def counted(*args):
+        built.append(args[1])
+        return make(*args)
+
+    monkeypatch.setattr(characters, "_character", counted)
+    chars = enumerate_characters(k)
+    assert len(chars) == 256 and not built
+    first = chars[17]
+    assert chars[17] is first and chars[17 - 256] is first and len(built) == 1
+    assert chars[-1] is chars[255] and len(built) == 2
+    for bad in (256, -257, 10**30):
+        with pytest.raises(IndexError):
+            chars[bad]
+    with pytest.raises(TypeError):
+        chars["1"]
+    assert len(built) == 2
+    every = list(chars)
+    assert len(built) == 256 and every[17] is first
+    cuts = (slice(None), slice(250, None), slice(-3, 300), slice(None, None, -7), slice(9, 2),
+            slice(300, None))
+    for cut in cuts:
+        assert chars[cut] == every[cut] and all(a is b for a, b in zip(chars[cut], every[cut]))
+    assert len(built) == 256
+
+
+def test_the_dual_pickles():
+    sd = weyl_heisenberg_finite(4, 4)
+    chars = enumerate_characters(lift_subgroup(sd, make_subgroup(sd.k, range(16))))
+    fifth = chars[5]
+    back = pickle.loads(pickle.dumps(chars))
+    assert len(back) == 16 and back[5] == fifth and back[5] is back[5]
+    assert list(back) == list(chars)
+    assert not back.accepted.flags.writeable and not back[5].numerators.flags.writeable
+    assert not back[6].numerators.flags.writeable
+
+
 def test_is_abelian_agrees_with_the_transpose_oracle():
     corpus = [entry.group for entry in builtin_corpus()]
     for g in [*corpus, *(build() for build in BUILDERS.values())]:
@@ -594,11 +687,12 @@ def test_make_character_checks_in_linear_memory():
     assert _peak_mb(lambda: make_character(z, phases)) < 3
 
 
-def test_enumeration_holds_one_phase_matrix():
-    # the |N| r |N| edge checks in row blocks and the Fraction tuples peaked at 40 MB here
+def test_enumeration_holds_no_phase_matrix():
+    # the |N| r |N| edge checks in row blocks and the Fraction tuples peaked at
+    # 40 MB here, and the (characters x |N|) matrix of numerators at 8.4 MB
     sub = full_subgroup(make_product(make_cyclic(32), make_cyclic(32)))
     sub.walk
-    assert _peak_mb(lambda: enumerate_characters(sub)) < 16
+    assert _peak_mb(lambda: enumerate_characters(sub)) < 0.5
 
 
 def test_one_walk_serves_every_reader_of_a_subgroup(monkeypatch):

@@ -53,6 +53,7 @@ from covmod import (
 )
 from covmod import groups
 from covmod.groups import cyclic_coordinates, generating_set
+from covmod.verify import builtin_corpus
 from covmod.jsonio import (
     covariant_from_json,
     covariant_to_json,
@@ -172,6 +173,124 @@ def test_generating_set_ends_on_tables_that_are_not_groups(table, message):
     assert str(err.value) == f"associativity fails at triple {message}"
 
 
+def _walk_one_power_at_a_time(group, members):
+    """`generating_set` as it walked before pointer doubling, one product per
+    power of each generator: the oracle of the doubling walk."""
+    ms = groups._distinct(group.order, np.fromiter(members, dtype=np.intp))
+    gens, powers, orders = [], [], []
+    words = np.zeros((group.order, 0), dtype=np.int64)
+    reached = np.zeros(group.order, dtype=bool)
+    reached[group.identity] = True
+    while not reached[ms].all():
+        g = int(ms[reached[ms].argmin()])
+        gens.append(g)
+        words = np.concatenate((words, np.zeros((group.order, 1), dtype=np.int64)), axis=1)
+        span = np.flatnonzero(reached)
+        at = np.searchsorted(span, group.identity)
+        level, cosets = group.multiply(span, g), []
+        while not reached[level[at]]:
+            reached[level] = True
+            cosets.append(level)
+            level = group.multiply(level, g)
+        powers.append(int(level[at]))
+        orders.append(len(cosets) + 1)
+        cosets = np.array(cosets)
+        words[cosets] = words[span]
+        words[cosets, -1] = np.arange(1, len(cosets) + 1)[:, None]
+        frontier = cosets.ravel()
+        while frontier.size:
+            found = []
+            for c, x in enumerate(gens):
+                step = group.multiply(frontier, x)
+                fresh = ~reached[step]
+                new = step[fresh]
+                words[new] = words[frontier[fresh]]
+                words[new, c] += 1
+                reached[new] = True
+                found.append(new)
+            frontier = np.concatenate(found)
+    relations = -words[powers]
+    relations[np.diag_indices(len(gens))] = orders
+    return gens, words, relations, reached
+
+
+def _unchecked(table):
+    """A table as a FiniteGroup with none of the group laws checked; its
+    identity is the first two-sided one, which the walk's tables all have."""
+    arr = np.array(table)
+    e = int(np.flatnonzero((arr == np.arange(len(arr))).all(axis=1))[0])
+    return FiniteGroup(len(arr), arr, np.zeros(len(arr), dtype=np.intp), e)
+
+
+def _assert_same_walk(group, members):
+    got, want = generating_set(group, members), _walk_one_power_at_a_time(group, members)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 1, 2], [1, 1, 0], [2, 0, 1]],
+    _self_inverse_loop(8),
+], ids=["powers stuck at 1", "self-inverse loop"])
+def test_the_doubling_walk_matches_the_one_power_walk_on_tables_that_are_not_groups(table):
+    g = _unchecked(table)
+    for members in (range(len(table)), [1], [len(table) - 1, 2]):
+        _assert_same_walk(g, members)
+
+
+@st.composite
+def _tables_with_identity(draw):
+    """An n x n table with a two-sided identity e and every other entry
+    drawn: mostly not a group, sometimes one."""
+    n = draw(st.integers(1, 7))
+    e = draw(st.integers(0, n - 1))
+    entries = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    table = np.array(draw(entries)).reshape(n, n)
+    table[e], table[:, e] = np.arange(n), np.arange(n)
+    return table.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables_with_identity(), data=st.data())
+def test_the_doubling_walk_matches_the_one_power_walk_on_drawn_tables(table, data):
+    members = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=4))
+    _assert_same_walk(_unchecked(table), members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 24), d=st.integers(1, 6), data=st.data())
+def test_the_doubling_walk_matches_the_one_power_walk_on_drawn_groups(n, d, data):
+    g = data.draw(st.sampled_from([
+        make_cyclic(n), make_product(make_cyclic(d), make_cyclic(n)), symmetric_3(),
+        heisenberg_finite(3).product, weyl_heisenberg_finite(2, 4).product,
+    ]))
+    members = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    _assert_same_walk(g, members)
+
+
+def test_the_doubling_walk_matches_the_one_power_walk_on_the_corpus():
+    for entry in builtin_corpus():
+        g = entry.group
+        for members in (range(g.order), entry.normal.members, group_center(g).members):
+            _assert_same_walk(g, members)
+
+
+def test_the_walk_of_a_cyclic_group_takes_logarithmically_many_products(monkeypatch):
+    g, calls = make_cyclic(4096), []
+    multiply = FiniteGroup.multiply
+
+    def counted(self, x, y):
+        calls.append(np.size(x))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(FiniteGroup, "multiply", counted)
+    gens, _, relations, reached = generating_set(g, range(g.order))
+    # the one-power walk took 4096 calls of one product each
+    assert gens == [1] and relations.tolist() == [[4096]] and reached.all()
+    assert len(calls) <= 2 * math.log2(g.order) + 4
+
+
 def test_associativity_check_memory_is_linear():
     # two whole-table temporaries per generator peaked at 201 MB (tracemalloc)
     g = weyl_heisenberg_finite(16, 16).product
@@ -271,6 +390,24 @@ def test_subgroup_requires_closure(z4):
         make_subgroup(z4, (0, 1, 2))
     with pytest.raises(ValidationError):
         make_subgroup(z4, (1, 3))
+
+
+@pytest.mark.parametrize("members, message", [
+    (5, "subgroup members must be a list of element indices"),
+    ([0, 2.0, True], "subgroup member 2.0 is not an element index"),
+    ([0, 2, True], "subgroup member True is not an element index"),
+    ([0, np.int64(2)], f"subgroup member {np.int64(2)!r} is not an element index"),
+    ([], "a subgroup needs at least the identity element"),
+    ([0, 7, -3, 5, -1], "member -3 is outside the group 0..3"),
+    ([0, 9, 2**70, 4, 2], "member 4 is outside the group 0..3"),
+    ([2, 2], "subgroup does not contain the identity"),
+    ([2, 0, 1, 0], "subgroup is missing the inverse of element 1"),
+], ids=["not iterable", "float", "bool", "numpy int", "empty", "negative", "past the end",
+        "no identity", "no inverse"])
+def test_make_subgroup_names_the_first_bad_member(z4, members, message):
+    with pytest.raises(ValidationError) as err:
+        make_subgroup(z4, members)
+    assert str(err.value) == message
 
 
 def test_subgroup_closure_witness_does_not_depend_on_block_size():
