@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import jsonio
 from .characters import enumerate_characters
@@ -32,42 +34,49 @@ from .groups import (
 from .semidirect import heisenberg_finite, make_product, semidirect, weyl_heisenberg_finite
 
 
-def _read_json(path: str, parse=json.loads):
+def _read_json(path: str, parse=None):
+    """`parse` of the file's bytes, by default `json.loads` of their text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise CovmodError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse(text)
+        return parse(data) if parse else json.loads(jsonio.document_text(data))
+    except UnicodeDecodeError as exc:
+        raise CovmodError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CovmodError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _save(text: str, out: str) -> None:
+def _write(doc: str | Iterable[bytes], out: str | None) -> None:
+    """Write a document, text or byte chunks written as they come, and a
+    newline to the file `out`, or to standard output."""
+    chunks = chain([doc.encode()] if isinstance(doc, str) else doc, [b"\n"])
+    if not out:
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
+        return
     try:
-        Path(out).write_text(text + "\n")
+        with open(out, "wb") as f:
+            f.writelines(chunks)
     except OSError as exc:
         raise CovmodError(f"cannot write {out}: {exc}") from exc
-
-
-def _write(text: str, out: str | None) -> None:
-    if out:
-        _save(text, out)
-    else:
-        print(text)
 
 
 def _load_group(path: str):
     return _read_json(path, jsonio.group_from_text)
 
 
-def _group_or_table(text: str):
-    """A group document through `read_group`, with the text to write when
-    it is already the canonical document; a bare array of rows, which
+_BARE_TABLE = re.compile(rb"[ \t\n\r]*\[")
+
+
+def _group_or_table(data: bytes):
+    """A group document through `read_group`, with the bytes to write when
+    they are already the canonical document; a bare array of rows, which
     `group_from_json` refuses, through `make_from_table`."""
-    if text.lstrip(" \t\n\r").startswith("["):
-        return make_from_table(json.loads(text)), None
-    return jsonio.read_group(text)
+    if _BARE_TABLE.match(data):
+        return make_from_table(json.loads(jsonio.document_text(data))), None
+    return jsonio.read_group(data)
 
 
 def _parse_members(text: str) -> list[int]:
@@ -98,7 +107,7 @@ def _cmd_group_make(args) -> int:
         g = semidirect(
             _load_group(args.h), _load_group(args.k), action
         ).product
-    _write(jsonio.group_text(g) if text is None else text, args.out)
+    _write(jsonio.group_chunks(g) if text is None else (text,), args.out)
     return 0
 
 
@@ -191,7 +200,7 @@ def _cmd_verify(args) -> int:
     )
     text = json.dumps(report, indent=2)
     if args.out:
-        _save(text, args.out)
+        _write(text, args.out)
     print(text)
     return 0 if report["passed"] else 1
 

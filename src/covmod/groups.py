@@ -18,20 +18,31 @@ Light's test (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1,
 1961): the elements s with (x*y)*s == x*(y*s) for all x and y form a
 submonoid, so checking s on a generating set suffices.  Each generator costs
 two numpy gathers over the whole table, taken in row blocks.
+
+Fingerprints are sha256 digests from CPython's built-in `_sha2` (3.12+) or
+`_sha256` module, as the standard `random` module takes sha512: `hashlib`
+loads OpenSSL, which a command that draws no random numbers never needs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import (
     DomainMismatchError,
@@ -47,8 +58,16 @@ if TYPE_CHECKING:
 
 MAX_GROUP_ORDER = 1 << 20
 
-# Entries per block of Light's test.
-_BLOCK = 1 << 18
+# Entries per block of every pass over a table: the identity and inverse
+# scans and Light's test in `checked_group`, the decimal rows that
+# fingerprints and documents are made of, and the parse of a document's rows.
+_BLOCK = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    """Rows of an n x n table in one block of `_BLOCK` entries: at least one,
+    at most n."""
+    return min(n, max(1, _BLOCK // n))
 
 
 def _check_order(order: int) -> None:
@@ -134,9 +153,10 @@ class FiniteGroup(_Refrozen):
 
     Such a product is made with no table (`table` None).  `multiply` then
     computes products from the factors, and the first read of `table`
-    builds the dense table (`SemidirectGroup.dense_table`): equality, the
-    fingerprint, Light's test, documents and the table route of the kernels
-    read it.  `make_product` reads it at once.
+    builds the dense table (`SemidirectGroup.dense_table`): equality,
+    Light's test and the table route of the kernels read it, while the
+    fingerprint and documents take their rows from `multiply`, a block at a
+    time.  `make_product` reads it at once.
     """
 
     order: int
@@ -203,7 +223,7 @@ class FiniteGroup(_Refrozen):
         """(gens, words, relations) of `generating_set` on the whole group, kept
         once as arrays: Light's test, `cyclic_coordinates` and the walk of every
         subgroup holding all elements (`full_subgroup`) read it."""
-        gens, words, relations, _ = generating_set(self, range(self.order))
+        gens, words, relations, _ = generating_set(self, np.arange(self.order))
         return _frozen(np.array(gens, dtype=np.intp), words, relations)
 
     @cached_property
@@ -214,25 +234,32 @@ class FiniteGroup(_Refrozen):
         products = self.multiply(gens[:, None], gens)
         return bool(np.array_equal(products, products.T))
 
-    def decimal_rows(self) -> list[str]:
-        """Each table row as its decimal text, `"x*0,x*1,..."`: the bytes that
-        `fingerprint` hashes and the group document writes."""
+    def decimal_blocks(self) -> Iterator[list[str]]:
+        """The table's rows as their decimal text, `"x*0,x*1,..."`, a block of
+        `_BLOCK` entries at a time: the text that `fingerprint` hashes and
+        the group document writes.  The rows come from `multiply`, so a
+        product built by `semidirect` builds no table for them."""
         names = np.array([str(x) for x in range(self.order)], dtype=object)
-        return [",".join(names[row].tolist()) for row in self.table]
+        elements = np.arange(self.order)
+        step = _block_rows(self.order)
+        for start in range(0, self.order, step):
+            rows = self.multiply(elements[start : start + step, None], elements)
+            yield [",".join(row) for row in names[rows].tolist()]
 
     @cached_property
     def fingerprint(self) -> str:
         """A short structural digest of the order and the table, computed once."""
-        return table_digest(self.order, (f"|{row}".encode() for row in self.decimal_rows()))
+        h = table_hash(self.order)
+        for rows in self.decimal_blocks():
+            h.update(("|" + "|".join(rows)).encode())
+        return h.hexdigest()[:16]
 
 
-def table_digest(order: int, chunks: Iterable[bytes]) -> str:
-    """The fingerprint of a group of this order whose table rows' decimal text,
-    each row preceded by `|`, is the concatenation of `chunks`."""
-    h = hashlib.sha256(b"covmod-group-v1:%d" % order)
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()[:16]
+def table_hash(order: int):
+    """A sha256 that gives a group of this order's fingerprint, the first 16
+    hex digits of its digest, once each table row's decimal text, preceded
+    by `|`, has been added in turn."""
+    return sha256(b"covmod-group-v1:%d" % order)
 
 
 @dataclass(frozen=True)
@@ -282,7 +309,7 @@ class Subgroup(_Refrozen):
     def fingerprint(self) -> str:
         """A short digest of the parent's fingerprint and the members,
         computed once: the domain that character documents name."""
-        h = hashlib.sha256(b"covmod-subgroup-v1:")
+        h = sha256(b"covmod-subgroup-v1:")
         h.update(self.parent.fingerprint.encode())
         h.update(",".join(map(str, self.members)).encode())
         return h.hexdigest()[:16]
@@ -447,7 +474,9 @@ def generating_set(
     cosets come from `_right_cosets` in about log2 m_j passes, and the walk
     of Z4096 takes 0.6 ms, where one product per power took 14 ms.
     """
-    ms = _distinct(group.order, np.fromiter(members, dtype=np.intp))
+    if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"):
+        members = np.fromiter(members, dtype=np.intp)
+    ms = _distinct(group.order, members)
     gens: list[int] = []
     rights: list[np.ndarray] = []   # x -> x g_j on every element, one index map per generator
     powers: list[int] = []      # g_j^m_j, whose words stay as they are once reached
@@ -576,7 +605,7 @@ def _check_associative(group: FiniteGroup) -> None:
     closed under multiplication, so passing on a generating set is exact.
     """
     arr = group.table
-    step = max(1, _BLOCK // group.order)
+    step = _block_rows(group.order)
     for s in group.walk[0]:
         col = arr[:, s]
         for start in range(0, group.order, step):
@@ -665,17 +694,29 @@ def checked_group(arr: np.ndarray, labels: Sequence[str] | None = None) -> Finit
         )
     arr = arr.astype(np.int32, copy=False)
 
+    # Identity and inverses are scanned a block of rows at a time.
+    step = _block_rows(n)
     elements = np.arange(n)
-    two_sided = np.all(arr == elements, axis=1) & np.all(arr.T == elements, axis=1)
+    left = np.empty(n, dtype=bool)      # left[x]: x*y == y for every y
+    right = np.ones(n, dtype=bool)      # right[x]: y*x == y for every y
+    for start in range(0, n, step):
+        rows = arr[start : start + step]
+        left[start : start + step] = (rows == elements).all(axis=1)
+        right &= (rows == elements[start : start + step, None]).all(axis=0)
+    two_sided = left & right
     if not two_sided.any():
         raise ValidationError("table has no two-sided identity element")
     identity = int(two_sided.argmax())
 
     # inv[x] is the first y with x*y == y*x == identity, as in a scan over y
-    inverse = (arr == identity) & (arr.T == identity)
-    missing = ~inverse.any(axis=1)
-    if missing.any():
-        raise ValidationError(f"element {int(missing.argmax())} has no two-sided inverse")
+    inv = np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        rows, cols = arr[start : start + step], arr[:, start : start + step].T
+        inverse = (rows == identity) & (cols == identity)
+        found = inverse.any(axis=1)
+        if not found.all():
+            raise ValidationError(f"element {start + int(found.argmin())} has no two-sided inverse")
+        inv[start : start + step] = inverse.argmax(axis=1)
 
     packed_labels = None
     if labels is not None:
@@ -685,7 +726,7 @@ def checked_group(arr: np.ndarray, labels: Sequence[str] | None = None) -> Finit
             if not isinstance(s, str):
                 raise ValidationError(f"label {i} is {s!r}, not a string")
         packed_labels = tuple(labels)
-    group = FiniteGroup(n, arr, inverse.argmax(axis=1), identity, packed_labels)
+    group = FiniteGroup(n, arr, inv, identity, packed_labels)
     _check_associative(group)
     return group
 

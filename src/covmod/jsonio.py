@@ -10,10 +10,12 @@ of silently reinterpreting indices.  Values and sections become lists only here.
 from __future__ import annotations
 
 import cmath
+import io
 import json
 import re
 import warnings
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -24,12 +26,13 @@ from .groups import (
     FiniteGroup,
     GroupFunction,
     Subgroup,
+    _block_rows,
     _check_order,
     checked_group,
     make_from_table,
     make_subgroup,
     quotient,
-    table_digest,
+    table_hash,
 )
 
 
@@ -100,13 +103,20 @@ def group_to_json(group: FiniteGroup) -> dict:
     return doc
 
 
+def group_chunks(group: FiniteGroup) -> Iterator[bytes]:
+    """`group_text(group)` as ASCII bytes, one block of the table's decimal
+    rows (`FiniteGroup.decimal_blocks`) at a time."""
+    joint = '{"order":%d,"mul":[[' % group.order
+    for rows in group.decimal_blocks():
+        yield (joint + "],[".join(rows)).encode()
+        joint = "],["
+    yield _closing(group).encode()
+
+
 def group_text(group: FiniteGroup) -> str:
     """`dumps(group_to_json(group))`, joined from the table's decimal rows
     without building |G| lists of ints."""
-    rows = group.decimal_rows()
-    rows[0] = f'{{"order":{group.order},"mul":[[{rows[0]}'
-    rows[-1] += _closing(group)
-    return "],[".join(rows)
+    return b"".join(group_chunks(group)).decode()
 
 
 def _closing(group: FiniteGroup) -> str:
@@ -132,92 +142,119 @@ def group_from_json(doc: dict) -> FiniteGroup:
     return group
 
 
-_HEAD = re.compile(r'\{"order":([1-9][0-9]{0,9}),"mul":\[\[')
-_LABELS = ']],"labels":'
-_SPACE = " \t\n\r"  # the trailing whitespace a canonical document may carry
+_HEAD = re.compile(rb'\{"order":([1-9][0-9]{0,9}),"mul":\[\[')
+_LABELS = b']],"labels":'
+_SPACE = b" \t\n\r"  # the trailing whitespace a canonical document may carry
+_BAR_TO_COMMA = bytes.maketrans(b"|", b",")
 
 
-def group_from_text(text: str) -> FiniteGroup:
+def group_from_text(text: str | bytes) -> FiniteGroup:
     """`group_from_json(json.loads(text))`, reading the layout `group_text`
     writes straight from its rows' decimal text; see `read_group`."""
     return read_group(text)[0]
 
 
-def read_group(text: str) -> tuple[FiniteGroup, str | None]:
-    """The group of a document, and `text` with trailing whitespace stripped
-    when that is `group_text` of the group byte for byte, else None.
+def read_group(text: str | bytes) -> tuple[FiniteGroup, str | memoryview | None]:
+    """The group of a document, and the document with trailing whitespace
+    stripped when that is `group_text` of the group byte for byte, else None:
+    a str for a str, and for bytes a memoryview of them, not a copy.
 
     A document in `group_text`'s layout, with trailing whitespace allowed,
-    builds no int object per entry: its rows are parsed once into an int32
-    array, and the fingerprint is hashed from the rows' text; it is
-    canonical if its labels are also spelled as `dumps` writes them.  Any
-    other document (other whitespace or key order, a repeated key, a bare
-    array, anything malformed) goes through `json.loads` and
-    `group_from_json`.  Either route loads the same group and fails with
-    the same error.
+    builds no int object per entry: its rows are parsed and hashed for the
+    fingerprint a block of rows at a time (`groups._BLOCK`), straight from the
+    bytes into the int32 table; it is canonical if its labels are also
+    spelled as `dumps` writes them.  Any other document (other whitespace or
+    key order, a repeated key, a bare array, anything malformed) goes through
+    `json.loads` of its `document_text` and `group_from_json`.  Either route
+    loads the same group and fails with the same error.
     """
-    read = _canonical_table(text)
+    data = text.encode() if isinstance(text, str) and text.isascii() else text
+    read = _canonical_table(data) if isinstance(data, bytes) and data.isascii() else None
     if read is None:
-        return group_from_json(json.loads(text)), None
-    table, labels, digest, closing = read
+        return group_from_json(json.loads(document_text(text))), None
+    table, labels, digest, size, closing = read
     group = checked_group(table, labels)
     vars(group)["fingerprint"] = digest  # seeds the cached property
-    return group, text.rstrip(_SPACE) if closing == _closing(group) else None
+    if closing != _closing(group).encode():
+        return group, None
+    return group, text[:size] if isinstance(text, str) else memoryview(text)[:size]
 
 
-def _canonical_table(text: str):
-    """The table, labels, fingerprint and the text after the last row of a
-    document in the exact layout of `group_text`, or None for any other
-    text."""
-    head = _HEAD.match(text) if text.isascii() else None
-    end = -1 if head is None else text.rfind("]]", head.end())
+def document_text(data: str | bytes) -> str:
+    """The text of a document, with bytes decoded as a file is read in text
+    mode: strict UTF-8 (`UnicodeDecodeError` otherwise) and universal newlines."""
+    if isinstance(data, str):
+        return data
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _canonical_table(data: bytes):
+    """The table, labels, fingerprint, the length of the document without
+    its trailing whitespace and the bytes after the last row of an ASCII
+    document in the exact layout of `group_text`, or None for any other."""
+    head = _HEAD.match(data)
+    end = -1 if head is None else data.rfind(b"]]", head.end())
     if end < 0:
         return None
-    tail = text[end:].rstrip(_SPACE)
+    tail = data[end:].rstrip(_SPACE)
     labels = None
-    if tail.startswith(_LABELS) and tail.endswith("}"):
+    if tail.startswith(_LABELS) and tail.endswith(b"}"):
         try:
             labels = json.loads(tail[len(_LABELS) : -1])
         except json.JSONDecodeError:  # a repeated key or malformed labels
             return None
-    elif tail != "]]}":
+    elif tail != b"]]}":
         return None
 
-    # The rows' digits removed, the text is the separators of an n x n table;
-    # n is checked against the text's length before anything of size n^2 is built.
-    n = int(head[1])
-    rows = text[head.end() : end].encode()
-    seps = rows.translate(None, b"0123456789")
-    if len(seps) != (n - 1) * (n + 3):
+    # An n x n table has n^2 - 1 commas, one in each row separator "],[":
+    # they are counted before anything of size n^2 is built.
+    n, start = int(head[1]), head.end()
+    if data.count(b",", start, end) != n * n - 1:
         return None
     _check_order(n)
-    if seps != b"],[".join([b"," * (n - 1)] * n):
-        return None
-    del seps
-    parts = rows.split(b"],[")
-    del rows
-    digest = table_digest(n, (b"|" + part for part in parts))
-    flat = b",".join(parts)
-    del parts
-    # An empty token is missed or refused by the parse, and numpy before 2.0
-    # warns and returns what it read so far; the count catches both.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        try:
-            table = np.fromstring(flat, dtype=np.int32, sep=",")
-        except ValueError:
+    table = np.empty((n, n), dtype=np.int32)
+    h = table_hash(n)
+    step = _block_rows(n)
+    seps = b"],[".join([b"," * (n - 1)] * step)   # a block's text without its digits
+    for first in range(0, n, step):
+        rows = min(step, n - first)
+        stop = end      # the block ends at the "]]" after the last row or at a "],["
+        if first + rows < n:
+            stop = start - 3
+            for _ in range(rows):
+                stop = data.find(b"],[", stop + 3, end)
+                if stop < 0:
+                    return None
+        block = data[start:stop]
+        start = stop + 3
+        if block.translate(None, b"0123456789") != seps[: rows * (n + 2) - 3]:
             return None
-    # Entries are in range and every token is the canonical decimal text of
-    # its entry (no leading zero, nothing wrapped past int32) exactly when the
-    # digits counted in the text match those of the entries.
-    if (
-        table.size != n * n
-        or table.min() < 0
-        or table.max() >= n
-        or len(flat) - (n * n - 1) != _digit_count(table)
-    ):
-        return None
-    return table.reshape(n, n), labels, digest, tail
+        # Each step drops the text before it: the rows as the fingerprint
+        # hashes them, then as one list of entries for the parse.
+        block = block.replace(b"],[", b"|")
+        h.update(b"|")
+        h.update(block)
+        block = block.translate(_BAR_TO_COMMA)
+        # An empty token is missed or refused by the parse, and numpy before 2.0
+        # warns and returns what it read so far; the count catches both.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                values = np.fromstring(block, dtype=np.int32, sep=",")
+            except ValueError:
+                return None
+        # Entries are in range and every token is the canonical decimal text of
+        # its entry (no leading zero, nothing wrapped past int32) exactly when the
+        # digits counted in the text match those of the entries.
+        if (
+            values.size != rows * n
+            or values.min() < 0
+            or values.max() >= n
+            or len(block) - (rows * n - 1) != _digit_count(values)
+        ):
+            return None
+        table[first : first + rows] = values.reshape(rows, n)
+    return table, labels, h.hexdigest()[:16], end + len(tail), tail
 
 
 def _digit_count(arr: np.ndarray) -> int:

@@ -11,8 +11,8 @@ product (`make_product`) is the identity action, and takes every route
 below.  The product keeps no table of its own at first: its products of
 elements come from the factors (`SemidirectGroup.multiply`), and it builds
 the dense |G| x |G| table (`dense_table`) on the first read of
-`product.table`, which equality, the fingerprint, Light's test, documents
-and the kernels' table route make.
+`product.table`, which equality, Light's test and the kernels' table route
+make; its fingerprint and document take their rows from `multiply`.
 Every finite group is unimodular, so the modulus of each theta[h] is
 identically 1; `delta_factor` still returns it, after checking that the
 subgroup it measures is invariant, so the measure bookkeeping on products

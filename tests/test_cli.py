@@ -88,8 +88,8 @@ def test_group_make_table_writes_canonical_bytes(tmp_path, monkeypatch, spelled,
     # canonical text is written as read; any other spelling of the label is
     # re-rendered, so the bytes are the same either way
     rendered = []
-    group_text = jsonio.group_text
-    monkeypatch.setattr(jsonio, "group_text", lambda g: rendered.append(g) or group_text(g))
+    group_chunks = jsonio.group_chunks
+    monkeypatch.setattr(jsonio, "group_chunks", lambda g: rendered.append(g) or group_chunks(g))
     src, out = tmp_path / "in.json", tmp_path / "out.json"
     doc = '{"order":2,"mul":[[0,1],[1,0]],"labels":["e",' + spelled + "]}\n \n"
     src.write_text(doc, encoding="utf-8")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -60,7 +61,9 @@ from covmod.jsonio import (
     function_from_json,
     function_to_json,
     group_id,
+    group_text,
     group_to_json,
+    read_group,
 )
 
 
@@ -144,15 +147,37 @@ def test_make_from_table_rejects_one_corrupted_entry_at_order_1024():
 def test_associativity_witness_does_not_depend_on_block_size(monkeypatch):
     # swapping 40*3 and 40*5 in WH(4,4) keeps the identity and the inverses;
     # the first failing product is in row 40, past the first block of 1 or 10 rows
-    table = weyl_heisenberg_finite(4, 4).product.table.tolist()
+    g = weyl_heisenberg_finite(4, 4).product
+    table = g.table.tolist()
     table[40][3], table[40][5] = table[40][5], table[40][3]
-    for block in (1 << 18, 640, 64):
+    # 40*0 = 41 leaves 0 a left identity only; moving 0 out of 40's inverse's
+    # column leaves 40 and its inverse one-sided inverses only
+    no_identity = g.table.tolist()
+    no_identity[40][0], no_identity[40][1] = no_identity[40][1], no_identity[40][0]
+    no_inverse = g.table.tolist()
+    at = no_inverse[40].index(0)
+    to = 2 if at == 1 else 1
+    no_inverse[40][to], no_inverse[40][at] = no_inverse[40][at], no_inverse[40][to]
+    text = group_text(g)
+    rows = "".join("|" + ",".join(map(str, row)) for row in g.table.tolist())
+    digest = hashlib.sha256(f"covmod-group-v1:64{rows}".encode()).hexdigest()[:16]
+    for block in (1 << 18, 1 << 16, 640, 64):
         monkeypatch.setattr(groups, "_BLOCK", block)
         with pytest.raises(ValidationError) as err:
             make_from_table(table)
         assert str(err.value) == (
             "associativity fails at triple (40, 2, 1): (40*2)*1 = 43 but 40*(2*1) = 47"
         )
+        with pytest.raises(ValidationError, match="^table has no two-sided identity element$"):
+            make_from_table(no_identity)
+        with pytest.raises(ValidationError, match=f"^element {min(40, at)} has no two-sided inverse$"):
+            make_from_table(no_inverse)
+        # the reader's blocks of rows, and the writer's and the fingerprint's
+        read, canonical = read_group(text.encode())
+        assert np.array_equal(read.table, g.table) and np.array_equal(read.inv, g.inv)
+        assert read.fingerprint == digest and canonical == text.encode()
+        fresh = FiniteGroup(g.order, g.table, g.inv, g.identity)
+        assert fresh.fingerprint == digest and group_text(fresh) == text
 
 
 def _self_inverse_loop(n):
@@ -274,6 +299,11 @@ def test_the_doubling_walk_matches_the_one_power_walk_on_the_corpus():
         g = entry.group
         for members in (range(g.order), entry.normal.members, group_center(g).members):
             _assert_same_walk(g, members)
+        # the whole-group walk, which passes its members as an index array
+        want = _walk_one_power_at_a_time(g, range(g.order))
+        assert g.walk[0].tolist() == want[0]
+        for a, b in zip(g.walk[1:], want[1:3]):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_the_walk_of_a_cyclic_group_takes_logarithmically_many_products(monkeypatch):
@@ -302,6 +332,18 @@ def test_associativity_check_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_table_checks_hold_blocks_beside_the_table():
+    # whole-table bool and intp temporaries peaked at 3.34 MiB
+    table = weyl_heisenberg_finite(8, 8).product.table
+    tracemalloc.start()
+    try:
+        groups.checked_group(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_generating_set_is_greedy():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covmod import jsonio
+from covmod import groups, jsonio
 from covmod import (
     CovmodError,
     DomainMismatchError,
@@ -29,6 +30,7 @@ from covmod import (
     t_xi,
     weyl_heisenberg_finite,
 )
+from covmod.verify import builtin_corpus
 from covmod.jsonio import (
     character_from_json,
     character_to_json,
@@ -169,11 +171,42 @@ def test_listing_characters_takes_the_subgroup_digest_once(monkeypatch):
     members = ",".join(map(str, k.members))
     want = hashlib.sha256(f"covmod-subgroup-v1:{gid}{members}".encode())
     digests = []
-    sha256 = hashlib.sha256
-    monkeypatch.setattr(hashlib, "sha256", lambda *args: digests.append(args) or sha256(*args))
+    sha256 = groups.sha256
+    monkeypatch.setattr(groups, "sha256", lambda *args: digests.append(args) or sha256(*args))
     docs = [character_to_json(char) for char in chars]
     assert len(docs) == 256 and len(digests) == 1
     assert {doc["domain"] for doc in docs} == {want.hexdigest()[:16]}
+
+
+def test_fingerprints_are_the_sha256_of_the_v1_text():
+    # hashed by CPython's built-in sha256 where it has one, which loads no
+    # OpenSSL; hashlib's is the reference
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        assert groups.sha256 is not hashlib.sha256
+    for entry in builtin_corpus():
+        for g in (entry.group, entry.quot.table):
+            got = group_id(g)   # before anything reads a product's table
+            rows = "".join("|" + ",".join(map(str, row)) for row in g.table.tolist())
+            want = hashlib.sha256(f"covmod-group-v1:{g.order}{rows}".encode())
+            assert got == want.hexdigest()[:16]
+        sub = entry.normal
+        members = ",".join(map(str, sub.members))
+        want = hashlib.sha256(f"covmod-subgroup-v1:{group_id(sub.parent)}{members}".encode())
+        assert subgroup_id(sub) == want.hexdigest()[:16]
+
+
+def test_reading_a_document_holds_little_beside_its_table():
+    # a decoded copy, the rows' text split and joined again and whole-table
+    # checks peaked at 4.34 MiB beside the document; the table is 1 MiB
+    data = group_text(weyl_heisenberg_finite(8, 8).product).encode()
+    tracemalloc.start()
+    try:
+        group, canonical = read_group(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 512 and canonical == data
+    assert peak < 2.5 * 2**20
 
 
 def test_phase_tuples_write_the_text_of_phase_lists():

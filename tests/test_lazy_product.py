@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covmod import (
+    FiniteGroup,
     conv_fast_full_k,
     conv_fast_wh_center,
     conv_fast_wh_full,
@@ -49,6 +50,7 @@ from covmod.characters import ENUMERATION_LIMIT
 from covmod.errors import NormalityError, ValidationError
 from covmod import groups
 from covmod.groups import full_subgroup, generating_set
+from covmod.jsonio import group_id
 from covmod.semidirect import SemidirectGroup
 from covmod.verify import FAST_GRID, builtin_corpus
 
@@ -283,6 +285,21 @@ def test_the_library_path_at_order_4096_leaves_the_table_unbuilt():
         tracemalloc.stop()
     assert "table" not in vars(g)
     assert peak < 32 * 2**20
+
+
+def test_the_fingerprint_of_a_product_leaves_the_table_unbuilt():
+    # building the dense table for the rows' text took 174 MB RSS
+    product = weyl_heisenberg_finite(16, 16).product
+    tracemalloc.start()
+    try:
+        digest = group_id(product)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "table" not in vars(product)
+    assert peak < 8 * 2**20
+    dense = FiniteGroup(product.order, product.split.dense_table(), product.inv, product.identity)
+    assert digest == group_id(dense)
 
 
 def _coset_minima(g, members):
