@@ -1,18 +1,21 @@
 """One-dimensional characters with exact rational phases.
 
-A character stores, for each member s of its domain, the rational q(s) in
-[0, 1) with value(s) = exp(2*pi*i*q(s)), as one read-only int64 row of
-numerators over a common denominator.  The homomorphism law
-q(s*t) = q(s) + q(t) (mod 1) is validated in exact integer arithmetic, so
-character identities (orthogonality, root-of-unity values) carry no
-floating error.  The phases as `Fraction`s, the reduced pairs and the
-complex values are derived from the row when first read.
+A character stores, for each member s of its domain N, the rational q(s)
+in [0, 1) with value(s) = exp(2*pi*i*q(s)), as one read-only int64 row of
+numerators over |N|.  Every `Character` satisfies the homomorphism law
+q(s*t) = q(s) + q(t) (mod 1), validated in exact integer arithmetic when
+it is built from phases, so each phase's denominator divides |N|, its
+`denominator` is `domain.order`, and character identities (orthogonality,
+root-of-unity values) carry no floating error.  The phases as `Fraction`s,
+the reduced pairs and the complex values are derived from the row when
+first read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -65,33 +68,31 @@ def _fractions(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(j, n) for j in range(n))
 
 
-def _over_common(phases: Sequence[Fraction | int]) -> tuple[tuple[Fraction, ...], list[int], int]:
-    """The phases reduced mod 1, their numerators over the least common
-    denominator, and that denominator."""
-    qs = tuple(Fraction(q) % 1 for q in phases)
-    den = math.lcm(*(q.denominator for q in qs))
-    return qs, [q.numerator * (den // q.denominator) for q in qs], den
+def _phase(q, i: int) -> Fraction:
+    """Phase entry i reduced mod 1: an int, another `numbers.Rational` or a
+    finite float, never a bool, a string or anything else."""
+    if isinstance(q, bool) or not (
+        isinstance(q, numbers.Rational) or isinstance(q, float) and math.isfinite(q)
+    ):
+        raise ValidationError(f"phase {i} must be a rational number or a finite float, got {q!r}")
+    return Fraction(q) % 1
 
 
 class Character(_Refrozen):
     """An exact character of a subgroup, phases aligned with `domain.members`.
 
-    `Character(domain, phases)` stores any phases without a check;
-    `make_character` validates them.  The stored form is `numerators`, a
-    read-only int64 row, over `denominator`: the domain's order |N| when
-    every phase's denominator divides it, as each does for a character (it
-    divides its element's order), and otherwise the least common one.  So
-    equal phases have one stored form, and equality and hashing read it.
-    `phases`, `phase_pairs` and `complex_values` are built from it on first
-    read.
+    `Character(domain, phases)` is `make_character(domain, phases)`: it
+    validates the homomorphism law and refuses what that refuses, with the
+    same message.  So every `Character` is a character, stored as
+    `numerators`, a read-only int64 row over |N| (each phase's denominator
+    divides its element's order, and so |N|), and `denominator` is always
+    `domain.order`.  Equal phases have one stored form, and equality and
+    hashing read it.  `phases`, `phase_pairs` and `complex_values` are built
+    from it on first read.
     """
 
-    def __init__(self, domain: Subgroup, phases: Sequence[Fraction | int]) -> None:
-        qs, nums, den = _over_common(phases)
-        if den >= 2**62:
-            raise ValidationError(f"phase denominator {den} is past the int64 range")
-        nums, den = _stored_form(domain.order, np.array(nums, dtype=np.int64), den)
-        vars(self).update(domain=domain, numerators=nums, denominator=den, phases=qs)
+    def __init__(self, domain: FiniteGroup | Subgroup, phases: Sequence[Fraction | int]) -> None:
+        vars(self).update(vars(make_character(domain, phases)))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"a Character is read-only; cannot set {name!r}")
@@ -103,33 +104,31 @@ class Character(_Refrozen):
         return same_domain and self.same_phases(other)
 
     def __hash__(self) -> int:
-        return hash((self.domain, self.denominator, self.numerators.tobytes()))
+        return hash((self.domain, self.numerators.tobytes()))
 
     def __repr__(self) -> str:
         return f"Character(domain={self.domain!r}, phases={self.phases!r})"
 
     def same_phases(self, other: Character) -> bool:
         """Whether the two phase vectors are equal, whatever the domains."""
-        return self.denominator == other.denominator and np.array_equal(
-            self.numerators, other.numerators
-        )
+        return np.array_equal(self.numerators, other.numerators)
+
+    @property
+    def denominator(self) -> int:
+        """|N|, the denominator of every stored numerator."""
+        return self.domain.order
 
     @cached_property
     def phases(self) -> tuple[Fraction, ...]:
         """The phases as reduced `Fraction`s in [0, 1), built on first read."""
-        nums, den = self.numerators.tolist(), self.denominator
-        if den == self.domain.order:
-            return tuple(map(_fractions(den).__getitem__, nums))
-        return tuple(Fraction(j, den) for j in nums)
+        return tuple(map(_fractions(self.denominator).__getitem__, self.numerators.tolist()))
 
     @cached_property
     def complex_values(self) -> np.ndarray:
         """Phases converted to unit complex numbers, once, in member order,
         as a read-only complex128 array: `phase_to_complex` of each phase,
         gathered from one table of the |N|-th roots of unity."""
-        if self.denominator == self.domain.order:
-            return _frozen(_roots_of_unity(self.denominator)[self.numerators])[0]
-        return _frozen(np.array([phase_to_complex(q) for q in self.phases], dtype=complex))[0]
+        return _frozen(_roots_of_unity(self.denominator)[self.numerators])[0]
 
     @cached_property
     def conj_form(self) -> np.ndarray:
@@ -159,22 +158,13 @@ class Character(_Refrozen):
             ) from None
 
 
-def _character(domain: Subgroup, numerators: np.ndarray, denominator: int) -> Character:
-    """A character from its stored form, taken as given: read-only
-    `numerators` in [0, denominator), over |N| when every phase's
-    denominator divides it."""
+def _character(domain: Subgroup, numerators: np.ndarray) -> Character:
+    """A character from its stored form, taken as given, not validated:
+    read-only int64 `numerators` in [0, |N|) over |N| that satisfy the
+    homomorphism law, as every `Character` does."""
     char = object.__new__(Character)
-    vars(char).update(domain=domain, numerators=numerators, denominator=denominator)
+    vars(char).update(domain=domain, numerators=numerators)
     return char
-
-
-def _stored_form(order: int, numerators: np.ndarray, denominator: int) -> tuple[np.ndarray, int]:
-    """Numerators in [0, denominator) over the least common denominator, or
-    over `order` when that divides it: read-only numerators and denominator."""
-    g = math.gcd(denominator, int(np.gcd.reduce(numerators, initial=0)))
-    den = denominator // g
-    scale = order // den if order % den == 0 else 1
-    return _frozen(numerators // g * scale)[0], den * scale
 
 
 def make_character(
@@ -182,14 +172,18 @@ def make_character(
 ) -> Character:
     """Validate the homomorphism law exactly and return the character.
 
-    Input phases are reduced mod 1.  The law is checked on integer
-    numerators over the common denominator, on the edges q(g s) = q(g) + q(s)
-    of `Subgroup.walk`, naming the first failing edge.  It already makes
-    every stored value an exact root of unity: ord(s) q(s) = q(e) = 0 mod 1,
-    so each phase's denominator divides its element's order, and so |N|.
+    Each phase is an int, another `numbers.Rational` or a finite float,
+    reduced mod 1; any other entry is refused, by index.  The law is checked
+    on integer numerators over the common denominator, on the edges
+    q(g s) = q(g) + q(s) of `Subgroup.walk`, naming the first failing edge.
+    It already makes every stored value an exact root of unity:
+    ord(s) q(s) = q(e) = 0 mod 1, so each phase's denominator divides its
+    element's order, and so |N|, over which the character is stored.
     """
     sub = _as_subgroup(domain)
-    qs, nums, den = _over_common(phases)
+    qs = tuple(_phase(q, i) for i, q in enumerate(phases))
+    den = math.lcm(*(q.denominator for q in qs))
+    nums = [q.numerator * (den // q.denominator) for q in qs]
     if len(qs) != sub.order:
         raise ValidationError(
             f"got {len(qs)} phases for a subgroup of order {sub.order}"
@@ -208,14 +202,14 @@ def make_character(
             f"homomorphism law fails at pair ({s}, {t}): "
             f"phase({s}*{t}) != phase({s}) + phase({t}) mod 1"
         )
-    char = _character(sub, _frozen(num * (sub.order // den))[0], sub.order)
+    char = _character(sub, _frozen(num * (sub.order // den))[0])
     vars(char)["phases"] = qs
     return char
 
 
 def trivial_character(domain: FiniteGroup | Subgroup) -> Character:
     sub = _as_subgroup(domain)
-    return _character(sub, _frozen(np.zeros(sub.order, dtype=np.int64))[0], sub.order)
+    return _character(sub, _frozen(np.zeros(sub.order, dtype=np.int64))[0])
 
 
 def enumerate_characters(domain: FiniteGroup | Subgroup) -> Dual:
@@ -299,14 +293,13 @@ class Dual(Sequence, _Refrozen):
             raise IndexError("character index out of range") from None
         char = self._built[i]
         if char is None:
-            char = self._built[i] = _character(self.domain, self._rows(i), self.domain.order)
+            char = self._built[i] = _character(self.domain, self._rows(i))
         return char
 
     def __iter__(self):
         if any(char is None for char in self._built):
-            den = self.domain.order
             self._built = [
-                _character(self.domain, row, den) if char is None else char
+                _character(self.domain, row) if char is None else char
                 for char, row in zip(self._built, self._rows(slice(None)))
             ]
         return iter(self._built)
@@ -361,19 +354,17 @@ def pullback(char: Character, theta: Mapping[int, int] | Sequence[int]) -> Chara
         s, t = gens[failing[0, 0]], ms[failing[0, 1]]
         raise ValidationError(f"map is not multiplicative at pair ({s}, {t})")
     moved = _frozen(char.numerators[np.searchsorted(ms, image)])[0]
-    return _character(sub, moved, char.denominator)
+    return _character(sub, moved)
 
 
 def char_mul(a: Character, b: Character) -> Character:
     if not a.domain.same_as(b.domain):
         raise DomainMismatchError("characters live on different subgroups")
-    den = math.lcm(a.denominator, b.denominator)
-    nums = a.numerators * (den // a.denominator) + b.numerators * (den // b.denominator)
-    return _character(a.domain, *_stored_form(a.domain.order, nums % den, den))
+    return _character(a.domain, _frozen((a.numerators + b.numerators) % a.denominator)[0])
 
 
 def char_conj(a: Character) -> Character:
-    return _character(a.domain, _frozen(-a.numerators % a.denominator)[0], a.denominator)
+    return _character(a.domain, _frozen(-a.numerators % a.denominator)[0])
 
 
 def char_inner(a: Character, b: Character) -> int:
@@ -381,16 +372,16 @@ def char_inner(a: Character, b: Character) -> int:
 
     The summand is itself a character; its phase multiset must consist of
     the m-th roots of unity each taken |N|/m times (m the lcm of the phase
-    denominators), which makes the sum exactly |N| when m = 1 and exactly 0
-    otherwise.  A violation would mean the inputs are not characters.
+    denominators, a divisor of |N|), which makes the sum exactly |N| when
+    m = 1 and exactly 0 otherwise.  The count is certified, not assumed.
     """
     prod = char_mul(a, char_conj(b))
-    n, nums, den = prod.domain.order, prod.numerators, prod.denominator
-    g = math.gcd(den, int(np.gcd.reduce(nums, initial=0)))
-    m = den // g                        # the phases are the j / m, at j = nums / g
+    n, nums = prod.denominator, prod.numerators
+    g = math.gcd(n, int(np.gcd.reduce(nums, initial=0)))
+    m = n // g                          # the phases are the j / m, at j = nums / g
     if m == 1:
         return n
-    if n % m != 0 or not (np.bincount(nums // g, minlength=m) == n // m).all():
+    if not (np.bincount(nums // g, minlength=m) == g).all():
         raise ValidationError(
             "phase multiset is not equidistributed over the roots of unity; "
             "inputs are not both characters"

@@ -114,9 +114,8 @@ def _module_action(
     holds psi as a `CovariantFunction`, and gathers at the representatives.
     """
     route = quot.fiber_action
-    tables = None if route is None else route.tables(char)
-    if tables is not None:
-        return route.act(wf, section, tables)
+    if route is not None:
+        return route.act(wf, section, route.tables(char))
     values = _on_group(section, char, quot) if full is None else full().values
     return _convolve_at(quot.parent, wf, values, quot.reps)
 

@@ -332,17 +332,17 @@ class FiberAction:
             roots[table % exponent] / sd.k.order,
             (sd.steps.T[:, None, :] * nkn + perm.T).reshape(nh * nkn, nh),
         )
-        self._by_character: dict[int, tuple[weakref.ref, tuple | None]] = {}
+        self._by_character: dict[int, tuple[weakref.ref, tuple]] = {}
         self._by_orbit: dict[int, tuple] = {}
 
-    def tables(self, char: Character) -> tuple | None:
+    def tables(self, char: Character) -> tuple:
         """The tables for `char`, built on its first use with this quotient:
         `spread`, the index of psi^ at [u, j, a] for the j-th output point
         (h, omega in S_h) that reads f^ at u, the position of each (h, omega)
         among those points, conj(chi_sigma_h(r)) with its conjugate, and its
-        H-orbit's `_orbit_tables`, which stay with the quotient; None when no
-        character of K extends `char`.  The rest are kept by the character's
-        identity until the character or quotient goes."""
+        H-orbit's `_orbit_tables`, which stay with the quotient.  The rest
+        are kept by the character's identity until the character or quotient
+        goes."""
         key = id(char)
         entry = self._by_character.get(key)
         if entry is None or entry[0]() is not char:
@@ -351,21 +351,14 @@ class FiberAction:
             entry = cache[key] = (alive, self._character_tables(char))
         return entry[1]
 
-    def _character_tables(self, char: Character) -> tuple | None:
+    def _character_tables(self, char: Character) -> tuple:
+        # Every character of N extends to K, and extensions are the chi_omega
+        # that agree with it on N's generators: over the exponent, the phase
+        # of a generator of order m is exact, as m divides the exponent.
         sd = self.sd
-        _, _, _, pos, dual, exponent, pulled = sd.dual_grid
-        den = char.denominator
-        if den != char.domain.order:   # a character's phases are stored over |N|
-            return None
-        target = char.numerators[self.gen_slots] * exponent
-        if (target % den).any():
-            return None
-        found = np.flatnonzero((self.on_gens == target // den).all(axis=1))
-        # exact: integer phases of chi_omega over the exponent against char's over |N|
-        if not found.size or not np.array_equal(
-            dual[found[0]] @ self.member_coords % exponent * den, char.numerators * exponent
-        ):
-            return None
+        _, _, _, _, dual, exponent, pulled = sd.dual_grid
+        target = char.numerators[self.gen_slots] * exponent // char.denominator
+        found = np.flatnonzero((self.on_gens == target).all(axis=1))
         sigma = pulled[sd.h.inv, found[0]]              # sigma[h] = chi_omega0 o theta_h^-1
         support = self._cosets_of(sigma)                # grid index of sigma_h nu at [h, nu]
         first = _distinct(sd.k.order, support.min(axis=1))  # w: the least character of each S_h
@@ -532,7 +525,7 @@ def _shifted(parent: FiniteGroup, sub: Subgroup, by: int) -> Subgroup:
 def lift_character(sd: SemidirectGroup, char: Character) -> Character:
     """Transport a character on a subgroup of K to the lifted subgroup."""
     lifted = lift_subgroup(sd, char.domain)
-    return _character(lifted, char.numerators, char.denominator)
+    return _character(lifted, char.numerators)
 
 
 def quotient_action(sd: SemidirectGroup, sub: Subgroup) -> tuple[QuotientGroup, np.ndarray]:
@@ -636,8 +629,7 @@ def _shear_numerators(m: int, r: int, y: int, n: int) -> np.ndarray:
 
 def _require_phases(psi: CovariantFunction, expected: np.ndarray, what: str) -> None:
     # exact: both sides are stored forms, integer numerators over |N|
-    char = psi.character
-    if char.denominator != expected.size or not np.array_equal(char.numerators, expected):
+    if not np.array_equal(psi.character.numerators, expected):
         raise DomainMismatchError(f"character does not match the requested {what}")
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -100,6 +101,28 @@ def test_make_character_names_the_pair_where_an_order_is_broken(phase):
 def test_make_character_rejects_length_mismatch(z4, z4_evens):
     with pytest.raises(ValidationError):
         make_character(z4_evens, [F(0)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [math.nan, math.inf, -math.inf, None, 1 + 0j, [1], True, "1/2"],
+    ids=["nan", "inf", "-inf", "None", "complex", "list", "bool", "str"],
+)
+def test_both_constructors_refuse_a_malformed_phase_by_index(entry):
+    z2 = full_subgroup(make_cyclic(2))
+    for construct in (make_character, characters.Character):
+        with pytest.raises(ValidationError) as err:
+            construct(z2, [0, entry])
+        assert str(err.value) == (
+            f"phase 1 must be a rational number or a finite float, got {entry!r}"
+        )
+
+
+def test_phases_may_be_ints_rationals_or_finite_floats():
+    z2 = full_subgroup(make_cyclic(2))
+    want = make_character(z2, [F(0), F(1, 2)])
+    for phases in ([0, 0.5], [np.int64(2), np.float64(-0.5)], [F(3), F(5, 2)]):
+        assert make_character(z2, phases) == want == characters.Character(z2, phases)
 
 
 def test_orthogonality_certificate_exact():

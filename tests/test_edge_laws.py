@@ -193,6 +193,7 @@ def _check_character(sub, phases):
         return q[table[s, t]] != (q[s] + q[t]) % 1
 
     message = _refusal(lambda: make_character(sub, phases))
+    assert _refusal(lambda: Character(sub, phases)) == message
     assert (message is None) == (not any(fails(s, t) for s in sub.members for t in sub.members))
     if message is not None:
         s, t = _pair(

@@ -18,6 +18,7 @@ import pytest
 
 from covmod import (
     Character,
+    ValidationError,
     conv_fast_wh_full,
     enumerate_characters,
     from_section,
@@ -29,7 +30,6 @@ from covmod import (
     make_product,
     make_subgroup,
     module_action,
-    phase_to_complex,
     quotient,
     random_function,
     section_residual,
@@ -171,34 +171,16 @@ def test_tables_are_lazy_cached_and_freed_with_the_quotient():
     assert [r() for r in refs] == [None] * 3
 
 
-@pytest.mark.parametrize(
-    "phases",
-    [
-        (0, Fraction(1, 4), 0, 0),                       # not a homomorphism
-        (0, Fraction(1, 3), Fraction(2, 3), 0),          # denominators that do not divide 4
-    ],
-)
-def test_a_non_character_takes_the_table_route(phases):
-    sd = weyl_heisenberg_finite(2, 4)
-    normal, quot = _quotient(sd, range(4))
-    bogus = Character(normal, tuple(Fraction(q) for q in phases))
-    assert quot.fiber_action.tables(bogus) is None
-    f, s = _draws(random.Random("bogus"), 2, sd.product.order, quot.order)
-    want = _convolve_at(sd.product, f, _on_group(s, bogus, quot), quot.reps)
-    assert np.array_equal(_module_action(f, s, bogus, quot), want)
-
-
-@pytest.mark.parametrize(
-    "phases",
-    [(0, Fraction(1, 4), 0, 0), (0, Fraction(1, 3), Fraction(2, 3), 0)],
-    ids=["over |N|", "over 3"],
-)
-def test_a_non_character_keeps_exact_values(phases):
+def test_a_non_character_is_refused_before_any_route():
+    # not a homomorphism, and denominators that do not divide |N| = 4
     normal, _ = _quotient(weyl_heisenberg_finite(2, 4), range(4))
-    bogus = Character(normal, phases)
-    exact = np.array([phase_to_complex(Fraction(q)) for q in phases], dtype=complex)
-    assert bogus.complex_values.tobytes() == exact.tobytes()
-    assert bogus.phases == tuple(Fraction(q) for q in phases)
+    for phases in [(0, Fraction(1, 4), 0, 0), (0, Fraction(1, 3), Fraction(2, 3), 0)]:
+        with pytest.raises(ValidationError) as want:
+            make_character(normal, phases)
+        with pytest.raises(ValidationError) as got:
+            Character(normal, phases)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("homomorphism law fails at pair (")
 
 
 def test_k_characters_build_fractions_only_when_read():
