@@ -30,6 +30,7 @@ from covmod import (
     make_product,
     make_subgroup,
     module_action,
+    phase_to_complex,
     quotient,
     random_function,
     section_residual,
@@ -171,16 +172,48 @@ def test_tables_are_lazy_cached_and_freed_with_the_quotient():
     assert [r() for r in refs] == [None] * 3
 
 
-def test_a_non_character_is_refused_before_any_route():
-    # not a homomorphism, and denominators that do not divide |N| = 4
-    normal, _ = _quotient(weyl_heisenberg_finite(2, 4), range(4))
-    for phases in [(0, Fraction(1, 4), 0, 0), (0, Fraction(1, 3), Fraction(2, 3), 0)]:
-        with pytest.raises(ValidationError) as want:
-            make_character(normal, phases)
-        with pytest.raises(ValidationError) as got:
-            Character(normal, phases)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("homomorphism law fails at pair (")
+@pytest.mark.parametrize(
+    "phases",
+    [
+        (0, Fraction(1, 4), 0, 0),                       # not a homomorphism
+        (0, Fraction(1, 3), Fraction(2, 3), 0),          # denominators that do not divide 4
+    ],
+)
+def test_a_non_character_takes_the_table_route(phases):
+    """No route, fiber or table, is left for a non-character: `Character`
+    refuses it with `make_character`'s message before any table is built."""
+    sd = weyl_heisenberg_finite(2, 4)
+    normal, quot = _quotient(sd, range(4))
+    with pytest.raises(ValidationError) as want:
+        make_character(normal, phases)
+    with pytest.raises(ValidationError) as got:
+        Character(normal, phases)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("homomorphism law fails at pair (")
+    assert all(quot.fiber_action.tables(c) is not None for c in enumerate_characters(normal))
+
+
+@pytest.mark.parametrize(
+    "order, phases",
+    [
+        (4, (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))),
+        (3, (0, Fraction(1, 3), Fraction(2, 3))),
+    ],
+    ids=["over |N|", "over 3"],
+)
+def test_a_non_character_keeps_exact_values(order, phases):
+    """Phases over 3 are no longer stored over an lcm on a group of order 4:
+    they are refused there, and on Z3, where they form a character, they are
+    stored over |N| = 3 like every other character, with bit-exact values."""
+    domain = (
+        _quotient(weyl_heisenberg_finite(2, 4), range(4))[0] if order == 4 else make_cyclic(3)
+    )
+    char = Character(domain, phases)
+    exact = np.array([phase_to_complex(Fraction(q)) for q in phases], dtype=complex)
+    assert char.denominator == domain.order == order
+    assert char.complex_values.tobytes() == exact.tobytes()
+    assert char.phases == tuple(Fraction(q) for q in phases)
+    assert char == make_character(domain, phases)
 
 
 def test_k_characters_build_fractions_only_when_read():
