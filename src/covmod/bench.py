@@ -25,7 +25,7 @@ from .characters import Character, make_character
 from .convolution import full_module_action, module_action, section_residual
 from .covariant import from_section
 from .errors import ValidationError
-from .groups import make_subgroup, quotient, random_function
+from .groups import _count, make_subgroup, quotient, random_function
 from .semidirect import (
     SemidirectGroup,
     _shear_numerators,
@@ -104,8 +104,7 @@ def run_bench(m: int, r: int, repetitions: int = 50, seed: int = 0) -> dict:
     `_shear_numerators` gives and the entry points check for.  Returns a report
     dict; render it with `bench_table`.
     """
-    if repetitions < 1:
-        raise ValidationError(f"repetitions must be positive, got {repetitions}")
+    repetitions = _count(repetitions, 1, "repetitions")
     sd = weyl_heisenberg_finite(m, r)
     rng = random.Random(f"{seed}:bench:{m}x{r}")
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +41,12 @@ ENUMERATION_LIMIT = 1024
 
 
 def _as_subgroup(domain: FiniteGroup | Subgroup) -> Subgroup:
+    """The one reader of a character's domain: a group is its full subgroup,
+    and anything but a group or a `Subgroup` is refused."""
     if isinstance(domain, FiniteGroup):
         return full_subgroup(domain)
+    if not isinstance(domain, Subgroup):
+        raise DomainMismatchError(f"a character's domain must be a group or a subgroup, got {domain!r}")
     return domain
 
 
@@ -149,13 +154,13 @@ class Character(_Refrozen):
         return not self.numerators.any()
 
     def value(self, s: int) -> complex:
-        """The character's value at a parent element index."""
-        try:
-            return complex(self.complex_values[self.domain.position[_element(self.domain.parent, s)]])
-        except KeyError:
-            raise DomainMismatchError(
-                f"element {s} is not a member of the character's domain"
-            ) from None
+        """The character's value at a parent element index (`_element`),
+        whose slot is found by bisection in the sorted `domain.members`."""
+        members, x = self.domain.members, _element(self.domain.parent, s)
+        i = bisect_left(members, x)
+        if i == len(members) or members[i] != x:
+            raise DomainMismatchError(f"element {s} is not a member of the character's domain")
+        return complex(self.complex_values[i])
 
 
 def _character(domain: Subgroup, numerators: np.ndarray) -> Character:
@@ -181,6 +186,8 @@ def make_character(
     element's order, and so |N|, over which the character is stored.
     """
     sub = _as_subgroup(domain)
+    if not isinstance(phases, Iterable):
+        raise ValidationError(f"phases must be an iterable of numbers, got {phases!r}")
     qs = tuple(_phase(q, i) for i, q in enumerate(phases))
     den = math.lcm(*(q.denominator for q in qs))
     nums = [q.numerator * (den // q.denominator) for q in qs]
@@ -271,9 +278,9 @@ class Dual(Sequence, _Refrozen):
     row of `accepted` per character, and the walk's words.  Character i,
     numerators accepted[i] @ words.T mod |N| over |N|, is built on its first
     access and kept, so `chars[i] is chars[i]` and tables keyed by a
-    character's identity still hit.  Iteration builds every character not
-    yet built with one product.  Indexing, slicing and `IndexError` behave
-    as on a list.
+    character's identity still hit.  Iteration is `Sequence`'s, one index
+    at a time, so it builds and keeps each character in the same way.
+    Indexing, slicing and `IndexError` behave as on a list.
     """
 
     def __init__(self, domain: Subgroup, accepted: np.ndarray, words: np.ndarray) -> None:
@@ -293,23 +300,9 @@ class Dual(Sequence, _Refrozen):
             raise IndexError("character index out of range") from None
         char = self._built[i]
         if char is None:
-            char = self._built[i] = _character(self.domain, self._rows(i))
+            row = self.accepted[i] @ self.words.T % self.domain.order
+            char = self._built[i] = _character(self.domain, _frozen(row)[0])
         return char
-
-    def __iter__(self):
-        if any(char is None for char in self._built):
-            self._built = [
-                _character(self.domain, row) if char is None else char
-                for char, row in zip(self._built, self._rows(slice(None)))
-            ]
-        return iter(self._built)
-
-    def _rows(self, which: int | slice) -> np.ndarray:
-        """accepted[which] @ words.T mod |N|, read-only: the numerators of
-        the characters at `which`, one row each, or of one."""
-        rows = self.accepted[which] @ self.words.T
-        np.remainder(rows, self.domain.order, out=rows)
-        return _frozen(rows)[0]
 
 
 def _solutions(relations: np.ndarray, den: int) -> np.ndarray:

@@ -41,7 +41,6 @@ way.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -55,8 +54,9 @@ from .groups import (
     GroupFunction,
     MeasureTriple,
     QuotientGroup,
+    _bounded,
     _draws,
-    _group_weights,
+    _weights,
 )
 
 
@@ -64,9 +64,8 @@ def _weighted(
     f: GroupFunction, measure: MeasureTriple | Sequence[float] | None
 ) -> np.ndarray:
     """The values w(y) * f(y) as an array, counting weights by default."""
-    if measure is None:
-        return f.values
-    return _group_weights(measure, f.group.order) * f.values
+    w = _weights(measure, "wG", f.group.order)
+    return f.values if w is None else w * f.values
 
 
 def _convolve_at(
@@ -181,8 +180,7 @@ def quotient_convolve(
     measure: MeasureTriple | Sequence[float] | None = None,
 ) -> GroupFunction:
     """Convolution of two functions on the quotient group with the wQ weights."""
-    w = measure.wQ if isinstance(measure, MeasureTriple) else measure
-    return convolve(phi, psi, w)
+    return convolve(phi, psi, _weights(measure, "wQ", phi.group.order))
 
 
 def worst_of(residuals: Iterable[float], worst: float = 0.0) -> float:
@@ -197,14 +195,6 @@ def worst_of(residuals: Iterable[float], worst: float = 0.0) -> float:
         elif r != r:
             return r
     return worst
-
-
-def _require_tolerance(tol: float) -> None:
-    """Refuse a tolerance no residual can be judged against: a NaN one fails
-    every check, an infinite one passes every check, and a negative one fails
-    even an exact check.  Zero stays valid; exact checks use it."""
-    if not 0 <= tol < math.inf:
-        raise ValidationError(f"tolerance must be finite and at least 0, got {tol!r}")
 
 
 def section_residual(a: CovariantFunction, b: CovariantFunction) -> float:
@@ -259,9 +249,10 @@ def verify_module_axioms(
     first, in one `_draws` call seeded from `seed`, and the laws are
     evaluated over the trial axis in two module actions, each on a stack of
     inputs.  Zero trials yields an empty, passing report; a NaN, infinite
-    or negative `tol` is refused.
+    or negative `tol`, failing every check, passing every check or failing
+    even an exact one, is refused.
     """
-    _require_tolerance(tol)
+    _bounded(tol, 0, "tolerance", ValidationError)
     group, n = quot.parent, quot.parent.order
     rng = random.Random(f"{seed}:module-axioms")
     f, g, h, k, alpha, beta = _draws(rng, trials, n, n, n, n, 1, 1)

@@ -15,20 +15,20 @@ from typing import Sequence
 import numpy as np
 
 from .characters import Character
-from .errors import DomainMismatchError, IdentificationError
+from .errors import DomainMismatchError, ExponentError, IdentificationError
 from .groups import (
     FiniteGroup,
     GroupFunction,
     MeasureTriple,
     QuotientGroup,
+    _bounded,
     _element,
-    _family,
     _p_norms,
     _real_form,
     _Refrozen,
-    _require_exponent,
     _scaled,
     _vector,
+    _weights,
 )
 
 
@@ -85,15 +85,16 @@ class CovariantFunction(_Refrozen):
 def t_xi(
     f: GroupFunction,
     char: Character,
-    measure: MeasureTriple | None = None,
+    measure: MeasureTriple | Sequence[float] | None = None,
     quot: QuotientGroup | None = None,
 ) -> CovariantFunction:
     """Average f against the conjugated character over the normal subgroup.
 
     The output section at a representative r is
-    sum over s in N of wN(s) * f(r * s) * conj(xi(s)), and the result is
-    covariant for xi by construction.  Without `quot` it reads the quotient
-    the subgroup keeps (`Subgroup.quotient`), built on the first such call.
+    sum over s in N of wN(s) * f(r * s) * conj(xi(s)) (`groups._weights`),
+    and the result is covariant for xi by construction.  Without `quot` it
+    reads the quotient the subgroup keeps (`Subgroup.quotient`), built on
+    the first such call.
     """
     if char.domain.parent is not f.group:
         raise DomainMismatchError("character domain is not a subgroup of f's group")
@@ -101,7 +102,7 @@ def t_xi(
         quot = char.domain.quotient
     elif not quot.normal.same_as(char.domain):
         raise DomainMismatchError("quotient was built for a different subgroup")
-    wN = None if measure is None else _family(measure, "wN", quot.normal.order)
+    wN = _weights(measure, "wN", quot.normal.order)
     return CovariantFunction(quot, char, _averaged(f.values, char, quot, wN))
 
 
@@ -144,17 +145,16 @@ def from_section(
 
 
 def cov_norm(
-    psi: CovariantFunction, p: float, measure: MeasureTriple | None = None
+    psi: CovariantFunction, p: float, measure: MeasureTriple | Sequence[float] | None = None
 ) -> float:
-    """The p-norm of the section against the quotient weights.
+    """The p-norm of the section against the quotient weights (`groups._weights`).
 
     Because |psi| is constant on each coset, this is the natural norm of the
     covariant function itself; with counting weights it differs from the
     full-group p-norm exactly by the factor |N| ** (1/p).
     """
-    _require_exponent(p)
-    wQ = None if measure is None else _family(measure, "wQ", psi.quotient.order)
-    return float(_p_norms(psi.section, p, wQ))
+    p = _bounded(p, 1, "norm exponent", ExponentError)
+    return float(_p_norms(psi.section, p, _weights(measure, "wQ", psi.quotient.order)))
 
 
 def project_trivial(psi: CovariantFunction) -> GroupFunction:

@@ -45,6 +45,7 @@ except ImportError:
         from hashlib import sha256
 
 from .errors import (
+    CovmodError,
     DomainMismatchError,
     ExponentError,
     MeasureError,
@@ -70,13 +71,33 @@ def _block_rows(n: int) -> int:
     return min(n, max(1, _BLOCK // n))
 
 
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise ValidationError(f"group order must be at least 1, got {order}")
+def _count(value, low: int, what: str) -> int:
+    """A count as an int, refused with `ValidationError` unless it is an
+    integer, not a bool, of at least `low`: the one reader of group orders,
+    trial counts and repetitions."""
+    if type(value) is bool or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{what} must be at least {low}, got {int(value)}")
+    return int(value)
+
+
+def _bounded(value, low: float, what: str, error: type[CovmodError]) -> float:
+    """A real number of at least `low`, refused with `error` when it is a bool,
+    not a `numbers.Real`, NaN, infinite or below `low`: the one reader of
+    norm exponents and tolerances."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a real number, got {value!r}")
+    if not low <= value < math.inf:
+        raise error(f"{what} must be finite and at least {low}, got {value!r}")
+    return value
+
+
+def _check_order(order: int) -> int:
+    order = _count(order, 1, "group order")
     if order > MAX_GROUP_ORDER:
-        raise ResourceError(
-            f"group order {order} exceeds the supported maximum {MAX_GROUP_ORDER}"
-        )
+        raise ResourceError(f"group order {order} exceeds the supported maximum {MAX_GROUP_ORDER}")
+    return order
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -206,8 +227,8 @@ class FiniteGroup(_Refrozen):
         return self.labels[x] if self.labels is not None else str(x)
 
     def element_order(self, x: int) -> int:
-        """The least k >= 1 with x^k the identity."""
-        power, order = x, 1
+        """The least k >= 1 with x^k the identity, for an element index x (`_element`)."""
+        power, order = _element(self, x), 1
         while power != self.identity:
             power, order = int(self.multiply(power, x)), order + 1
         return order
@@ -264,7 +285,8 @@ def table_hash(order: int):
 
 @dataclass(frozen=True)
 class Subgroup(_Refrozen):
-    """A validated subgroup, stored as sorted member indices of the parent."""
+    """A validated subgroup, stored as sorted member indices of the parent,
+    where a member's slot is found by search (`bisect`, `np.searchsorted`)."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
@@ -295,11 +317,6 @@ class Subgroup(_Refrozen):
                 f"subgroup is not closed: {gens[j]}*{ms[i]} = {products[j, i]} is not a member"
             )
         return _frozen(gens, words[ms], relations, at)
-
-    @cached_property
-    def position(self) -> dict[int, int]:
-        """Map a parent element index to its slot in `members`."""
-        return {m: i for i, m in enumerate(self.members)}
 
     @property
     def order(self) -> int:
@@ -447,7 +464,7 @@ class GroupFunction(_Refrozen):
 
 def make_cyclic(order: int) -> FiniteGroup:
     """The additive group of integers modulo `order`."""
-    _check_order(order)
+    order = _check_order(order)
     a = np.arange(order, dtype=np.int32)
     return FiniteGroup(order, (a[:, None] + a) % order, -a % order, 0)
 
@@ -888,28 +905,26 @@ def counting_measure(quot: QuotientGroup) -> MeasureTriple:
     return weil_measure(quot.parent, quot.normal, quot)
 
 
-def _group_weights(weights: MeasureTriple | Sequence[float], order: int) -> np.ndarray:
-    """The wG family of a triple, or explicit per-element weights, of length `order`."""
-    w = weights.wG if isinstance(weights, MeasureTriple) else _vector(weights, float, "weights")
-    if w.size != order:
-        raise MeasureError(f"got {w.size} weights for a group of order {order}")
-    return w
-
-
-def _family(measure: MeasureTriple, name: str, size: int) -> np.ndarray:
-    """The family `name` of a triple, refused unless it has `size` weights."""
-    w = getattr(measure, name)
+def _weights(measure, family: str, size: int) -> np.ndarray | None:
+    """The one reader of weights: None (counting weights) for None, else the
+    `family` of a `MeasureTriple` or explicit weights (`_vector`), refused
+    with `MeasureError` unless there are `size` of them."""
+    if measure is None:
+        return None
+    w = getattr(measure, family) if isinstance(measure, MeasureTriple) else _vector(measure, float, "weights")
     if w.size != size:
-        raise MeasureError(f"got {w.size} {name} weights where {size} are needed")
+        raise MeasureError(f"got {w.size} {family} weights where {size} are needed")
     return w
 
 
 def weil_residual(f: GroupFunction, quot: QuotientGroup, measure: MeasureTriple) -> float:
-    """|iterated coset sum - plain group sum| for one function and weight family."""
+    """|iterated coset sum - plain group sum| for one function and a triple."""
     if f.group is not quot.parent:
         raise DomainMismatchError("function lives on a different group")
+    if not isinstance(measure, MeasureTriple):
+        raise MeasureError(f"the Weil formula needs a MeasureTriple, got {measure!r}")
     for name, size in (("wG", quot.parent.order), ("wN", quot.normal.order), ("wQ", quot.order)):
-        _family(measure, name, size)
+        _weights(measure, name, size)
     return float(_weil_gaps(f.values, quot, measure))
 
 
@@ -926,14 +941,8 @@ def lp_norm(
     weights: MeasureTriple | Sequence[float] | None = None,
 ) -> float:
     """Weighted p-norm (sum of w * |f|^p) ** (1/p) over the group."""
-    _require_exponent(p)
-    w = None if weights is None else _group_weights(weights, f.group.order)
-    return float(_p_norms(f.values, p, w))
-
-
-def _require_exponent(p: float) -> None:
-    if not 1 <= p < math.inf:
-        raise ExponentError(f"norm exponent must be finite and at least 1, got {p}")
+    p = _bounded(p, 1, "norm exponent", ExponentError)
+    return float(_p_norms(f.values, p, _weights(weights, "wG", f.group.order)))
 
 
 def _p_norms(values: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.ndarray:
@@ -975,8 +984,8 @@ def _draws(rng: random.Random, trials: int, *sizes: int) -> list[np.ndarray]:
     state (for a given numpy version).  One `standard_normal` call fills the
     whole block, real part first, trial by trial and, within a trial, size
     by size: the same values as drawing each trial's sizes in turn from that
-    Generator.
+    Generator.  `trials` is read by `_count`, at least 0.
     """
-    width = sum(sizes)
+    trials, width = _count(trials, 0, "the trial count"), sum(sizes)
     normals = np.random.default_rng(rng.getrandbits(128)).standard_normal((trials, 2 * width))
     return np.split(normals.view(complex), np.cumsum(sizes)[:-1], axis=1)

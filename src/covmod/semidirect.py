@@ -68,6 +68,7 @@ from .groups import (
     make_cyclic,
     _check_order,
     _distinct,
+    _element,
     _frozen,
     _int_rows,
     _real_form,
@@ -497,8 +498,7 @@ def delta_factor(sd: SemidirectGroup, sub: Subgroup, h: int) -> float:
     """
     if sub.parent is not sd.k:
         raise DomainMismatchError("subgroup does not live in the K factor")
-    if not 0 <= h < sd.h.order:
-        raise DomainMismatchError(f"element {h} is outside H")
+    _element(sd.h, h)
     sd._require_invariant(sub)
     return 1.0
 
@@ -571,8 +571,7 @@ def weyl_heisenberg_finite(m: int, r: int) -> SemidirectGroup:
     `_shear_action` writes out.  With r = m this is exactly the plain
     step-1 shear group.
     """
-    _check_order(m)
-    _check_order(r)
+    m, r = _check_order(m), _check_order(r)
     if r % m != 0:
         raise DiscretizationError(
             f"the circle resolution {r} must be a multiple of the base order {m}"

@@ -41,7 +41,6 @@ from .convolution import (
     _covariance_gaps,
     _gaps,
     _module_action,
-    _require_tolerance,
     verify_module_axioms,
     worst_of,
 )
@@ -52,6 +51,7 @@ from .groups import (
     FiniteGroup,
     QuotientGroup,
     Subgroup,
+    _bounded,
     _draws,
     _p_norms,
     _weil_gaps,
@@ -546,15 +546,14 @@ def run_verification(
 
     Checks that do not apply to an entry (semidirect-only checks on a plain
     group) are skipped; the shear-group size grid is always exercised.  A
-    `tol` given in place of the defaults must be finite and at least 0.
+    `tol` given in place of the defaults must be finite and at least 0, and
+    `trials` an integer of at least 0, as the first draw reads it.
     Each row carries the wall time of the check that produced it in
     `seconds`, and the report the wall time of the whole run.
     """
     start = time.perf_counter()
-    if trials < 0:
-        raise ValidationError(f"the trial count must be at least 0, got {trials}")
     if tol is not None:
-        _require_tolerance(tol)
+        _bounded(tol, 0, "tolerance", ValidationError)
     if entries is None:
         entries = builtin_corpus()
     rows: list[dict] = []
