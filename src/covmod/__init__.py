@@ -8,8 +8,9 @@ the abelian fiber.
 Everything is checkable: `covmod verify` re-derives each identity on a
 corpus of groups with seeded random data.
 
-The names from `verify` and `bench` load with their module on first use
-(PEP 562), so `import covmod` and the CLI's other commands skip both.
+The names from `verify`, `bench` and `draws` load with their module on
+first use (PEP 562), so `import covmod` and the CLI's other commands skip
+all three.
 """
 
 import importlib
@@ -68,7 +69,6 @@ from .groups import (
     make_from_table,
     make_subgroup,
     quotient,
-    random_function,
     weil_measure,
     weil_residual,
 )
@@ -111,6 +111,7 @@ _LAZY = {
     "symmetric_3": "verify",
     "bench_table": "bench",
     "run_bench": "bench",
+    "random_function": "draws",
 }
 
 

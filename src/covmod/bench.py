@@ -24,8 +24,9 @@ from fractions import Fraction
 from .characters import Character, make_character
 from .convolution import full_module_action, module_action, section_residual
 from .covariant import from_section
+from .draws import random_function
 from .errors import ValidationError
-from .groups import _count, make_subgroup, quotient, random_function
+from .groups import _count, make_subgroup, quotient
 from .semidirect import (
     SemidirectGroup,
     _shear_numerators,

@@ -55,7 +55,6 @@ from .groups import (
     MeasureTriple,
     QuotientGroup,
     _bounded,
-    _draws,
     _weights,
 )
 
@@ -255,6 +254,8 @@ def verify_module_axioms(
     _bounded(tol, 0, "tolerance", ValidationError)
     group, n = quot.parent, quot.parent.order
     rng = random.Random(f"{seed}:module-axioms")
+    from .draws import _draws   # drawing is left unloaded until a command draws
+
     f, g, h, k, alpha, beta = _draws(rng, trials, n, n, n, n, 1, 1)
 
     def act(wf: np.ndarray, section: np.ndarray) -> np.ndarray:

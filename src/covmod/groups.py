@@ -21,14 +21,14 @@ two numpy gathers over the whole table, taken in row blocks.
 
 Fingerprints are sha256 digests from CPython's built-in `_sha2` (3.12+) or
 `_sha256` module, as the standard `random` module takes sha512: `hashlib`
-loads OpenSSL, which a command that draws no random numbers never needs.
+loads OpenSSL, which no command needs (random values come from
+`covmod.draws`, in numpy integer arithmetic, not from `numpy.random`).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -968,24 +968,3 @@ def delta_function(group: FiniteGroup, at: int) -> GroupFunction:
     values = np.zeros(group.order, dtype=complex)
     values[_element(group, at)] = 1.0
     return GroupFunction(group, values)
-
-
-def random_function(group: FiniteGroup, rng: random.Random) -> GroupFunction:
-    """Standard complex Gaussian values seeded from the supplied PRNG: one
-    trial of `_draws`."""
-    return GroupFunction(group, _draws(rng, 1, group.order)[0][0])
-
-
-def _draws(rng: random.Random, trials: int, *sizes: int) -> list[np.ndarray]:
-    """One (trials, size) array of standard complex Gaussians per size.
-
-    Takes exactly 128 bits from `rng`, even for no trials, and seeds one
-    numpy PCG64 `Generator` with them, so the values are fixed by the rng's
-    state (for a given numpy version).  One `standard_normal` call fills the
-    whole block, real part first, trial by trial and, within a trial, size
-    by size: the same values as drawing each trial's sizes in turn from that
-    Generator.  `trials` is read by `_count`, at least 0.
-    """
-    trials, width = _count(trials, 0, "the trial count"), sum(sizes)
-    normals = np.random.default_rng(rng.getrandbits(128)).standard_normal((trials, 2 * width))
-    return np.split(normals.view(complex), np.cumsum(sizes)[:-1], axis=1)

@@ -587,11 +587,32 @@ def _shear_action(m: int, r: int) -> np.ndarray:
     return (l * r + (t + (r // m) * x * l) % r).reshape(m, m * r)
 
 
+def _refuse_difference(part: str, got: np.ndarray, want: np.ndarray) -> None:
+    """Refuse `part` at the first entry, in row-major order, where the two
+    arrays differ."""
+    differs = got != want
+    if differs.any():
+        at = tuple(np.argwhere(differs)[0].tolist())
+        raise DomainMismatchError(
+            f"{part} differs from the shear group's at entry {at}: "
+            f"{got[at]} where {want[at]} is expected"
+        )
+
+
 def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int]:
     """Recover (m, r) from a shear group, refusing any other product.
 
     H, K and the action must equal those of `weyl_heisenberg_finite(m, r)`
-    entry for entry; labels are not compared.
+    entry for entry; labels are not compared.  K is compared on the edges
+    x -> x g of the generators g = 1 and g = r of Z_m x Z_r only, against the
+    mixed-radix sums, 2 |K| entries.  That is exact: where two group laws on
+    the same elements agree on x g for every x and each generator g, every y
+    whose column x -> x y agrees gives the same y g under both, and the column
+    of y g, x -> (x y) g, agrees too; so the agreeing columns contain the
+    generators and are closed under right multiplication by them, which in a
+    finite group makes them all of K (of order 1, K has neither generator
+    and one table).  Only a refusal builds Z_m x Z_r's table, to name the
+    first entry that differs.
     """
     m = sd.h.order
     if sd.k.order % m != 0:
@@ -599,19 +620,12 @@ def _wh_parameters(sd: SemidirectGroup) -> tuple[int, int]:
     r = sd.k.order // m
     if r % m != 0:
         raise DomainMismatchError(f"K's circle resolution {r} is not a multiple of {m}")
-    k = make_product(make_cyclic(m), make_cyclic(r))
-    for part, got, want in (
-        ("H", sd.h.table, make_cyclic(m).table),
-        ("K", sd.k.table, k.table),
-        ("the action", sd.action, _shear_action(m, r)),
-    ):
-        differs = got != want
-        if differs.any():
-            at = tuple(np.argwhere(differs)[0].tolist())
-            raise DomainMismatchError(
-                f"{part} differs from the shear group's at entry {at}: "
-                f"{got[at]} where {want[at]} is expected"
-            )
+    _refuse_difference("H", sd.h.table, make_cyclic(m).table)
+    x = np.arange(m * r)
+    edges = ((1, x - x % r + (x + 1) % r), (r, (x + r) % (m * r)))
+    if any(g < m * r and not np.array_equal(sd.k.multiply(x, g), want) for g, want in edges):
+        _refuse_difference("K", sd.k.table, make_product(make_cyclic(m), make_cyclic(r)).table)
+    _refuse_difference("the action", sd.action, _shear_action(m, r))
     return m, r
 
 

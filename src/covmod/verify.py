@@ -6,13 +6,14 @@ table isomorphisms, pullback shifts) report a mismatch count instead, so a
 passing run shows literal zeros there.
 
 A randomized check draws all trials of a character first, into arrays with
-a leading trial axis, with one `groups._draws` call: it seeds a numpy
-PCG64 `Generator` with 128 bits of a `random.Random` keyed by the seed, and
-the Generator samples every trial at once.  It then evaluates both sides
-once over that axis with the array functions behind the public kernels and
-takes the worst residual, NaN failing its row.  The draws are thus fixed by
-the seed (for a given numpy version), while the residuals' last digits
-depend on numpy's summation order.
+a leading trial axis, with one `draws._draws` call: 64 bits of a
+`random.Random` keyed by the seed key a SplitMix64 stream in numpy integer
+arithmetic, and Marsaglia's polar method turns it into every trial's complex
+Gaussians at once.  It then evaluates both sides once over that axis with
+the array functions behind the public kernels and takes the worst residual,
+NaN failing its row.  The integer stream is fixed by the seed on every numpy
+and Python version, and the draws up to the last bits of `log`, while the
+residuals' last digits depend on numpy's summation order.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from .convolution import (
 )
 # t_xi goes uncalled here; covbench's tracer test asserts it is wrapped here too
 from .covariant import _averaged, _on_group, t_xi  # noqa: F401
+from .draws import _draws
 from .errors import DomainMismatchError, ValidationError
 from .groups import (
     FiniteGroup,
     QuotientGroup,
     Subgroup,
     _bounded,
-    _draws,
     _p_norms,
     _weil_gaps,
     counting_measure,

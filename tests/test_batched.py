@@ -2,9 +2,10 @@
 
 Every kernel that verify calls over a leading trial axis must give, trial by
 trial, what the public function gives on one `GroupFunction` or
-`CovariantFunction`; and the draw helper must give, bit for bit, the values of
-drawing trial by trial and size by size from one numpy Generator seeded with
-128 bits of the rng, and leave the rng as those 128 bits do.
+`CovariantFunction`; and the draw helper must give the values of drawing
+trial by trial and size by size from one SplitMix64 stream keyed by 64 bits
+of the rng (the pure-Python reference in conftest.py), and leave the rng as
+those 64 bits do.
 """
 
 import random
@@ -48,7 +49,8 @@ from covmod.convolution import (
     _module_action,
 )
 from covmod.covariant import _averaged, _on_group
-from covmod.groups import _draws, _p_norms, _weil_gaps
+from covmod.draws import _draws
+from covmod.groups import _p_norms, _weil_gaps
 from covmod.semidirect import lift_subgroup, weyl_heisenberg_finite
 from covmod.verify import FAST_GRID, builtin_corpus
 
@@ -178,18 +180,14 @@ def test_array_functions_match_the_public_path(name, group, members, sd, form, r
 
 @pytest.mark.parametrize("sizes", [(4,), (6, 6, 1, 1), (27, 9), (1,)])
 @pytest.mark.parametrize("trials", TRIALS)
-def test_draws_are_the_sequential_stream(sizes, trials):
+def test_draws_are_the_sequential_stream(sizes, trials, assert_gauss_stream):
     ours, theirs = random.Random(f"draws:{sizes}"), random.Random(f"draws:{sizes}")
     arrays = _draws(ours, trials, *sizes)
-    normals = np.random.default_rng(theirs.getrandbits(128))
-    expected = [[] for _ in sizes]
-    for _ in range(trials):
-        for i, size in enumerate(sizes):
-            expected[i].append(normals.standard_normal(2 * size).view(complex))
     assert len(arrays) == len(sizes)
-    for got, want, size in zip(arrays, expected, sizes):
+    for got, size in zip(arrays, sizes):
         assert got.shape == (trials, size) and got.dtype == complex
-        assert got.tobytes() == _stack(want, (size,)).tobytes()
+    # side by side, each row is one trial's sizes in turn
+    assert_gauss_stream(np.concatenate(arrays, axis=1), theirs.getrandbits(64))
     assert ours.getstate() == theirs.getstate()
 
 

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from covmod import jsonio, make_cyclic
@@ -334,3 +335,35 @@ def test_malformed_document_is_exit_two(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# numpy.random imports secrets, and through hmac and hashlib OpenSSL's _hashlib
+_OPENSSL = ("numpy.random", "secrets", "_hashlib")
+
+_LOADED_BY = f"""
+import json, runpy, sys
+import numpy
+before = [name for name in {_OPENSSL!r} if name in sys.modules]
+code = 0
+try:
+    runpy.run_module("covmod", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    code = stop.code
+after = [name for name in {_OPENSSL!r} if name in sys.modules]
+print(json.dumps([before, after, code]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "args", [["verify", "--trials", "1", "--corpus", "Z4/evens"], ["bench", "2", "4"]]
+)
+def test_the_drawing_commands_load_no_openssl(args):
+    """The draws are numpy integer arithmetic, not numpy.random."""
+    res = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, *args], capture_output=True, text=True
+    )
+    before, after, code = json.loads(res.stderr.splitlines()[-1])
+    if before:
+        pytest.skip(f"numpy {np.__version__} loads {before} itself in `import numpy`")
+    assert code == 0, res.stderr
+    assert after == [], f"covmod {args[0]} loaded {after}"

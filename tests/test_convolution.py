@@ -38,7 +38,8 @@ from covmod import (
 )
 from covmod.convolution import _convolve_at, _module_action
 from covmod.covariant import _on_group
-from covmod.groups import _draws, generating_set
+from covmod.draws import _draws
+from covmod.groups import generating_set
 from covmod.jsonio import group_from_json, group_to_json
 from covmod.verify import builtin_corpus
 

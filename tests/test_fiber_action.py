@@ -42,7 +42,7 @@ from covmod import (
 )
 from covmod.convolution import _convolve_at, _module_action
 from covmod.covariant import _on_group
-from covmod.groups import _draws
+from covmod.draws import _draws
 from covmod.verify import FAST_GRID, builtin_corpus
 
 TRIALS = (0, 1, 3)

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from covmod import (
     project_trivial,
     trivial_character,
 )
-from covmod import groups
+from covmod import draws, groups
 from covmod.groups import cyclic_coordinates, generating_set
 from covmod.verify import builtin_corpus
 from covmod.jsonio import (
@@ -684,14 +685,51 @@ def test_no_route_builds_the_tuple_table():
 
 @pytest.mark.parametrize("order", [1, 2, 7, 64])
 @pytest.mark.parametrize("seed", [0, 1, 42, "routes"])
-def test_random_function_is_the_gauss_stream(order, seed):
-    """The values are the standard normals of a numpy Generator seeded with
-    128 bits of the rng, real part first, and exactly those bits are used."""
+def test_random_function_is_the_gauss_stream(order, seed, assert_gauss_stream):
+    """The values are the accepted polar candidates of the SplitMix64 stream
+    keyed by 64 bits of the rng, in order, and exactly those bits are used."""
     ours, theirs = random.Random(seed), random.Random(seed)
     f = random_function(make_cyclic(order), ours)
-    draws = np.random.default_rng(theirs.getrandbits(128)).standard_normal(2 * order)
-    assert f.values.view(np.float64).tobytes() == draws.tobytes()
+    assert_gauss_stream(f.values, theirs.getrandbits(64))
     assert ours.getstate() == theirs.getstate()
+
+
+def test_the_words_and_accept_pattern_are_the_reference_bit_for_bit(gauss_candidates):
+    key = random.Random("words").getrandbits(64)
+    stream = list(islice(gauss_candidates(key), 600))
+    words = [w for pair, _ in stream for w in pair]
+    assert draws._words(key, 0, len(words)).tolist() == words
+    # a block that starts mid-stream holds the same words
+    assert draws._words(key, 2 * 17 + 1, 60).tolist() == words[2 * 17 + 1 : 2 * 17 + 61]
+    # candidate by candidate, one accepted value or none
+    pattern = [len(draws._polar(key, j, 1)) for j in range(len(stream))]
+    assert pattern == [int(value is not None) for _, value in stream]
+    assert 0 < sum(pattern) < len(stream)
+
+
+def test_a_short_first_block_continues_the_stream(assert_gauss_stream):
+    # 149 candidates are drawn first for 100 values; at this seed only 99 of
+    # them are accepted, so the rest come from the next block of the counter
+    ours, theirs = random.Random("short:939"), random.Random("short:939")
+    key = theirs.getrandbits(64)
+    assert len(draws._polar(key, 0, 100 * 4 // 3 + 16)) < 100
+    (f,) = draws._draws(ours, 4, 25)
+    assert f.shape == (4, 25)
+    assert_gauss_stream(f, key)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_draws_have_standard_gaussian_moments():
+    # 10^5 values at a fixed seed; each bound is about five standard errors
+    # of its statistic (about six for the tail share)
+    (z,) = draws._draws(random.Random("moments"), 1, 100_000)
+    parts = (z[0].real, z[0].imag)
+    for x in parts:
+        assert abs(x.mean()) < 0.016   # standard error 1/sqrt(n) = 0.0032
+        assert abs(x.var() - 1) < 0.023   # standard error sqrt(2/n) = 0.0045
+        # P(|x| > 3) = 0.0027, standard error 0.00016
+        assert abs(np.mean(np.abs(x) > 3) - 0.0027) < 0.001
+    assert abs(np.corrcoef(*parts)[0, 1]) < 0.016   # standard error 0.0032
 
 
 def _assert_frozen_vector(arr, dtype, length):

@@ -13,6 +13,7 @@ def test_cli_import_leaves_verify_and_bench_unloaded():
     assert "'covmod.jsonio'" in res.stdout
     assert "'covmod.verify'" not in res.stdout
     assert "'covmod.bench'" not in res.stdout
+    assert "'covmod.draws'" not in res.stdout
 
 
 def test_every_exported_name_resolves():

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -107,12 +108,12 @@ def test_the_recognizer_accepts_every_shear_group(m, r):
             assert [F(v, m * r) for v in _shear_numerators(m, r, y, n).tolist()] == want
 
 
-def _relabelled_k(m, r):
-    """WH(m, r) with K's elements (0, 1) and (0, 2) swapped: the same group
-    under other indices."""
+def _relabelled_k(m, r, swap=(1, 2)):
+    """WH(m, r) with the two K elements of `swap` exchanged, by default (0, 1)
+    and (0, 2): the same group under other indices."""
     sd = weyl_heisenberg_finite(m, r)
     p = np.arange(m * r)
-    p[[1, 2]] = [2, 1]                       # an involution, its own inverse
+    p[list(swap)] = swap[::-1]               # an involution, its own inverse
     k = make_from_table(p[sd.k.table[np.ix_(p, p)]].tolist())
     return semidirect(sd.h, k, p[sd.action[:, p]].tolist())
 
@@ -126,6 +127,12 @@ def _relabelled_k(m, r):
             "the action differs from the shear group's at entry (1, 4): 4 where 6 is expected",
         ),
         (lambda: _relabelled_k(2, 4), "K differs from the shear group's at entry (1, 1): 0 where 2 is expected"),
+        # (1, 2) and (1, 3), elements 10 and 11, swapped: the first entry that
+        # differs, (1, 9), lies in neither edge column, 1 or 8, and is named
+        (
+            lambda: _relabelled_k(4, 8, (10, 11)),
+            "K differs from the shear group's at entry (1, 9): 11 where 10 is expected",
+        ),
         # S3 as Z2 acting on Z3 by inversion
         (
             lambda: semidirect(make_cyclic(2), make_cyclic(3), ((0, 1, 2), (0, 2, 1))),
@@ -139,6 +146,21 @@ def test_the_recognizer_names_the_part_that_differs(build, message):
         _wh_parameters(sd)
     with pytest.raises(DomainMismatchError, match=re.escape(message)):
         sd.shear_parameters
+
+
+def test_the_recognizer_reads_k_on_generator_edges_only():
+    # against a second Z_64 x Z_64 table and its mask, one call peaked at
+    # 82.4 MiB traced; the edges x -> x 1 and x -> x 64 are 2 |K| entries, and
+    # the action's (64, 4096) comparison is what remains
+    sd = weyl_heisenberg_finite(64, 64)
+    assert _wh_parameters(sd) == (64, 64)
+    tracemalloc.start()
+    try:
+        assert _wh_parameters(sd) == (64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"a second call peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_central_quotient_of_heis2_is_klein_four():
